@@ -17,6 +17,7 @@ from .errors import CapExceeded, OutOfRange, WrongFamily, WrongShape
 from .filtration import CBReport, cb_filtration, default_max_rank
 from .groups import (
     FiniteGroup,
+    _commutator_of,
     all_subgroups,
     centralizer,
     closure,
@@ -34,6 +35,7 @@ from .towers import (
     _mat_pow,
     direct_product_tower,
     make_zp,
+    truncate,
     z_witness_subgroup,
 )
 
@@ -114,12 +116,7 @@ def wilson_commutator_audit(t: Tower) -> AuditResult:
         a_gens = [info["a1"], info["a2"], info["a3"]]
         for nm in max_names:
             M = closure(G, [info[nm]] + a_gens)
-            # commutator subgroup of the subgroup M, inside G
-            mi = M.indices()
-            a = np.repeat(mi, len(mi))
-            b = np.tile(mi, len(mi))
-            comms = G.table[G.table[a, b], G.inv[G.table[b, a]]]
-            Mp = closure(G, np.unique(comms))
+            Mp = _commutator_of(G, M)
             per_max[nm].append(M.order // Mp.order)
             if nm == "x1":
                 expect = closure(
@@ -299,7 +296,7 @@ def solitary_criterion_hxz_audit(
     if product is None:
         depth = max_depth or min(h_tower.depth, 2)
         zt = make_zp(p, depth)
-        product = direct_product_tower(truncate_tower(h_tower, depth), zt)
+        product = direct_product_tower(truncate(h_tower, depth), zt)
         product.meta.extra["right_order_per_level"] = [p**k for k in range(1, depth + 1)]
     else:
         if "right_order_per_level" not in product.meta.extra:
@@ -337,12 +334,6 @@ def solitary_criterion_hxz_audit(
                 passed = False
     details["certified_nodes"] = sorted(certified)
     return AuditResult("solitary_criterion_hxz", passed, (1, depth), details)
-
-
-def truncate_tower(t: Tower, depth: int) -> Tower:
-    from .towers import truncate
-
-    return truncate(t, depth) if depth < t.depth else t
 
 
 # -- virtually-Z_p audit -----------------------------------------------------------
@@ -447,15 +438,17 @@ def pirim_h_node_certificates(t: Tower, lt: LatticeTower) -> dict[tuple[int, int
 
 
 def certify_solitary(
-    t: Tower, lt: LatticeTower, report: CBReport
+    t: Tower, lt: LatticeTower, report: CBReport, zp_audit: AuditResult | None
 ) -> dict[tuple[int, int], list[str]]:
-    """Casebook certificates usable by solitary_candidates, keyed by node."""
+    """Casebook certificates usable by solitary_candidates, keyed by node.
+
+    `zp_audit` is the tower's virtually_zp_audit over the same lattice and
+    report, or None for a tower that is not virtually Z_p.
+    """
     out: dict[tuple[int, int], list[str]] = {}
-    if t.meta.flags.virtually_zp and t.meta.extra.get("z_witness") is not None:
-        audit = virtually_zp_audit(t, lt, report)
-        if audit.passed:
-            for key in audit.details["certified_nodes"]:
-                out[tuple(key)] = ["centralizer_of_procyclic_witness"]
+    if zp_audit is not None and zp_audit.passed:
+        for key in zp_audit.details["certified_nodes"]:
+            out[tuple(key)] = ["centralizer_of_procyclic_witness"]
     if t.meta.family_name == "pirim":
         audit = pirim_irreducibility_audit(t)
         if audit.passed:

@@ -9,9 +9,11 @@ recorded, never a silently adjusted verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .audits import (
+    AuditResult,
     certify_solitary,
     frattini_stability_audit,
     stabilized_count,
@@ -46,6 +48,26 @@ class Verdict:
         }
 
 
+@dataclass
+class Analysis:
+    """One analysis pass over a tower; every report is a projection of it."""
+
+    tower: Tower
+    lattice: LatticeTower
+    report: CBReport
+    zp_audit: Optional[AuditResult]  # virtually_zp_audit; None unless virtually Z_p
+    verdict: Verdict = field(init=False)
+
+    @cached_property
+    def certificates(self) -> dict[tuple[int, int], list[str]]:
+        """Casebook solitary certificates, computed on first use: factors of a
+        product whose verdict never consults them skip the work."""
+        t = self.tower
+        if t.factors is not None or not t.levels:
+            return {}
+        return certify_solitary(t, self.lattice, self.report, self.zp_audit)
+
+
 def _ev(kind: str, name: str, **data) -> dict:
     out = {kind: name}
     out.update(data)
@@ -61,9 +83,10 @@ def _isolated_counts(lt: LatticeTower) -> list[int]:
     return [len(isolated_nodes(lt, k)) for k in range(1, lt.depth)]
 
 
-def classify(t: Tower, lt: LatticeTower, report: CBReport) -> Verdict:
+def classify(a: Analysis) -> Verdict:
     """Decision procedure over tower flags, casebook certificates and the
     filtration report."""
+    t, lt, report = a.tower, a.lattice, a.report
     evidence: list[dict] = []
 
     # (a) constant tower: the limit is the top level itself
@@ -103,7 +126,7 @@ def classify(t: Tower, lt: LatticeTower, report: CBReport) -> Verdict:
     # (c) nilpotent virtually-Z_p: countable space, one limit level
     flags = t.meta.flags
     if flags.virtually_zp and flags.nilpotent and frattini_audit and frattini_audit.passed:
-        audit = virtually_zp_audit(t, lt, report)
+        audit = a.zp_audit
         evidence.append(_ev("audit", "virtually_zp", passed=audit.passed,
                             counts=audit.details["counts"]))
         surv1_counts = [len(s) for s in report.survivors[1]]
@@ -125,7 +148,7 @@ def classify(t: Tower, lt: LatticeTower, report: CBReport) -> Verdict:
     if t.factors is not None:
         return _classify_product(t, lt, report, evidence)
 
-    certs = certify_solitary(t, lt, report)
+    certs = a.certificates
     cand = solitary_candidates(report, certs)
 
     # (e) Pelczynski: certified no-solitary family, dense isolated points
@@ -150,7 +173,7 @@ def classify(t: Tower, lt: LatticeTower, report: CBReport) -> Verdict:
 
     # (f) virtually-Z_p with trivial expected center: Pelczynski plus a tail
     if flags.virtually_zp and flags.center_trivial_expected:
-        audit = virtually_zp_audit(t, lt, report)
+        audit = a.zp_audit
         evidence.append(_ev("audit", "virtually_zp", passed=audit.passed,
                             counts=audit.details["counts"]))
         n = audit.details["stabilized_n"]
@@ -220,12 +243,10 @@ def _strictly_growing(counts: list[int], window: int = 3) -> bool:
 def _classify_product(
     t: Tower, lt: LatticeTower, report: CBReport, evidence: list[dict]
 ) -> Verdict:
-    factor_lts = lt.factor_lattices or [build_lattice_tower(f) for f in t.factors]
     shapes: list[tuple[int, int] | str] = []
     all_certified = True
-    for f, flt in zip(t.factors, factor_lts):
-        frep = cb_filtration(flt, default_max_rank(f.depth, len(f.meta.primes)))
-        v = classify(f, flt, frep)
+    for f, flt in zip(t.factors, lt.factor_lattices):
+        v = analyze_tower(f, lattice=flt).verdict
         evidence.append(
             _ev("factor", f.meta.family_name, tag=v.tag, params=v.params,
                 confidence=v.confidence)
@@ -283,11 +304,11 @@ def _classify_product(
 def analyze_tower(
     t: Tower,
     max_rank: int | None = None,
-    parallel: bool = False,
-) -> tuple[LatticeTower, CBReport, Verdict]:
-    """Build the lattice, run the filtration at the default horizon discipline,
-    and classify."""
-    lt = build_lattice_tower(t, parallel=parallel)
+    lattice: LatticeTower | None = None,
+) -> Analysis:
+    """Build the lattice (unless given, as for the factors of a product), run
+    the filtration at the default horizon discipline, and classify."""
+    lt = build_lattice_tower(t) if lattice is None else lattice
     if max_rank is None:
         max_rank = default_max_rank(t.depth, len(t.meta.primes))
     else:
@@ -295,5 +316,7 @@ def analyze_tower(
     if t.depth < 2:
         raise OutOfRange("analysis needs depth >= 2")
     report = cb_filtration(lt, max_rank)
-    verdict = classify(t, lt, report)
-    return lt, report, verdict
+    zp_audit = virtually_zp_audit(t, lt, report) if t.meta.flags.virtually_zp else None
+    a = Analysis(t, lt, report, zp_audit)
+    a.verdict = classify(a)
+    return a

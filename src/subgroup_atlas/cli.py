@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from . import audits as audits_mod
+from .classify import Analysis, analyze_tower
 from .errors import AtlasError, SpecError
 from .groups import load_group_json
-from .lattice import build_lattice_tower
+from .lattice import build_lattice_tower, to_dot
 from .report import (
     analysis_report,
     audit_results_to_json,
@@ -67,7 +68,7 @@ def _add_tower_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=("json", "table", "dot"), default="json")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--parallel", action="store_true",
-                   help="parallelize lattice construction per level")
+                   help="accepted and ignored; lattices are built serially")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,45 +85,41 @@ def _load_group_arg(raw: str):
     return load_group_json(text)
 
 
-def _cmd_analyze(args) -> int:
+def _analyze(args) -> Analysis:
     spec = _family_spec_from_args(args)
-    t = build_tower(spec)
-    doc = analysis_report(t, max_rank=args.max_rank, parallel=args.parallel)
+    return analyze_tower(build_tower(spec), max_rank=args.max_rank)
+
+
+def _cmd_analyze(args) -> int:
+    a = _analyze(args)
     if args.output == "json":
-        _emit(report_to_json(doc), args.out)
+        _emit(report_to_json(analysis_report(a)), args.out)
     elif args.output == "table":
-        _emit(report_to_table(doc), args.out)
+        _emit(report_to_table(analysis_report(a)), args.out)
     else:
-        lt = build_lattice_tower(t, parallel=args.parallel)
-        _emit(report_to_dot(t, doc, lt), args.out)
-    return 2 if doc["verdict"]["conflict"] else 0
+        _emit(report_to_dot(a), args.out)
+    return 2 if a.verdict.conflict else 0
 
 
 def _cmd_classify(args) -> int:
-    spec = _family_spec_from_args(args)
-    t = build_tower(spec)
-    doc = analysis_report(t, max_rank=args.max_rank, parallel=args.parallel)
+    v = _analyze(args).verdict
     if args.output == "table":
-        v = doc["verdict"]
-        params = f" {v['params']}" if v["params"] else ""
-        _emit(f"{v['tag']}{params}  [{v['confidence']}]\n", args.out)
+        params = f" {v.params}" if v.params else ""
+        _emit(f"{v.tag}{params}  [{v.confidence}]\n", args.out)
     else:
-        _emit(verdict_to_json(doc), args.out)
-    return 2 if doc["verdict"]["conflict"] else 0
+        _emit(verdict_to_json(v), args.out)
+    return 2 if v.conflict else 0
 
 
 def _cmd_lattice(args) -> int:
     spec = _family_spec_from_args(args)
     t = build_tower(spec)
-    lt = build_lattice_tower(t, parallel=args.parallel)
+    if args.output == "dot" and t.depth >= 2:
+        _emit(report_to_dot(analyze_tower(t, max_rank=args.max_rank)), args.out)
+        return 0
+    lt = build_lattice_tower(t)
     if args.output == "dot":
-        if t.depth >= 2:
-            doc = analysis_report(t, max_rank=args.max_rank, parallel=args.parallel)
-            _emit(report_to_dot(t, doc, lt), args.out)
-        else:
-            from .lattice import to_dot
-
-            _emit(to_dot(lt), args.out)
+        _emit(to_dot(lt), args.out)
         return 0
     doc = {
         "version": 1,

@@ -13,7 +13,6 @@ coprime product factorizes), so no product Cayley tables are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -84,27 +83,21 @@ class LatticeTower:
         return Thread(k, path, idxs)
 
 
-def build_lattice_tower(
-    t: Tower, cap: int | None = None, parallel: bool = False
-) -> LatticeTower:
+def build_lattice_tower(t: Tower, cap: int | None = None) -> LatticeTower:
     """Compute nodes, parent/child maps and full preimages for a tower."""
     if t.factors is not None:
-        parts = [build_lattice_tower(f, cap=cap, parallel=parallel) for f in t.factors]
+        parts = [build_lattice_tower(f, cap=cap) for f in t.factors]
         return _product_lattice(t, parts)
-    return _explicit_lattice(t, cap=cap, parallel=parallel)
+    return _explicit_lattice(t, cap=cap)
 
 
-def _explicit_lattice(t: Tower, cap: int | None, parallel: bool) -> LatticeTower:
+def _explicit_lattice(t: Tower, cap: int | None) -> LatticeTower:
     cap = order_cap() if cap is None else cap
     for g in t.levels:
         if g.order > cap:
             raise CapExceeded(f"level order {g.order} above cap {cap}")
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(4, t.depth)) as pool:
-            subs_per_level = list(pool.map(lambda g: all_subgroups(g, cap=cap), t.levels))
-    else:
-        subs_per_level = [all_subgroups(g, cap=cap) for g in t.levels]
+    subs_per_level = [all_subgroups(g, cap=cap) for g in t.levels]
 
     node_orders = [[s.order for s in subs] for subs in subs_per_level]
     node_bits = [[s.bits for s in subs] for subs in subs_per_level]

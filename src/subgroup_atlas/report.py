@@ -1,30 +1,25 @@
 """Analysis report assembly and serialization.
 
-The JSON report is the single source of truth; the table and DOT outputs are
-projections of it.  Identical configurations must produce byte-identical
-JSON, so everything here is sorted and timestamp-free.
+Every output is a projection of one `Analysis` record: the JSON report, its
+table, and the DOT graph of the lattice.  Identical configurations must
+produce byte-identical JSON, so everything here is sorted and timestamp-free.
 """
 
 from __future__ import annotations
 
 import json
 
-from .audits import certify_solitary
-from .classify import analyze_tower
+from .classify import Analysis, Verdict
 from .filtration import solitary_candidates
-from .lattice import LatticeTower, isolated_nodes, to_dot
-from .towers import Tower
+from .lattice import isolated_nodes, to_dot
 
 REPORT_SCHEMA_VERSION = 1
 
 
-def analysis_report(
-    t: Tower, max_rank: int | None = None, parallel: bool = False
-) -> dict:
-    """Run the full pipeline and assemble the versioned report document."""
-    lt, report, verdict = analyze_tower(t, max_rank=max_rank, parallel=parallel)
-    certs = certify_solitary(t, lt, report) if t.factors is None and t.levels else {}
-    cands = solitary_candidates(report, certs)
+def analysis_report(a: Analysis) -> dict:
+    """Assemble the versioned report document from one analysis pass."""
+    t, lt, report = a.tower, a.lattice, a.report
+    cands = solitary_candidates(report, a.certificates)
     iso_counts = [len(isolated_nodes(lt, k)) for k in range(1, lt.depth)]
     doc = {
         "version": REPORT_SCHEMA_VERSION,
@@ -53,7 +48,7 @@ def analysis_report(
                 for c in cands
             ],
         },
-        "verdict": verdict.as_json(),
+        "verdict": a.verdict.as_json(),
     }
     return doc
 
@@ -62,8 +57,8 @@ def report_to_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def verdict_to_json(doc: dict) -> str:
-    return json.dumps(doc["verdict"], sort_keys=True, indent=2) + "\n"
+def verdict_to_json(v: Verdict) -> str:
+    return json.dumps(v.as_json(), sort_keys=True, indent=2) + "\n"
 
 
 def report_to_table(doc: dict) -> str:
@@ -91,13 +86,12 @@ def report_to_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dot(t: Tower, doc: dict, lt: LatticeTower) -> str:
-    iso = {
-        k: isolated_nodes(lt, k) for k in range(1, lt.depth)
-    }
+def report_to_dot(a: Analysis) -> str:
+    lt = a.lattice
+    iso = {k: isolated_nodes(lt, k) for k in range(1, lt.depth)}
     sol: dict[int, set[int]] = {}
-    for c in doc["cb"]["solitary"]:
-        sol.setdefault(c["level"], set()).add(c["index"])
+    for c in solitary_candidates(a.report, a.certificates):
+        sol.setdefault(c.level, set()).add(c.index)
     return to_dot(lt, isolated=iso, solitary=sol)
 
 

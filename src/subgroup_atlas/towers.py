@@ -27,6 +27,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     cyclic,
+    dihedral,
     direct_product,
     from_elements,
     generate_from,
@@ -130,11 +131,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_map_is_hom(hom: Homomorphism) -> bool:
-    s, t, m = hom.source.table, hom.target.table, hom.map
-    return bool(np.array_equal(m[s], t[m[:, None], m[None, :]]))
-
-
 def validate(t: Tower) -> ValidationReport:
     """Re-check all tower invariants; the report lists any violation."""
     out: list[Violation] = []
@@ -152,7 +148,9 @@ def validate(t: Tower) -> ValidationReport:
         if hom.source is not t.level(k + 1) or hom.target is not t.level(k):
             out.append(Violation("MapEndpointMismatch", k))
             continue
-        if not _check_map_is_hom(hom):
+        try:
+            hom._verify()
+        except WrongShape:
             out.append(Violation("HomomorphismLawViolation", k))
         if len(np.unique(hom.map)) != hom.target.order:
             out.append(Violation("SurjectivityViolation", k))
@@ -163,8 +161,9 @@ def validate(t: Tower) -> ValidationReport:
         m = t.map_down(upper - 2).map[t.map_down(upper - 1).map]
         if len(np.unique(m)) != t.level(upper - 2).order:
             out.append(Violation("CompositeSurjectivityViolation", upper))
-        src, tgt = t.level(upper).table, t.level(upper - 2).table
-        if not np.array_equal(m[src], tgt[m[:, None], m[None, :]]):
+        try:
+            Homomorphism(t.level(upper), t.level(upper - 2), m)
+        except WrongShape:
             out.append(Violation("CompositeHomomorphismViolation", upper))
     union = frozenset().union(*(g.primes for g in t.levels))
     if t.meta.primes != union:
@@ -332,28 +331,12 @@ def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
     return Tower(levels, maps, meta)
 
 
-def _dihedral2_group(k: int) -> FiniteGroup:
-    """Dihedral group of order 2^(k+1): rotations 0..2^k-1, reflections after."""
-    n = 2**k
-    size = 2 * n
-    table = np.zeros((size, size), dtype=np.int64)
-    for x in range(size):
-        rx, fx = x % n, x // n
-        for y in range(size):
-            ry, fy = y % n, y // n
-            f = (fx + fy) % 2
-            r = (ry + (rx if fy == 0 else -rx)) % n
-            table[x, y] = f * n + r
-    labels = [f"r{j}" for j in range(n)] + [f"sr{j}" for j in range(n)]
-    return FiniteGroup(table, generators=[1 % n, n], labels=labels, name=f"D2^{k+1}")
-
-
 def make_dihedral2(depth: int, cap: int | None = None) -> Tower:
     """Pro-2 dihedral levels Z/2^k x| inversion; maps kill the top rotation."""
     cap = order_cap() if cap is None else cap
     if 2 ** (depth + 1) > cap:
         raise CapExceeded(f"2^(depth+1) = {2**(depth+1)} above cap {cap}")
-    levels = [_dihedral2_group(k) for k in range(1, depth + 1)]
+    levels = [dihedral(2**k) for k in range(1, depth + 1)]
     maps = []
     for k in range(1, depth):
         hi, lo = 2 ** (k + 1), 2**k
@@ -517,8 +500,9 @@ _WILSON_MUL = {
 }
 
 
-def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict]:
-    """Level k of the Wilson tower, generated inside (Z/2^k)^3 x| V."""
+def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict, list]:
+    """Level k of the Wilson tower, generated inside (Z/2^k)^3 x| V; also
+    returns the element list, in generate_from's BFS order."""
     mod = 2**k
 
     def mul(x, y):
@@ -527,9 +511,22 @@ def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict]:
         moved = tuple((v[i] + sv[i] * w[i]) % mod for i in range(3))
         return (moved, _WILSON_MUL[(s, t)])
 
+    ident = ((0, 0, 0), "1")
     x1 = ((1, 0, 1), "s1")
     x2 = ((0, 1, 0), "s2")
-    elements = _wilson_elements(k)
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in (x1, x2):
+                for y in (mul(x, g), mul(g, x)):
+                    if y not in seen:
+                        seen.add(y)
+                        elements.append(y)
+                        nxt.append(y)
+        frontier = nxt
     if len(elements) > cap:
         raise CapExceeded(f"wilson level {k} order {len(elements)} above cap {cap}")
     if len(elements) != 2 ** (3 * k - 1):
@@ -578,35 +575,7 @@ def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict]:
         "a3": index[a3],
         "x1x2": index[x1x2],
     }
-    return G, gen_info
-
-
-def _wilson_elements(k: int) -> list:
-    """Deterministic element list matching generate_from's BFS order."""
-    mod = 2**k
-
-    def mul(x, y):
-        (v, s), (w, t) = x, y
-        sv = _WILSON_SIGMAS[s]
-        return (tuple((v[i] + sv[i] * w[i]) % mod for i in range(3)), _WILSON_MUL[(s, t)])
-
-    ident = ((0, 0, 0), "1")
-    x1 = ((1, 0, 1), "s1")
-    x2 = ((0, 1, 0), "s2")
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in (x1, x2):
-                for y in (mul(x, g), mul(g, x)):
-                    if y not in seen:
-                        seen.add(y)
-                        elements.append(y)
-                        nxt.append(y)
-        frontier = nxt
-    return elements
+    return G, gen_info, elements
 
 
 def make_wilson(depth: int, cap: int | None = None) -> Tower:
@@ -620,10 +589,10 @@ def make_wilson(depth: int, cap: int | None = None) -> Tower:
     gen_infos = []
     elements_per_level = []
     for k in range(1, depth + 1):
-        G, info = _wilson_level(k, cap)
+        G, info, elements = _wilson_level(k, cap)
         levels.append(G)
         gen_infos.append(info)
-        elements_per_level.append(_wilson_elements(k))
+        elements_per_level.append(elements)
     maps = []
     for k in range(1, depth):
         lo = 2**k

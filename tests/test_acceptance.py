@@ -115,11 +115,12 @@ def test_criterion_3_coprime_factorization():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_criterion_4_zp_verdict(p):
     t = cached_tower(f"zp({p},4)")
-    lt, rep, v = analyze_tower(t)
+    a = analyze_tower(t)
+    lt, rep, v = a.lattice, a.report, a.verdict
     assert v.tag == "OmegaAlphaN"
     assert v.params == {"alpha": 1, "n": 1}
     assert v.confidence == "Certified"
-    certs = certify_solitary(t, lt, rep)
+    certs = certify_solitary(t, lt, rep, a.zp_audit)
     cands = solitary_candidates(rep, certs)
     per_level: dict[int, list] = {}
     for c in cands:
@@ -135,18 +136,20 @@ def test_criterion_5_zpn_verdict(name, p, depth):
     # largest depth with p^(2*depth) under the default cap of 4096
     assert p ** (2 * depth) <= 4096 < p ** (2 * (depth + 1))
     t = cached_tower(name)
-    lt, rep, v = analyze_tower(t)
+    a = analyze_tower(t)
+    lt, rep, v = a.lattice, a.report, a.verdict
     assert v.tag == "Pelczynski"
     assert v.confidence == "Certified"
     assert all(not s for s in rep.solitary)
-    certs = certify_solitary(t, lt, rep)
+    certs = certify_solitary(t, lt, rep, a.zp_audit)
     assert not certs
     _report(5, f"{name} is Pelczynski Certified with zero solitary candidates")
 
 
 def test_criterion_6_dihedral_verdict():
     t = cached_tower("dihedral2(4)")
-    lt, rep, v = analyze_tower(t)
+    a = analyze_tower(t)
+    lt, rep, v = a.lattice, a.report, a.verdict
     assert v.tag == "PelczynskiPlusOmegaN"
     assert v.params == {"n": 1}
     assert v.confidence == "Certified"
@@ -222,7 +225,7 @@ def test_criterion_9_pirim_audits():
 
     lt = build_lattice_tower(t)
     rep = cb_filtration(lt, default_max_rank(2, 1))
-    certs = certify_solitary(t, lt, rep)
+    certs = certify_solitary(t, lt, rep, None)
     cands = solitary_candidates(rep, certs)
     assert any(
         lt.node_orders[c.level - 1][c.index] == 81 and c.status == "Certified"

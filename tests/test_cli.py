@@ -249,18 +249,71 @@ def test_product_analyze_via_cli(tmp_path, capsys):
 
 
 def test_conflict_exit_code_two(monkeypatch, capsys):
-    import subgroup_atlas.report as report_mod
+    import subgroup_atlas.cli as cli_mod
     from subgroup_atlas.classify import Verdict, analyze_tower
 
     real = analyze_tower
 
-    def doctored(t, max_rank=None, parallel=False):
-        lt, rep, v = real(t, max_rank=max_rank, parallel=parallel)
-        bad = Verdict("Undetermined", {}, "EmpiricalOnly", v.evidence, conflict=True)
-        return lt, rep, bad
+    def doctored(t, max_rank=None):
+        a = real(t, max_rank=max_rank)
+        v = a.verdict
+        a.verdict = Verdict("Undetermined", {}, "EmpiricalOnly", v.evidence, conflict=True)
+        return a
 
-    monkeypatch.setattr(report_mod, "analyze_tower", doctored)
+    monkeypatch.setattr(cli_mod, "analyze_tower", doctored)
     code, _, _ = run_cli(
         ["analyze", "--family", "zp", "--p", "2", "--depth", "3"], capsys
     )
     assert code == 2
+
+
+def _count_calls(monkeypatch, module: str, name: str) -> list:
+    """Record each call of subgroup_atlas.<module>.<name>, wrapped at every
+    package attribute that binds it."""
+    import importlib
+    import sys
+
+    original = getattr(importlib.import_module(f"subgroup_atlas.{module}"), name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "subgroup_atlas" or modname.startswith("subgroup_atlas."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("output", ["json", "dot"])
+@pytest.mark.parametrize(
+    "tower",
+    [["--family", "dihedral2", "--depth", "4"], ["--family", "zp", "--p", "2", "--depth", "4"]],
+    ids=["dihedral2(4)", "zp(2,4)"],
+)
+def test_analyze_is_one_pass(tower, output, monkeypatch, capsys):
+    calls = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in (
+            ("audits", "virtually_zp_audit"),
+            ("audits", "certify_solitary"),
+            ("lattice", "build_lattice_tower"),
+        )
+    }
+    code, _, _ = run_cli(["analyze", *tower, "--output", output], capsys)
+    assert code == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "virtually_zp_audit": 1,
+        "certify_solitary": 1,
+        "build_lattice_tower": 1,
+    }
+
+
+def test_classify_pirim_audits_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "audits", "pirim_irreducibility_audit")
+    code, _, _ = run_cli(["classify", "--family", "pirim", "--depth", "2"], capsys)
+    assert code == 0
+    assert len(calls) == 1

@@ -143,14 +143,6 @@ def test_product_lattice_matches_explicit():
             assert list(structural.parents[k - 2]) == list(explicit.parents[k - 2])
 
 
-def test_parallel_matches_serial():
-    t = cached_tower("dihedral2(4)")
-    serial = build_lattice_tower(t, parallel=False)
-    parallel = build_lattice_tower(t, parallel=True)
-    assert serial.node_bits == parallel.node_bits
-    assert [list(p) for p in serial.parents] == [list(p) for p in parallel.parents]
-
-
 def test_dot_export():
     lt = build_lattice_tower(make_zp(2, 3))
     iso = {k: isolated_nodes(lt, k) for k in range(1, 3)}
