@@ -308,13 +308,13 @@ def analyze_tower(
 ) -> Analysis:
     """Build the lattice (unless given, as for the factors of a product), run
     the filtration at the default horizon discipline, and classify."""
+    if t.depth < 2:
+        raise OutOfRange("analysis needs depth >= 2")
     lt = build_lattice_tower(t) if lattice is None else lattice
     if max_rank is None:
         max_rank = default_max_rank(t.depth, len(t.meta.primes))
     else:
-        max_rank = min(max_rank, t.depth - 1) if t.depth > 1 else max_rank
-    if t.depth < 2:
-        raise OutOfRange("analysis needs depth >= 2")
+        max_rank = min(max_rank, t.depth - 1)
     report = cb_filtration(lt, max_rank)
     zp_audit = virtually_zp_audit(t, lt, report) if t.meta.flags.virtually_zp else None
     a = Analysis(t, lt, report, zp_audit)

@@ -4,10 +4,6 @@ import os
 
 DEFAULT_ORDER_CAP = 4096
 
-# Orders at or below this always get an exhaustive associativity check.
-FULL_ASSOCIATIVITY_LIMIT = 512
-RANDOM_TRIPLE_COUNT = 100_000
-
 # Largest group order for which subgroup bitsets are materialized in
 # structurally built product lattices.
 PRODUCT_BITSET_LIMIT = 1 << 16

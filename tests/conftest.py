@@ -8,8 +8,9 @@ algorithms so they can serve as ground truth.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from subgroup_atlas.towers import (
@@ -72,6 +73,47 @@ def oracle_subgroups(G, gen_bound: int | None = None) -> list[frozenset[int]]:
         for seed in combinations(range(n), size):
             found.add(oracle_closure(table, G.identity, inv, seed))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_is_associative(table) -> bool:
+    """Naive n^3 check of (a*b)*c == a*(b*c) over every triple."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def oracle_is_hom(source, target, mapping) -> bool:
+    """The homomorphism law m(a*b) == m(a)*m(b) over every pair (a, b)."""
+    m = np.asarray(mapping)
+    return bool(np.array_equal(m[source.table], target.table[m[:, None], m[None, :]]))
+
+
+def oracle_homomorphisms(source, target) -> list[list[int]]:
+    """Every homomorphism source -> target: each assignment of images to the
+    source's generators, extended along words and kept if the law holds."""
+    out = []
+    for images in product(range(target.order), repeat=len(source.generators)):
+        m = {source.identity: target.identity}
+        frontier = [source.identity]
+        consistent = True
+        while frontier and consistent:
+            nxt = []
+            for x in frontier:
+                for g, h in zip(source.generators, images):
+                    y, my = int(source.table[x, g]), int(target.table[m[x], h])
+                    if y not in m:
+                        m[y] = my
+                        nxt.append(y)
+                    elif m[y] != my:
+                        consistent = False
+            frontier = nxt
+        if consistent:
+            mapping = [m[a] for a in range(source.order)]
+            if oracle_is_hom(source, target, mapping):
+                out.append(mapping)
+    return out
 
 
 def subgroup_bits_set(subs) -> set[int]:

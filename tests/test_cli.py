@@ -312,6 +312,14 @@ def test_analyze_is_one_pass(tower, output, monkeypatch, capsys):
     }
 
 
+def test_depth_one_analysis_fails_before_building_the_lattice(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "lattice", "build_lattice_tower")
+    code, _, err = run_cli(["analyze", "--family", "zp", "--p", "2", "--depth", "1"], capsys)
+    assert code == 1
+    assert "depth >= 2" in err
+    assert calls == []
+
+
 def test_classify_pirim_audits_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, "audits", "pirim_irreducibility_audit")
     code, _, _ = run_cli(["classify", "--family", "pirim", "--depth", "2"], capsys)

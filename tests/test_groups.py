@@ -1,14 +1,25 @@
 """Group-core tests against the independent subset-closure oracle."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_bits_set, oracle_closure, oracle_subgroups, subgroup_bits_set
+from conftest import (
+    oracle_bits_set,
+    oracle_closure,
+    oracle_homomorphisms,
+    oracle_is_associative,
+    oracle_is_hom,
+    oracle_subgroups,
+    subgroup_bits_set,
+)
 from subgroup_atlas.errors import CapExceeded, NotNormal, SpecError, WrongShape
 from subgroup_atlas.groups import (
     FiniteGroup,
+    Homomorphism,
     all_subgroups,
     center,
     centralizer,
@@ -330,6 +341,102 @@ def test_load_group_json_requires_version():
 def test_bad_table_rejected():
     with pytest.raises(WrongShape):
         FiniteGroup([[0, 1], [1, 1]])  # not a group
+
+
+def reduced_latin_squares(n: int) -> list[list[list[int]]]:
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    out = []
+
+    def fill(cell: int) -> None:
+        if cell == n * n:
+            out.append([row[:] for row in rows])
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in rows[i][:j] and all(rows[r][j] != v for r in range(i)):
+                rows[i][j] = v
+                fill(cell + 1)
+        rows[i][j] = -1
+
+    fill(0)
+    return out
+
+
+@pytest.mark.parametrize("n,count,groups", [(5, 56, 6), (6, 9408, 80)])
+def test_group_check_matches_associativity_oracle_on_latin_squares(n, count, groups):
+    # every reduced Latin square has a two-sided identity and inverses, so
+    # only the associativity check separates the labelled copies of Z5, or
+    # of Z6 and S3, from the rest; at order 6 some squares need a basis of
+    # two elements
+    squares = reduced_latin_squares(n)
+    assert len(squares) == count
+    accepted = []
+    for square in squares:
+        try:
+            FiniteGroup(square)
+            accepted.append(True)
+        except WrongShape:
+            accepted.append(False)
+    assert accepted == [oracle_is_associative(square) for square in squares]
+    assert sum(accepted) == groups
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_loop_with_one_swapped_intercalate_rejected(n):
+    # Z/n with the 2x2 block at rows and columns {2, n/2 + 2} swapped is
+    # still a Latin square with the same identity and inverses
+    a = np.arange(n)
+    table = (a[:, None] + a[None, :]) % n
+    rc = [2, n // 2 + 2]
+    table[np.ix_(rc, rc)] = table[np.ix_(rc, rc[::-1])]
+    with pytest.raises(WrongShape, match="not associative"):
+        FiniteGroup(table)
+
+
+def test_stored_generators_must_generate():
+    with pytest.raises(WrongShape, match="do not generate"):
+        FiniteGroup(cyclic(4).table, generators=[2])
+
+
+HOM_GROUPS = [cyclic(4), direct_product(cyclic(2), cyclic(2)), dihedral(3), quaternion8()]
+
+
+@lru_cache(maxsize=None)
+def _homs(i: int, j: int) -> list[list[int]]:
+    return oracle_homomorphisms(HOM_GROUPS[i], HOM_GROUPS[j])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hom_check_matches_all_pairs_law(data):
+    i = data.draw(st.integers(0, len(HOM_GROUPS) - 1))
+    j = data.draw(st.integers(0, len(HOM_GROUPS) - 1))
+    source, target = HOM_GROUPS[i], HOM_GROUPS[j]
+    if data.draw(st.booleans()):
+        mapping = data.draw(
+            st.lists(st.integers(0, target.order - 1),
+                     min_size=source.order, max_size=source.order)
+        )
+    else:  # one entry of a true homomorphism moved
+        mapping = list(data.draw(st.sampled_from(_homs(i, j))))
+        mapping[data.draw(st.integers(0, source.order - 1))] = data.draw(
+            st.integers(0, target.order - 1)
+        )
+    if oracle_is_hom(source, target, mapping):
+        assert Homomorphism(source, target, mapping).map.tolist() == mapping
+    else:
+        with pytest.raises(WrongShape):
+            Homomorphism(source, target, mapping)
+
+
+def test_map_from_trivial_group_must_hit_identity():
+    with pytest.raises(WrongShape):
+        Homomorphism(cyclic(1), cyclic(2), [1])
+    assert Homomorphism(cyclic(1), cyclic(2), [0]).kernel().order == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), max_size=4))

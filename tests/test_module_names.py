@@ -1,14 +1,18 @@
-"""Every global name a library module reads must be bound in that module.
+"""Every global name a library module reads must be bound in that module,
+and every name it imports must be read.
 
 A name that is read as a global but never bound at module level (by an
 import, an assignment, a ``def`` or a ``class``) and is not a builtin only
 fails with ``NameError`` when the line that reads it runs.  This scan finds
 such names statically with the standard-library ``symtable``, so a missing
 import fails here rather than on the first call down a rarely taken path.
+An import that nothing reads is dead code left behind by a deletion; the
+second scan finds those.
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -49,6 +53,29 @@ def unbound_globals(source: str, filename: str) -> list[tuple[str, str]]:
     return sorted(missing)
 
 
+def unread_imports(source: str) -> list[str]:
+    """Names bound by an import, other than ``from __future__``, that the
+    module never reads.
+
+    This walks the syntax tree rather than the symbol table because, under
+    ``from __future__ import annotations``, the symbol table leaves out
+    names read only in annotations.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
 def test_scan_covers_the_package():
     names = {path.stem for path in MODULES}
     assert {"groups", "towers", "lattice", "filtration", "cli"} <= names
@@ -57,6 +84,25 @@ def test_scan_covers_the_package():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unbound_global_names(path):
     assert unbound_globals(path.read_text(), str(path)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unread_imports(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_scan_flags_an_unread_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "from .groups import generate_from, cyclic as make\n"
+        "def f(x: Optional[int]):\n"
+        "    return make(os.sep)\n"
+    )
+    assert unread_imports(source) == ["Sequence", "generate_from"]
 
 
 def test_scan_flags_a_missing_import():
