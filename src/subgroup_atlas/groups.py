@@ -312,9 +312,16 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return _subgroup_from_mask(G, mask)
 
 
-def _normalizes(G: FiniteGroup, in_H: np.ndarray, idx: np.ndarray, g: int) -> bool:
-    conj = G.table[G.table[G.inv[g], idx], g]
-    return bool(np.all(in_H[conj]))
+def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarray:
+    """Mask over the candidate elements g: True where g normalizes H.
+
+    `in_H` is H's membership mask and `gens` any generating set of H (all of
+    H will do).  g^-1 H g is a subgroup of order |H|, so it equals H as soon
+    as it contains g^-1 h g for every generator h.
+    """
+    t, hs = G.table, np.asarray(gens, dtype=np.int64)
+    cs = np.asarray(candidates, dtype=np.int64)[:, None]
+    return in_H[t[t[G.inv[cs], hs], cs]].all(axis=1)
 
 
 def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[Subgroup]:
@@ -324,6 +331,8 @@ def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[Subgroup]:
     normalizing elements g with g^q in H for a prime q dividing |G|.  That
     finds every subgroup of a soluble group (composition series argument);
     insoluble groups fall back to extension by arbitrary outside elements.
+    Abelian groups and groups of prime-power order (nilpotent) are taken as
+    soluble without running the derived-series test.
     """
     cap = order_cap() if cap is None else cap
     if G.order > cap:
@@ -331,7 +340,7 @@ def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[Subgroup]:
     if G._subgroups is not None:
         return list(G._subgroups)
 
-    if _derived_series_reaches_trivial(G):
+    if len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
         found = _subgroups_cyclic_extension(G)
     else:
         found = _subgroups_generic(G)
@@ -349,34 +358,35 @@ def _subgroups_cyclic_extension(G: FiniteGroup) -> dict[int, Subgroup]:
 
     triv = trivial_subgroup(G)
     found: dict[int, Subgroup] = {triv.bits: triv}
-    frontier = [triv]
+    # each frontier subgroup travels with the extension elements that built it
+    frontier: list[tuple[Subgroup, list[int]]] = [(triv, [])]
     while frontier:
         nxt = []
-        for H in frontier:
+        for H, gens in frontier:
             in_H = H.mask()
             idx = H.indices()
-            cand_q: dict[int, int] = {}
-            for q in primes:
-                hits = np.nonzero(in_H[pow_maps[q]] & ~in_H)[0]
-                for g in hits:
-                    cand_q.setdefault(int(g), q)
+            # q_of[g]: the smallest prime q with g^q in H, 0 for no candidate
+            q_of = np.zeros(n, dtype=np.int64)
+            for q in reversed(primes):
+                q_of[in_H[pow_maps[q]]] = q
+            q_of[in_H] = 0
+            cands = np.nonzero(q_of)[0]
+            if not abelian:
+                cands = cands[_normalizing(G, in_H, gens, cands)]
             covered = in_H.copy()
-            for g in sorted(cand_q):
+            for g in cands.tolist():
                 if covered[g]:
                     continue
-                if not abelian and not _normalizes(G, in_H, idx, g):
-                    continue
-                q = cand_q[g]
                 K_mask = in_H.copy()
                 x = g
-                for _ in range(q - 1):
+                for _ in range(int(q_of[g]) - 1):
                     K_mask[G.table[x, idx]] = True
                     x = G.mul(x, g)
                 covered |= K_mask
                 K = _subgroup_from_mask(G, K_mask)
                 if K.bits not in found:
                     found[K.bits] = K
-                    nxt.append(K)
+                    nxt.append((K, gens + [g]))
         frontier = nxt
     return found
 
@@ -397,16 +407,13 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    subs = all_subgroups(G)
-    proper = [s for s in subs if s.order < G.order]
-    maximal = []
-    for H in proper:
-        if not any(
-            K.order > H.order and K.order < G.order and (H.bits & K.bits) == H.bits
-            for K in proper
-        ):
+    """Maximal proper subgroups, sorted by (order, bitset).  Walks them from the
+    largest down: a non-maximal H lies in a maximal one of larger order, seen first."""
+    maximal: list[Subgroup] = []
+    for H in reversed(all_subgroups(G)[:-1]):
+        if not any(H.bits & M.bits == H.bits for M in maximal):
             maximal.append(H)
-    return maximal
+    return maximal[::-1]
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
@@ -441,13 +448,7 @@ def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    in_H = H.mask()
-    idx = H.indices()
-    mask = np.ones(G.order, dtype=bool)
-    for h in idx:
-        conj = G.table[G.table[G.inv, h], np.arange(G.order)]
-        mask &= in_H[conj]
-    return _subgroup_from_mask(G, mask)
+    return _subgroup_from_mask(G, _normalizing(G, H.mask(), H.indices(), np.arange(G.order)))
 
 
 def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
@@ -470,9 +471,8 @@ def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    in_H = H.mask()
-    idx = H.indices()
-    return all(_normalizes(G, in_H, idx, g) for g in range(G.order))
+    # the normalizer is a subgroup, so containing the basis makes it all of G
+    return bool(_normalizing(G, H.mask(), H.indices(), G.basis).all())
 
 
 def product_set(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Subgroup:
@@ -495,6 +495,8 @@ class Homomorphism:
         arr = np.asarray(mapping, dtype=np.int64)
         if arr.shape != (source.order,):
             raise WrongShape("homomorphism map has wrong length")
+        if arr.size and not (0 <= arr.min() and arr.max() < target.order):
+            raise OutOfRange(f"homomorphism image outside target group of order {target.order}")
         self.map = arr
         self.map.setflags(write=False)
         self._verify()
@@ -646,11 +648,8 @@ def _verify_goursat(
 ) -> None:
     # kernels normal in projections, equal quotient orders
     for proj, ker, G in ((q.proj_left, q.ker_left, G1), (q.proj_right, q.ker_right, G2)):
-        in_k = ker.mask()
-        ki = ker.indices()
-        for g in proj.indices():
-            if not _normalizes(G, in_k, ki, int(g)):
-                raise WrongShape("goursat kernel not normal in projection")
+        if not _normalizing(G, ker.mask(), ker.indices(), proj.indices()).all():
+            raise WrongShape("goursat kernel not normal in projection")
     if q.proj_left.order * q.ker_right.order != q.proj_right.order * q.ker_left.order:
         raise WrongShape("goursat quotients have different orders")
     if len(q.iso_witness) != q.proj_left.order // q.ker_left.order:
@@ -696,16 +695,13 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^j at 0..n-1, reflections s r^j at n..2n-1."""
-    size = 2 * n
-    table = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(size):
-            ra, fa = a % n, a // n
-            rb, fb = b % n, b // n
-            # (s^fa r^ra)(s^fb r^rb) = s^(fa+fb) r^(((-1)^fb) ra + rb)
-            f = (fa + fb) % 2
-            r = (rb + (ra if fb == 0 else -ra)) % n
-            table[a, b] = f * n + r
+    a = np.arange(2 * n, dtype=np.int32)
+    ra, fa = a % n, a // n
+    # (s^fa r^ra)(s^fb r^rb) = s^(fa+fb) r^(((-1)^fb) ra + rb), built in place
+    table = (1 - 2 * fa)[None, :] * ra[:, None]
+    table += ra[None, :]
+    table %= n
+    table += (fa[:, None] ^ fa[None, :]) * n
     labels = [f"r{j}" for j in range(n)] + [f"sr{j}" for j in range(n)]
     return FiniteGroup(table, generators=[1 % n, n], labels=labels, name=f"D{n}")
 

@@ -75,6 +75,12 @@ def oracle_subgroups(G, gen_bound: int | None = None) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
+def oracle_normalizes(table, inv, members, g) -> bool:
+    """g normalizes H when conjugating every member of H by g stays in H."""
+    H = set(members)
+    return {table[table[inv[g]][h]][g] for h in H} == H
+
+
 def oracle_is_associative(table) -> bool:
     """Naive n^3 check of (a*b)*c == a*(b*c) over every triple."""
     n = len(table)

@@ -202,6 +202,21 @@ def test_custom_tower_spec(tmp_path, capsys):
     assert doc["tower"]["family"] == "custom"
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_custom_map_image_out_of_range_exits_one(bad, tmp_path, capsys):
+    spec = tmp_path / "custom.json"
+    spec.write_text(json.dumps({
+        "family": "custom",
+        "levels": [{"version": 1, "kind": "cyclic", "n": n} for n in (2, 4)],
+        "maps": [[0, 1, 0, bad]],
+    }))
+    code, _, err = run_cli(["analyze", "--spec-file", str(spec)], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "outside target group" in err
+    assert "Traceback" not in err
+
+
 def test_golden_report(tmp_path, capsys):
     golden = Path(__file__).parent / "data" / "golden_zp_2_3.json"
     out = tmp_path / "fresh.json"

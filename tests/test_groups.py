@@ -13,10 +13,12 @@ from conftest import (
     oracle_homomorphisms,
     oracle_is_associative,
     oracle_is_hom,
+    oracle_normalizes,
     oracle_subgroups,
     subgroup_bits_set,
 )
-from subgroup_atlas.errors import CapExceeded, NotNormal, SpecError, WrongShape
+from subgroup_atlas import groups
+from subgroup_atlas.errors import CapExceeded, NotNormal, OutOfRange, SpecError, WrongShape
 from subgroup_atlas.groups import (
     FiniteGroup,
     Homomorphism,
@@ -33,7 +35,9 @@ from subgroup_atlas.groups import (
     frattini,
     goursat,
     goursat_reconstruct,
+    is_normal,
     load_group_json,
+    maximal_subgroups,
     normalizer,
     product_set,
     quaternion8,
@@ -450,3 +454,114 @@ def test_closure_idempotent_monotone(seed):
         int(i) for i in bigger.indices()
     )
     assert G.order % H.order == 0
+
+
+def _perm_group(*gens):
+    return load_group_json({"version": 1, "kind": "permutation", "degree": len(gens[0]),
+                            "generators": [list(g) for g in gens]})
+
+
+def s4():
+    return _perm_group([1, 2, 3, 0], [1, 0, 2, 3])
+
+
+def a5():
+    return _perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])
+
+
+NORMALIZER_GROUPS = [dihedral(4), quaternion8(), s4(), heis3()]
+
+
+def _lists(G):
+    return [[int(x) for x in row] for row in G.table], [int(x) for x in G.inv]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_normalizing_matches_conjugation_oracle(data):
+    G = data.draw(st.sampled_from(NORMALIZER_GROUPS))
+    H = data.draw(st.sampled_from(all_subgroups(G)))
+    table, inv = _lists(G)
+    members = [int(h) for h in H.indices()]
+    if data.draw(st.booleans()):
+        gens = members
+    else:  # an irredundant generating set, members taken in a drawn order
+        gens, span = [], {G.identity}
+        for h in data.draw(st.permutations(members)):
+            if h not in span:
+                gens.append(h)
+                span = oracle_closure(table, G.identity, inv, gens)
+        assert span == set(members)
+    cands = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2 * G.order))
+    mask = groups._normalizing(G, H.mask(), gens, cands)
+    assert mask.tolist() == [oracle_normalizes(table, inv, members, g) for g in cands]
+
+
+@pytest.mark.parametrize("G", NORMALIZER_GROUPS, ids=lambda G: G.name)
+def test_normalizer_and_is_normal_on_every_subgroup(G):
+    table, inv = _lists(G)
+    for H in all_subgroups(G):
+        members = [int(h) for h in H.indices()]
+        expected = [oracle_normalizes(table, inv, members, g) for g in range(G.order)]
+        assert groups._normalizing(G, H.mask(), members, range(G.order)).tolist() == expected
+        assert is_normal(G, H) == all(expected)
+        assert normalizer(G, H).mask().tolist() == expected
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_dihedral_2_power_subgroup_count(k):
+    # D_n of order 2n has tau(n) + sigma(n) subgroups; n = 2^k gives 2^(k+1) + k
+    assert len(all_subgroups(dihedral(2**k))) == 2 ** (k + 1) + k
+
+
+def test_dihedral_table_matches_formula():
+    for n in range(1, 65):
+        expected = [
+            [((a // n + b // n) % 2) * n + (b % n + (a % n if b < n else -(a % n))) % n
+             for b in range(2 * n)]
+            for a in range(2 * n)
+        ]
+        assert dihedral(n).table.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [f for _, f, _ in COUNT_CASES] + [s4, a5, lambda: cyclic(1), lambda: dihedral(32)],
+)
+def test_maximal_subgroups_match_pairwise_definition(factory):
+    G = factory()
+    proper = [H for H in all_subgroups(G) if H.order < G.order]
+    expected = [
+        H for H in proper
+        if not any(K.bits != H.bits and K.bits & H.bits == H.bits for K in proper)
+    ]
+    assert [H.bits for H in maximal_subgroups(G)] == [H.bits for H in expected]
+
+
+def test_solubility_test_skipped_for_abelian_and_prime_power_groups(monkeypatch):
+    calls = {"derived": 0, "generic": 0}
+
+    def counting(name, key):
+        real = getattr(groups, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groups, name, wrapper)
+
+    counting("_derived_series_reaches_trivial", "derived")
+    counting("_subgroups_generic", "generic")
+    for G in (cyclic(12), direct_product(cyclic(2), cyclic(3)), dihedral(8), heis3()):
+        all_subgroups(G)
+    assert calls == {"derived": 0, "generic": 0}
+    all_subgroups(_perm_group([1, 2, 0], [1, 0, 2]))  # S3: tested, soluble
+    assert calls == {"derived": 1, "generic": 0}
+    assert len(all_subgroups(a5())) == 59  # A5 still takes the generic path
+    assert calls == {"derived": 2, "generic": 1}
+
+
+@pytest.mark.parametrize("bad", [7, 2, -1])
+def test_hom_image_out_of_range(bad):
+    with pytest.raises(OutOfRange):
+        Homomorphism(cyclic(4), cyclic(2), [0, 1, 0, bad])

@@ -1,10 +1,12 @@
 """Lattice tower structure tests."""
 
 import copy
+import hashlib
+import json
 
 import pytest
 
-from conftest import cached_tower
+from conftest import BUILTIN_NAMES, cached_tower
 from subgroup_atlas.errors import OutOfRange
 from subgroup_atlas.groups import all_subgroups, product_set, subgroup_from_indices
 from subgroup_atlas.lattice import (
@@ -21,6 +23,32 @@ from subgroup_atlas.towers import (
     make_zp,
     make_zpn,
 )
+
+
+# sha256 prefixes of node_bits and parents as computed with the per-candidate
+# normalizer test; the batched test must reproduce them exactly
+LATTICE_DIGESTS = {
+    "zp(2,4)": "1d0d46e4c9387a2f",
+    "zp(3,4)": "457449a0240eb184",
+    "zp(5,4)": "f20cea7bfd2da516",
+    "zpn(2,2,4)": "2ea5a6cc249eb877",
+    "zpn(3,2,3)": "8ed5777edfa7aa11",
+    "heisenberg(3,2)": "855150b040df187a",
+    "dihedral2(4)": "16d3062c134e2391",
+    "wilson(3)": "44e8cddf278bd260",
+    "pirim(2)": "6b8fddb194d08fc5",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_lattice_unchanged(name):
+    lt = build_lattice_tower(cached_tower(name))
+    doc = {
+        "node_bits": [None if b is None else [format(x, "x") for x in b] for b in lt.node_bits],
+        "parents": [[int(x) for x in p] for p in lt.parents],
+    }
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest[:16] == LATTICE_DIGESTS[name]
 
 
 def test_node_counts():
