@@ -42,14 +42,15 @@ class FiniteGroup:
     Invariants verified exactly at construction: identity and inverse laws,
     that the stored generators generate the whole group, and associativity.
     `basis` is an irredundant generating subset of the stored generators,
-    on which associativity and homomorphisms are checked.
+    on which associativity and homomorphisms are checked.  `labels` is a
+    list of element names or a function computing one on demand.
     """
 
     def __init__(
         self,
         table: np.ndarray | Sequence[Sequence[int]],
         generators: Sequence[int] | None = None,
-        labels: Sequence[str] | None = None,
+        labels: Sequence[str] | Callable[[int], str] | None = None,
         name: str = "",
     ):
         table = np.asarray(table)
@@ -57,12 +58,20 @@ class FiniteGroup:
             raise WrongShape("multiplication table must be square")
         n = table.shape[0]
         self.order = n
-        self.table = table.astype(_table_dtype(n), copy=True)
-        self.table.setflags(write=False)
+        # a read-only table in the level's dtype, as table_from_rows returns,
+        # is kept without a copy
+        if table.dtype != _table_dtype(n) or table.flags.writeable:
+            table = table.astype(_table_dtype(n))
+            table.setflags(write=False)
+        self.table = table
         self.name = name or f"group{n}"
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise WrongShape("labels length must equal group order")
+        if labels is None or callable(labels):
+            self._label = labels
+        else:
+            names = list(labels)
+            if len(names) != n:
+                raise WrongShape("labels length must equal group order")
+            self._label = names.__getitem__
 
         self.identity = self._find_identity()
         self.inv = self._build_inverses()
@@ -90,19 +99,10 @@ class FiniteGroup:
         raise WrongShape("table has no two-sided identity")
 
     def _build_inverses(self) -> np.ndarray:
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == self.identity)
-        for a, b in zip(rows, cols):
-            if inv[a] == -1:
-                inv[a] = b
-        if np.any(inv < 0):
-            raise WrongShape("table has an element without inverse")
-        # two-sided check
-        left = self.table[inv, np.arange(n)]
-        right = self.table[np.arange(n), inv]
-        if not (np.all(left == self.identity) and np.all(right == self.identity)):
-            raise WrongShape("inverses are not two-sided")
+        t, e, idx = self.table, self.identity, np.arange(self.order)
+        inv = np.argmax(t == e, axis=1)  # the first b with a*b == e, else 0
+        if not (np.all(t[idx, inv] == e) and np.all(t[inv, idx] == e)):
+            raise WrongShape("table has an element without a two-sided inverse")
         inv.setflags(write=False)
         return inv
 
@@ -118,9 +118,11 @@ class FiniteGroup:
         product, so passing on a basis proves the whole table associative.
         """
         n, t = self.order, self.table
-        reached = np.zeros(n, dtype=bool)
+        reached = [False] * n
         reached[self.identity] = True
+        members = [self.identity]
         basis: list[int] = []
+        columns: list[list[int]] = []  # column s maps a to a*s
         for g in self.generators:
             if g < 0 or g >= n:
                 raise OutOfRange(f"generator {g} outside group of order {n}")
@@ -129,12 +131,14 @@ class FiniteGroup:
             basis.append(g)
             if 1 << len(basis) > n:
                 raise WrongShape("table is not a group: basis longer than log2 of the order")
-            frontier = np.nonzero(reached)[0]
-            while len(frontier):
-                new = np.unique(t[np.ix_(frontier, basis)])
-                frontier = new[~reached[new]]
-                reached[frontier] = True
-        if not reached.all():
+            columns.append(t[:, g].tolist())
+            for x in members:  # from the start again; grows while it is walked
+                for col in columns:
+                    y = col[x]
+                    if not reached[y]:
+                        reached[y] = True
+                        members.append(y)
+        if len(members) != n:
             raise WrongShape("stored generators do not generate the group")
         for s in basis:
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):
@@ -167,9 +171,7 @@ class FiniteGroup:
         return self._power_maps[e]
 
     def element_label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
+        return str(a) if self._label is None else self._label(a)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -229,8 +231,7 @@ def _subgroup_from_mask(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
 def subgroup_from_indices(G: FiniteGroup, indices: Iterable[int]) -> Subgroup:
     """Wrap an explicit member list as a Subgroup (verifies closure)."""
     mask = np.zeros(G.order, dtype=bool)
-    for i in indices:
-        mask[i] = True
+    mask[list(indices)] = True
     sub = _subgroup_from_mask(G, mask)
     verify_subgroup(sub)
     return sub
@@ -545,15 +546,15 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
             coset = G.table[g, ni]
             rep[coset] = int(coset.min())
     reps = np.unique(rep)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    q = len(reps)
-    qtable = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(reps):
-        qtable[i] = [index_of[int(rep[G.table[a, b]])] for b in reps]
-    labels = [f"{G.element_label(int(r))}N" for r in reps]
-    proj_map = [index_of[int(rep[g])] for g in range(n)]
-    gens = sorted({proj_map[g] for g in G.generators})
-    Q = FiniteGroup(qtable, generators=gens, labels=labels, name=f"{G.name}/N{N.order}")
+    proj_map = np.searchsorted(reps, rep)
+    # the coset of a sends the coset of r to the coset of a*r
+    row_gens = sorted({int(proj_map[g]) for g in G.basis})
+    rows = proj_map[G.table[np.ix_(reps[row_gens], reps)]]
+    gens = sorted({int(proj_map[g]) for g in G.generators})
+    Q = FiniteGroup(
+        table_from_rows(rows, row_gens, int(proj_map[G.identity])), generators=gens,
+        labels=lambda i: f"{G.element_label(int(reps[i]))}N", name=f"{G.name}/N{N.order}",
+    )
     proj = Homomorphism(G, Q, proj_map)
     return Q, proj
 
@@ -564,21 +565,20 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup, cap: int | None = None) -> 
     n1, n2 = G1.order, G2.order
     if n1 * n2 > cap:
         raise CapExceeded(f"product order {n1 * n2} above cap {cap}")
-    a = np.arange(n1 * n2)
-    a1, a2 = a // n2, a % n2
-    t = (
-        G1.table[np.ix_(a1, a1)].astype(np.int64) * n2
-        + G2.table[np.ix_(a2, a2)].astype(np.int64)
-    )
-    labels = None
-    if n1 * n2 <= 4096:
-        labels = [
-            f"({G1.element_label(int(i1))},{G2.element_label(int(i2))})"
-            for i1, i2 in zip(a1, a2)
-        ]
+    a1, a2 = np.unravel_index(np.arange(n1 * n2), (n1, n2))
+    # (g, 1)(b1, b2) = (g*b1, b2) and (1, h)(b1, b2) = (b1, h*b2)
+    rows = [G1.table[g, a1].astype(np.int64) * n2 + a2 for g in G1.basis]
+    rows += [a1 * n2 + G2.table[h, a2] for h in G2.basis]
+    row_gens = [g * n2 + G2.identity for g in G1.basis]
+    row_gens += [G1.identity * n2 + h for h in G2.basis]
+    table = table_from_rows(np.array(rows).reshape(len(rows), n1 * n2), row_gens,
+                            G1.identity * n2 + G2.identity)
     gens = [g * n2 + G2.identity for g in G1.generators]
     gens += [G1.identity * n2 + g for g in G2.generators]
-    P = FiniteGroup(t, generators=gens, labels=labels, name=f"{G1.name}x{G2.name}")
+    P = FiniteGroup(
+        table, generators=gens, name=f"{G1.name}x{G2.name}",
+        labels=lambda i: f"({G1.element_label(i // n2)},{G2.element_label(i % n2)})",
+    )
     P._product_of = (G1, G2)
     return P
 
@@ -684,66 +684,97 @@ def goursat_reconstruct(
     return _subgroup_from_mask(P, mask)
 
 
-# -- standard groups ----------------------------------------------------------
+# -- building tables -----------------------------------------------------------
+
+def table_from_rows(rows: np.ndarray, gens: Sequence[int], identity: int) -> np.ndarray:
+    """The Cayley table with row rows[i] for element gens[i], read-only.
+
+    Row a of a table is left multiplication by a.  Starting from the
+    identity's row, a BFS over right multiplication fills the rest: y = x*g
+    is read from row x, and row y is row x gathered at row g, because
+    (x*g)*b = x*(g*b).  Each step writes one row in the level's dtype.
+    Raises WrongShape when the generators do not reach every element.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise OutOfRange(f"generator row entry outside group of order {n}")
+    t = np.empty((n, n), dtype=_table_dtype(n))
+    t[identity] = np.arange(n)
+    gen_rows = list(zip(gens, rows.astype(t.dtype)))
+    filled = [False] * n
+    filled[identity] = True
+    order = [identity]
+    for x in order:  # grows while it is walked
+        tx = t[x]
+        for g, row in gen_rows:
+            y = int(tx[g])
+            if not filled[y]:
+                filled[y] = True
+                t[y] = tx[row]
+                order.append(y)
+    if len(order) != n:
+        raise WrongShape(f"generator rows reach {len(order)} of {n} elements")
+    t.setflags(write=False)
+    return t
+
 
 def cyclic(n: int) -> FiniteGroup:
-    a = np.arange(n)
-    table = (a[:, None] + a[None, :]) % n
-    return FiniteGroup(table, generators=[1 % n], labels=[str(i) for i in range(n)],
-                       name=f"Z{n}")
+    gens = [1 % n]
+    table = table_from_rows((np.arange(n)[None, :] + 1) % n, gens, 0)
+    return FiniteGroup(table, generators=gens, name=f"Z{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^j at 0..n-1, reflections s r^j at n..2n-1."""
-    a = np.arange(2 * n, dtype=np.int32)
+    a = np.arange(2 * n)
     ra, fa = a % n, a // n
-    # (s^fa r^ra)(s^fb r^rb) = s^(fa+fb) r^(((-1)^fb) ra + rb), built in place
-    table = (1 - 2 * fa)[None, :] * ra[:, None]
-    table += ra[None, :]
-    table %= n
-    table += (fa[:, None] ^ fa[None, :]) * n
-    labels = [f"r{j}" for j in range(n)] + [f"sr{j}" for j in range(n)]
-    return FiniteGroup(table, generators=[1 % n, n], labels=labels, name=f"D{n}")
+
+    def row(x: int) -> np.ndarray:
+        # (s^fx r^rx)(s^fa r^ra) = s^(fx+fa) r^(((-1)^fa) rx + ra)
+        rx, fx = x % n, x // n
+        return ((1 - 2 * fa) * rx + ra) % n + (fx ^ fa) * n
+
+    gens = [1 % n, n]
+    return FiniteGroup(
+        table_from_rows(np.array([row(g) for g in gens]), gens, 0), generators=gens,
+        labels=lambda j: f"r{j}" if j < n else f"sr{j - n}", name=f"D{n}",
+    )
 
 
 def quaternion8() -> FiniteGroup:
-    """The quaternion group of order 8 on {1,-1,i,-i,j,-j,k,-k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    """The quaternion group of order 8 on {1,-1,i,-i,j,-j,k,-k}: element
+    2u + s is (-1)^s times the unit u of (1, i, j, k)."""
 
-    def mul(x: str, y: str) -> str:
-        sx, bx = (x[0] == "-", x.lstrip("-"))
-        sy, by = (y[0] == "-", y.lstrip("-"))
-        rules = {
-            ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-            ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-            ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-            ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-            ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-        }
-        r = rules[(bx, by)]
-        neg = (r[0] == "-") ^ sx ^ sy
-        base = r.lstrip("-")
-        if base == "1":
-            return "-1" if neg else "1"
-        return f"-{base}" if neg else base
+    def mul(x: int, y: int) -> int:
+        # units multiply like the Klein four group under XOR; the sign flips
+        # for u*u with u != 1 and for the anticyclic pairs ji, kj, ik
+        u, v = x >> 1, y >> 1
+        neg = (x ^ y) & 1
+        if u and v and (u == v or (v - u) % 3 == 2):
+            neg ^= 1
+        return 2 * (u ^ v) + neg
 
-    index = {nm: i for i, nm in enumerate(names)}
-    table = [[index[mul(x, y)] for y in names] for x in names]
-    return FiniteGroup(table, generators=[2, 4], labels=names, name="Q8")
+    gens = [2, 4]
+    rows = np.array([[mul(g, y) for y in range(8)] for g in gens])
+    return FiniteGroup(table_from_rows(rows, gens, 0), generators=gens,
+                       labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8")
 
 
 def from_elements(
-    elements: list, mul: Callable, generators_idx: Sequence[int] | None = None,
-    labels: Sequence[str] | None = None, name: str = "",
+    elements: list, mul: Callable, generators_idx: Sequence[int],
+    labels: Sequence[str] | Callable[[int], str] | None = None, name: str = "",
 ) -> FiniteGroup:
-    """Build a FiniteGroup from hashable element values and a multiplication callable."""
+    """Build a FiniteGroup from hashable element values, the identity first, a
+    multiplication callable and the indices of generating elements.  Only the
+    generators' rows are multiplied out; table_from_rows fills the rest."""
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[mul(a, b)]
-    return FiniteGroup(table, generators=generators_idx, labels=labels, name=name)
+    rows = np.array(
+        [[index[mul(elements[g], e)] for e in elements] for g in generators_idx],
+        dtype=np.int64,
+    ).reshape(len(generators_idx), len(elements))
+    return FiniteGroup(table_from_rows(rows, generators_idx, 0),
+                       generators=generators_idx, labels=labels, name=name)
 
 
 def generate_from(
@@ -754,7 +785,8 @@ def generate_from(
     returns it with its element values in index order.
 
     Elements are discovered by BFS from the identity with generators applied
-    in the given order, which fixes the element indexing.
+    in the given order, which fixes the element indexing.  `label` names an
+    element value; labels are computed when asked for.
     """
     cap = order_cap() if cap is None else cap
     elements = [identity]
@@ -774,7 +806,7 @@ def generate_from(
                                 f"generated group exceeds cap {cap}"
                             )
         frontier = nxt
-    labels = [label(e) for e in elements] if label else None
+    labels = (lambda i: label(elements[i])) if label else None
     gens_idx = [elements.index(g) for g in seed_elements]
     G = from_elements(elements, mul, generators_idx=gens_idx, labels=labels, name=name)
     return G, elements
@@ -785,11 +817,20 @@ def generate_from(
 GROUP_SCHEMA_VERSION = 1
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def load_group_json(doc: dict | str) -> FiniteGroup:
     """Load a group literal: {"version":1, "kind":"cyclic"|"table"|"permutation"|"matrix", ...}.
 
     permutation generators use one-line image notation; matrix generators are
-    integer matrices taken modulo the given modulus.
+    integer matrices taken modulo the given modulus.  Malformed fields raise
+    SpecError with their JSON pointers.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -806,7 +847,7 @@ def load_group_json(doc: dict | str) -> FiniteGroup:
 
     if kind == "cyclic":
         n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SpecError("cyclic group needs a positive integer n", ["/n"])
         if n > order_cap():
             raise CapExceeded(f"cyclic order {n} above cap {order_cap()}")
@@ -814,21 +855,32 @@ def load_group_json(doc: dict | str) -> FiniteGroup:
 
     if kind == "table":
         table = doc.get("mult")
-        if not isinstance(table, list):
+        if not isinstance(table, list) or not table:
             raise SpecError("table group needs a mult table", ["/mult"])
-        if len(table) > order_cap():
+        n = len(table)
+        if n > order_cap():
             raise CapExceeded("table order above cap")
-        return FiniteGroup(table, labels=doc.get("labels"), name=doc.get("name", "table"))
+        for i, row in enumerate(table):
+            if not (_is_int_list(row) and len(row) == n and all(0 <= x < n for x in row)):
+                raise SpecError(f"mult rows must be lists of {n} integers in 0..{n - 1}",
+                                [f"/mult/{i}"])
+        labels = doc.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and len(labels) == n
+            and all(isinstance(x, str) for x in labels)
+        ):
+            raise SpecError(f"labels must be a list of {n} strings", ["/labels"])
+        return FiniteGroup(table, labels=labels, name=doc.get("name", "table"))
 
     if kind == "permutation":
         gens = doc.get("generators")
         degree = doc.get("degree")
         if not isinstance(gens, list) or not gens:
             raise SpecError("permutation group needs generators", ["/generators"])
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise SpecError("permutation group needs a degree", ["/degree"])
         for i, g in enumerate(gens):
-            if sorted(g) != list(range(degree)):
+            if not (_is_int_list(g) and sorted(g) == list(range(degree))):
                 raise SpecError("generator is not a permutation", [f"/generators/{i}"])
         id_perm = tuple(range(degree))
         seeds = [tuple(g) for g in gens]
@@ -845,16 +897,16 @@ def load_group_json(doc: dict | str) -> FiniteGroup:
     modulus = doc.get("modulus")
     if not isinstance(gens, list) or not gens:
         raise SpecError("matrix group needs generators", ["/generators"])
-    if not isinstance(modulus, int) or modulus < 2:
+    if not _is_int(modulus) or modulus < 2:
         raise SpecError("matrix group needs a modulus >= 2", ["/modulus"])
-    dim = len(gens[0])
+    dim = len(gens[0]) if isinstance(gens[0], list) else 0
     mats = []
     for i, g in enumerate(gens):
-        m = np.asarray(g, dtype=np.int64) % modulus
-        if m.shape != (dim, dim):
-            raise SpecError("matrix generators must share a square shape",
+        if not (dim and isinstance(g, list) and len(g) == dim
+                and all(_is_int_list(r) and len(r) == dim for r in g)):
+            raise SpecError("matrix generators must be integer matrices of one square shape",
                             [f"/generators/{i}"])
-        mats.append(tuple(map(tuple, m)))
+        mats.append(tuple(tuple(v % modulus for v in r) for r in g))
     ident = tuple(map(tuple, np.eye(dim, dtype=np.int64)))
 
     def mmul(a, b):

@@ -32,6 +32,7 @@ from .groups import (
     generate_from,
     load_group_json,
     subgroup_from_indices,
+    table_from_rows,
 )
 
 TOWER_SCHEMA_VERSION = 1
@@ -232,21 +233,6 @@ def _abelian_power_group(p: int, k: int, n: int) -> FiniteGroup:
     return G
 
 
-def _tuple_of_index(idx: int, base: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % base)
-        idx //= base
-    return tuple(reversed(out))
-
-
-def _index_of_tuple(tup: Sequence[int], base: int) -> int:
-    idx = 0
-    for c in tup:
-        idx = idx * base + int(c)
-    return idx
-
-
 def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
     """Levels (Z/p^k)^n with componentwise reduction maps."""
     cap = order_cap() if cap is None else cap
@@ -256,10 +242,8 @@ def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
     maps = []
     for k in range(1, depth):
         hi, lo = p ** (k + 1), p**k
-        mapping = [
-            _index_of_tuple([c % lo for c in _tuple_of_index(i, hi, n)], lo)
-            for i in range(hi**n)
-        ]
+        coords = np.unravel_index(np.arange(hi**n), (hi,) * n)
+        mapping = np.ravel_multi_index([c % lo for c in coords], (lo,) * n)
         maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
     meta = TowerMeta(
         family_name="zpn",
@@ -283,23 +267,16 @@ def _heisenberg_group(p: int, k: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/p^k; entries (a, b, c) with
     c the corner, multiplied by (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
     m = p**k
-    n = m**3
+    A, B, C = np.unravel_index(np.arange(m**3), (m, m, m))
 
-    def decode(i: int) -> tuple[int, int, int]:
-        return (i // (m * m), (i // m) % m, i % m)
+    def row(a: int, b: int) -> np.ndarray:  # left multiplication by (a, b, 0)
+        return ((a + A) % m) * m * m + ((b + B) % m) * m + (C + a * B) % m
 
-    def encode(a: int, b: int, c: int) -> int:
-        return a * m * m + b * m + c
-
-    table = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n)
-    A, B, C = idx // (m * m), (idx // m) % m, idx % m
-    for i in range(n):
-        a, b, c = decode(i)
-        table[i] = ((a + A) % m) * m * m + ((b + B) % m) * m + ((c + C + a * B) % m)
-    gens = [encode(1, 0, 0), encode(0, 1, 0)]
-    labels = [f"({a},{b},{c})" for a, b, c in (decode(i) for i in range(n))] if n <= 4096 else None
-    return FiniteGroup(table, generators=gens, labels=labels, name=f"Heis(Z{m})")
+    gens = [m * m, m]  # (1, 0, 0) and (0, 1, 0)
+    return FiniteGroup(
+        table_from_rows(np.array([row(1, 0), row(0, 1)]), gens, 0), generators=gens,
+        labels=lambda i: f"({i // (m * m)},{(i // m) % m},{i % m})", name=f"Heis(Z{m})",
+    )
 
 
 def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
@@ -388,51 +365,33 @@ def pirim_base_power() -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
     return m, _mat_pow(PIRIM_A, m)
 
 
-def _mat_order(mat, mod: int) -> int:
-    ident = ((1, 0), (0, 1))
-    cur = tuple(tuple(v % mod for v in r) for r in mat)
-    o = 1
-    while cur != ident:
-        cur = _mat_mul(cur, mat, mod)
-        o += 1
-        if o > 4 * mod * mod:
-            raise RelationCheckFailed("matrix order runaway")
-    return o
-
-
 def _pirim_group(k: int, A1) -> FiniteGroup:
     """(Z/3^k)^2 x| <t> with t acting by A1 mod 3^k."""
     m = 3**k
-    t_order = 1 if _mat_pow(A1, 1, m) == ((1, 0), (0, 1)) else _mat_order(A1, m)
-    powers = [_mat_pow(A1, j, m) for j in range(t_order)]
-    n = m * m * t_order
+    powers = [((1, 0), (0, 1))]  # A1^j mod m up to the order of A1
+    while (nxt := _mat_mul(powers[-1], A1, m)) != powers[0]:
+        powers.append(nxt)
+        if len(powers) > 4 * m * m:
+            raise RelationCheckFailed("matrix order runaway")
+    t_order = len(powers)
+    W0, W1, L = np.unravel_index(np.arange(m * m * t_order), (m, m, t_order))
 
-    def decode(i: int) -> tuple[int, int, int]:
-        vj, j = divmod(i, t_order)
-        v0, v1 = divmod(vj, m)
-        return v0, v1, j
-
-    def encode(v0: int, v1: int, j: int) -> int:
-        return (v0 * m + v1) * t_order + j
-
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        v0, v1, j = decode(i)
+    def row(v0: int, v1: int, j: int) -> np.ndarray:
+        # (v, t^j)(w, t^l) = (v + B^j w, t^(j+l)), element (v0*m + v1)*|t| + j
         B = powers[j]
-        for i2 in range(n):
-            w0, w1, l = decode(i2)
-            u0 = (v0 + B[0][0] * w0 + B[0][1] * w1) % m
-            u1 = (v1 + B[1][0] * w0 + B[1][1] * w1) % m
-            table[i, i2] = encode(u0, u1, (j + l) % t_order)
+        u0 = (v0 + B[0][0] * W0 + B[0][1] * W1) % m
+        u1 = (v1 + B[1][0] * W0 + B[1][1] * W1) % m
+        return (u0 * m + u1) * t_order + (j + L) % t_order
 
-    gens = [encode(1, 0, 0), encode(0, 1, 0)]
-    if t_order > 1:
-        gens.append(encode(0, 0, 1))
-    labels = None
-    if n <= 4096:
-        labels = [f"({v0},{v1};t{j})" for v0, v1, j in (decode(i) for i in range(n))]
-    G = FiniteGroup(table, generators=gens, labels=labels, name=f"Pirim(3^{k})")
-    return G
+    coords = [(1, 0, 0), (0, 1, 0)] + ([(0, 0, 1)] if t_order > 1 else [])
+    gens = [(v0 * m + v1) * t_order + j for v0, v1, j in coords]
+    table = table_from_rows(np.array([row(*c) for c in coords]), gens, 0)
+
+    def label(i: int) -> str:
+        vj, j = divmod(i, t_order)
+        return f"({vj // m},{vj % m};t{j})"
+
+    return FiniteGroup(table, generators=gens, labels=label, name=f"Pirim(3^{k})")
 
 
 def make_pirim(depth: int, cap: int | None = None) -> Tower:
@@ -453,11 +412,8 @@ def make_pirim(depth: int, cap: int | None = None) -> Tower:
     for k in range(1, depth):
         hi, lo = 3 ** (k + 1), 3**k
         to_hi, to_lo = t_orders[k], t_orders[k - 1]
-        mapping = []
-        for i in range(levels[k].order):
-            vj, j = divmod(i, to_hi)
-            v0, v1 = divmod(vj, hi)
-            mapping.append(((v0 % lo) * lo + (v1 % lo)) * to_lo + (j % to_lo))
+        v0, v1, j = np.unravel_index(np.arange(levels[k].order), (hi, hi, to_hi))
+        mapping = np.ravel_multi_index((v0 % lo, v1 % lo, j % to_lo), (lo, lo, to_lo))
         maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
     meta = TowerMeta(
         family_name="pirim",
@@ -652,18 +608,9 @@ def make_product(towers: Sequence[Tower], cap: int | None = None) -> Tower:
 def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
     """Connecting map of the product tower at level k (levels k+1 -> k)."""
     his = [t.level(k + 1).order for t in towers]
-    los = [t.level(k).order for t in towers]
-    fmaps = [t.map_down(k).map for t in towers]
-    rem = np.arange(int(np.prod(his)))
-    coords = []
-    for nh in reversed(his):
-        coords.append(rem % nh)
-        rem //= nh
-    coords.reverse()
-    acc = np.zeros(len(rem), dtype=np.int64)
-    for c, fmap, lo in zip(coords, fmaps, los):
-        acc = acc * lo + fmap[c]
-    return acc
+    coords = np.unravel_index(np.arange(int(np.prod(his))), his)
+    return np.ravel_multi_index([t.map_down(k).map[c] for t, c in zip(towers, coords)],
+                                [t.level(k).order for t in towers])
 
 
 def direct_product_tower(t1: Tower, t2: Tower, cap: int | None = None) -> Tower:

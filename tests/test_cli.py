@@ -340,3 +340,45 @@ def test_classify_pirim_audits_once(monkeypatch, capsys):
     code, _, _ = run_cli(["classify", "--family", "pirim", "--depth", "2"], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+C2_LITERAL = {"version": 1, "kind": "cyclic", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "literal,pointer",
+    [
+        ({"kind": "table", "mult": [[0, 1], [1, 0.5]]}, "/mult/1"),
+        ({"kind": "table", "mult": [[0, 1], [1, "0"]]}, "/mult/1"),
+        ({"kind": "table", "mult": [[0, True], [True, 0]]}, "/mult/0"),
+        ({"kind": "table", "mult": [[0, 1], [1]]}, "/mult/1"),
+        ({"kind": "table", "mult": [[0, 1], [1, 2]]}, "/mult/1"),
+        ({"kind": "table", "mult": [[0, 1], [1, 0]], "labels": ["e"]}, "/labels"),
+        ({"kind": "matrix", "modulus": 3, "generators": [[[1, 1], [0]]]}, "/generators/0"),
+        ({"kind": "matrix", "modulus": 3, "generators": [[[1, 1], [0, 1]], 5]},
+         "/generators/1"),
+        ({"kind": "permutation", "degree": 2, "generators": [5]}, "/generators/0"),
+        ({"kind": "permutation", "degree": 2, "generators": [[True, False]]},
+         "/generators/0"),
+    ],
+    ids=["float-entry", "string-entry", "bool-entry", "ragged-mult", "entry-out-of-range",
+         "short-labels", "ragged-matrix", "matrix-not-a-list", "permutation-not-a-list",
+         "bool-permutation"],
+)
+def test_malformed_group_literal_exits_one(literal, pointer, capsys):
+    bad = json.dumps({"version": 1, **literal})
+    code, _, err = run_cli(["goursat", "--g1", bad, "--g2", json.dumps(C2_LITERAL)], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"at: {pointer}\n" in err
+    assert "Traceback" not in err
+
+
+def test_singular_matrix_literal_exits_one(capsys):
+    singular = {"version": 1, "kind": "matrix", "modulus": 4, "generators": [[[2, 0], [0, 1]]]}
+    code, _, err = run_cli(
+        ["goursat", "--g1", json.dumps(singular), "--g2", json.dumps(C2_LITERAL)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
