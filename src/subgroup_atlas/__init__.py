@@ -70,7 +70,7 @@ from .filtration import (
     height_bound_audit,
     solitary_candidates,
 )
-from .classify import Analysis, Verdict, analyze_tower, classify
+from .classify import Analysis, Verdict, analyze_tower
 from .report import analysis_report, report_to_json
 
 __version__ = "0.1.0"

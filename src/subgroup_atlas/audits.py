@@ -26,7 +26,6 @@ from .groups import (
     frattini,
     goursat,
     goursat_reconstruct,
-    subgroup_from_indices,
 )
 from .lattice import LatticeTower, build_lattice_tower
 from .towers import (
@@ -36,7 +35,6 @@ from .towers import (
     direct_product_tower,
     make_zp,
     truncate,
-    z_witness_subgroup,
 )
 
 
@@ -100,11 +98,7 @@ def wilson_commutator_audit(t: Tower) -> AuditResult:
     if t.depth < 3:
         raise OutOfRange("wilson audit needs depth >= 3")
     details: dict = {"full_indices": [], "maximal_indices": {}, "m1_prime_matches": []}
-    full_idx = []
-    for k in range(1, t.depth + 1):
-        G = t.level(k)
-        Gp = commutator_subgroup(G)
-        full_idx.append(G.order // Gp.order)
+    full_idx = commutator_index_per_level(t)
     details["full_indices"] = full_idx
     passed = all(v == full_idx[1] for v in full_idx[1:])
 
@@ -274,18 +268,16 @@ def commutator_index_per_level(t: Tower) -> list[int]:
 def left_factor_node_index(lt: LatticeTower, prod: Tower, k: int) -> int:
     """Index of the node H_k x 1 in the level-k lattice of a two-factor product."""
     G = prod.level(k)
-    n2 = prod.meta.extra.get("right_order_per_level")[k - 1]
-    members = [i * n2 for i in range(G.order // n2)]
-    target = subgroup_from_indices(G, members)
+    G1, G2 = G._product_of
+    n2 = G2.order
+    target = closure(G, [g * n2 + G2.identity for g in G1.basis])
     bits = lt.node_bits[k - 1]
     if bits is None:
         raise CapExceeded("left-factor node lookup needs explicit bitsets")
     return bits.index(target.bits)
 
 
-def solitary_criterion_hxz_audit(
-    h_tower: Tower, product: Tower | None = None, max_depth: int | None = None
-) -> AuditResult:
+def solitary_criterion_hxz_audit(h_tower: Tower, max_depth: int | None = None) -> AuditResult:
     """Solitary criterion for the left factor of an H x Z_p product at the
     matching prime: the left-factor node is a solitary candidate exactly when
     the commutator index of the H-family stabilizes (the finite witness that
@@ -293,15 +285,8 @@ def solitary_criterion_hxz_audit(
     if len(h_tower.meta.primes) != 1:
         raise WrongShape("hxz audit needs a single-prime left factor")
     p = next(iter(h_tower.meta.primes))
-    if product is None:
-        depth = max_depth or min(h_tower.depth, 2)
-        zt = make_zp(p, depth)
-        product = direct_product_tower(truncate(h_tower, depth), zt)
-        product.meta.extra["right_order_per_level"] = [p**k for k in range(1, depth + 1)]
-    else:
-        if "right_order_per_level" not in product.meta.extra:
-            raise WrongShape("product tower missing right factor metadata")
-    depth = product.depth
+    depth = max_depth or min(h_tower.depth, 2)
+    product = direct_product_tower(truncate(h_tower, depth), make_zp(p, depth))
 
     h_indices = commutator_index_per_level(h_tower)
     witness = len(h_indices) >= 2 and h_indices[-1] == h_indices[-2]
@@ -354,15 +339,17 @@ def virtually_zp_audit(
     )
     # Finite-level centralizers only shrink with depth; the image of the
     # deepest one is the tightest available shadow of the limit centralizer
-    # (shallow levels can be degenerately abelian).
+    # (shallow levels can be degenerately abelian).  It is stepped down one
+    # connecting map at a time: the image of an image is the composite image.
     top = t.depth
-    C_top = centralizer(t.level(top), z_witness_subgroup(t, top))
+    images = [centralizer(t.level(top), t.meta.extra["z_witness"][top - 1])]
+    for k in range(top - 1, 0, -1):
+        images.append(t.map_down(k).image_subgroup(images[-1]))
     details: dict = {"per_level": [], "counts": []}
     passed = True
     certified: dict[tuple[int, int], list[str]] = {}
     for k in range(1, t.depth):
-        G = t.level(k)
-        C = t.composite_map(top, k).image_subgroup(C_top)
+        C = images[top - k]
         surv1 = report.survivors[1][k - 1]
         inside = {
             i for i in surv1 if (lt.node_bits[k - 1][i] & ~C.bits) == 0
@@ -428,10 +415,10 @@ def pirim_h_node_certificates(t: Tower, lt: LatticeTower) -> dict[tuple[int, int
     """
     out: dict[tuple[int, int], list[str]] = {}
     for k in range(2, t.depth + 1):
-        G = t.level(k)
         t_order = t.meta.extra["t_orders"][k - 1]
-        members = [v * t_order for v in range(G.order // t_order)]
-        H = subgroup_from_indices(G, members)
+        # element (v0*3^k + v1)*|t| + j is (v0, v1; t^j): the translations
+        # (1, 0) and (0, 1) generate the module
+        H = closure(t.level(k), [3**k * t_order, t_order])
         idx = lt.node_bits[k - 1].index(H.bits)
         out[(k, idx)] = ["rational_irreducibility"]
     return out

@@ -205,12 +205,6 @@ class Subgroup:
     def mask(self) -> np.ndarray:
         return _bits_to_mask(self.bits, self.parent.order)
 
-    def is_full(self) -> bool:
-        return self.order == self.parent.order
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
@@ -226,29 +220,6 @@ def _bits_to_mask(bits: int, n: int) -> np.ndarray:
 
 def _subgroup_from_mask(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
     return Subgroup(G, _mask_to_bits(mask), int(mask.sum()))
-
-
-def subgroup_from_indices(G: FiniteGroup, indices: Iterable[int]) -> Subgroup:
-    """Wrap an explicit member list as a Subgroup (verifies closure)."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[list(indices)] = True
-    sub = _subgroup_from_mask(G, mask)
-    verify_subgroup(sub)
-    return sub
-
-
-def verify_subgroup(H: Subgroup) -> None:
-    """Raise WrongShape unless H contains the identity and is closed."""
-    G = H.parent
-    if not H.contains(G.identity):
-        raise WrongShape("subgroup misses the identity")
-    idx = H.indices()
-    prods = G.table[np.ix_(idx, idx)]
-    mask = H.mask()
-    if not np.all(mask[prods]):
-        raise WrongShape("subgroup is not closed under multiplication")
-    if not np.all(mask[G.inv[idx]]):
-        raise WrongShape("subgroup is not closed under inverses")
 
 
 # -- elementary operations ---------------------------------------------------
@@ -441,10 +412,14 @@ def center(G: FiniteGroup) -> Subgroup:
     return _subgroup_from_mask(G, mask)
 
 
-def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+def centralizer(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """The centralizer of the subgroup generated by `gens`: the intersection
+    of the centralizers of the generators, one column compare each."""
     mask = np.ones(G.order, dtype=bool)
-    for h in H.indices():
-        mask &= G.table[:, h] == G.table[h, :]
+    for s in gens:
+        if not 0 <= s < G.order:
+            raise OutOfRange(f"generator {s} outside group of order {G.order}")
+        mask &= G.table[:, s] == G.table[s, :]
     return _subgroup_from_mask(G, mask)
 
 

@@ -25,13 +25,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Homomorphism,
-    Subgroup,
+    _is_int,
     cyclic,
     dihedral,
     direct_product,
     generate_from,
     load_group_json,
-    subgroup_from_indices,
     table_from_rows,
 )
 
@@ -219,7 +218,8 @@ def make_zp(p: int, depth: int, cap: int | None = None) -> Tower:
         ),
         depth=depth,
         dim_estimate=1,
-        extra={"p": p, "z_witness": [list(range(p**k)) for k in range(1, depth + 1)]},
+        # z_witness: per level, generators of the procyclic open subgroup
+        extra={"p": p, "z_witness": [[1] for _ in range(depth)]},
     )
     return Tower(levels, maps, meta)
 
@@ -259,7 +259,7 @@ def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
         extra={"p": p, "n": n},
     )
     if n == 1:
-        meta.extra["z_witness"] = [list(range(p**k)) for k in range(1, depth + 1)]
+        meta.extra["z_witness"] = [[1] for _ in range(depth)]
     return Tower(levels, maps, meta)
 
 
@@ -324,7 +324,7 @@ def make_dihedral2(depth: int, cap: int | None = None) -> Tower:
         ),
         depth=depth,
         dim_estimate=1,
-        extra={"p": 2, "z_witness": [list(range(2**k)) for k in range(1, depth + 1)]},
+        extra={"p": 2, "z_witness": [[1] for _ in range(depth)]},
     )
     return Tower(levels, maps, meta)
 
@@ -709,25 +709,35 @@ def parse_tower_spec(doc: dict | str) -> dict:
                 "depth": len(doc["levels"])}
 
     depth = doc.get("depth", DEFAULT_DEPTHS[family])
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise SpecError("depth must be a positive integer", ["/depth"])
     spec = {"family": family, "depth": depth}
+    cap = order_cap()
     if family in ("zp", "zpn", "heisenberg"):
         p = doc.get("p")
-        if not isinstance(p, int) or p < 2 or _not_prime(p):
+        if not _is_int(p) or p < 2:
+            raise SpecError("p must be a prime", ["/p"])
+        if p > cap:  # the order is at least p; checked before trial division
+            raise CapExceeded(f"{family} needs order at least p, above cap {cap}")
+        if _not_prime(p):
             raise SpecError("p must be a prime", ["/p"])
         spec["p"] = p
     if family == "zpn":
         n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SpecError("n must be a positive integer", ["/n"])
         spec["n"] = n
 
-    cap = order_cap()
-    est = _order_estimate(spec)
-    if est > cap:
+    base, exponent = _order_power(spec)
+    # base >= 2, so an exponent of cap.bit_length() or more is over the cap:
+    # found without computing the power, which can be too large to print
+    if exponent >= cap.bit_length():
         raise CapExceeded(
-            f"{family} at depth {depth} needs order {est}, above cap {cap}"
+            f"{family} needs order at least 2^{cap.bit_length()}, above cap {cap}"
+        )
+    if base**exponent > cap:
+        raise CapExceeded(
+            f"{family} at depth {depth} needs order {base**exponent}, above cap {cap}"
         )
     return spec
 
@@ -752,21 +762,20 @@ def _spec_primes(spec: dict) -> set[int]:
     return set()
 
 
-def _order_estimate(spec: dict) -> int:
+def _order_power(spec: dict) -> tuple[int, int]:
+    """(base, exponent) with the top level's order base**exponent."""
     fam, d = spec["family"], spec["depth"]
     if fam == "zp":
-        return spec["p"] ** d
+        return spec["p"], d
     if fam == "zpn":
-        return spec["p"] ** (spec["n"] * d)
+        return spec["p"], spec["n"] * d
     if fam == "heisenberg":
-        return spec["p"] ** (3 * d)
+        return spec["p"], 3 * d
     if fam == "dihedral2":
-        return 2 ** (d + 1)
+        return 2, d + 1
     if fam == "pirim":
-        return 3 ** (3 * d - 1)
-    if fam == "wilson":
-        return 2 ** (3 * d - 1)
-    return 0
+        return 3, 3 * d - 1
+    return 2, 3 * d - 1  # wilson
 
 
 def build_tower(spec: dict, cap: int | None = None) -> Tower:
@@ -791,11 +800,3 @@ def build_tower(spec: dict, cap: int | None = None) -> Tower:
     if fam == "wilson":
         return make_wilson(d, cap=cap)
     raise SpecError(f"unknown family {fam!r}", ["/family"])
-
-
-def z_witness_subgroup(t: Tower, k: int) -> Subgroup | None:
-    """The distinguished procyclic open-subgroup witness at level k, if any."""
-    wit = t.meta.extra.get("z_witness")
-    if wit is None:
-        return None
-    return subgroup_from_indices(t.level(k), wit[k - 1])

@@ -81,6 +81,13 @@ def oracle_normalizes(table, inv, members, g) -> bool:
     return {table[table[inv[g]][h]][g] for h in H} == H
 
 
+def oracle_centralizer(table, members) -> frozenset[int]:
+    """Every g that commutes with every member of H, checked pair by pair."""
+    return frozenset(
+        g for g in range(len(table)) if all(table[g][h] == table[h][g] for h in members)
+    )
+
+
 def oracle_is_associative(table) -> bool:
     """Naive n^3 check of (a*b)*c == a*(b*c) over every triple."""
     n = len(table)

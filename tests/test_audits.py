@@ -17,9 +17,9 @@ from subgroup_atlas.audits import (
 )
 from subgroup_atlas.errors import CapExceeded, OutOfRange, WrongFamily, WrongShape
 from subgroup_atlas.filtration import cb_filtration, default_max_rank, solitary_candidates
-from subgroup_atlas.groups import cyclic, dihedral, quaternion8
+from subgroup_atlas.groups import centralizer, closure, cyclic, dihedral, quaternion8
 from subgroup_atlas.lattice import build_lattice_tower
-from subgroup_atlas.towers import make_zp, make_zpn
+from subgroup_atlas.towers import make_dihedral2, make_zp, make_zpn
 
 
 def test_frattini_stability_values():
@@ -135,6 +135,33 @@ def test_virtually_zp_dihedral_candidates_in_centralizer():
     for entry in a.details["per_level"]:
         assert entry["candidates"] == [0]  # the trivial node only
         assert entry["centralizer_order"] == 2 ** entry["level"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_zp(2, 6), lambda: make_zpn(5, 1, 4), lambda: make_dihedral2(6)],
+    ids=["zp(2,6)", "zpn(5,1,4)", "dihedral2(6)"],
+)
+def test_virtually_zp_audit_matches_composite_formula(make):
+    t = make()
+    lt = build_lattice_tower(t)
+    rep = cb_filtration(lt, default_max_rank(t.depth, 1))
+    a = virtually_zp_audit(t, lt, rep)
+    # the former formula: centralize every member of the top witness, then
+    # take its image under the composite map to each level
+    top = t.depth
+    witness = closure(t.level(top), t.meta.extra["z_witness"][top - 1])
+    C_top = centralizer(t.level(top), witness.indices())
+    per_level, certified = [], []
+    for k in range(1, top):
+        C = t.composite_map(top, k).image_subgroup(C_top)
+        inside = sorted(
+            i for i in rep.survivors[1][k - 1] if lt.node_bits[k - 1][i] & ~C.bits == 0
+        )
+        per_level.append({"level": k, "centralizer_order": C.order, "candidates": inside})
+        certified += [(k, i) for i in inside]
+    assert a.details["per_level"] == per_level
+    assert a.details["certified_nodes"] == certified
 
 
 @pytest.mark.parametrize(

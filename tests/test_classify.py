@@ -1,13 +1,10 @@
 """Verdict tests for built-in families, products, and edge cases."""
 
-import importlib
-
 import numpy as np
 import pytest
 
-classify_mod = importlib.import_module("subgroup_atlas.classify")
-
 from conftest import cached_tower
+from subgroup_atlas import classify as classify_mod
 from subgroup_atlas.audits import virtually_zp_audit
 from subgroup_atlas.classify import Analysis, analyze_tower, classify
 from subgroup_atlas.filtration import ApparentHeight, cb_filtration, default_max_rank

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, determinism, error handling, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,40 @@ def test_cap_exceeded_exits_one(capsys):
     )
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "zp", "--p", "2", "--depth", "20000"],
+        ["--family", "zp", "--p", "2", "--depth", "10000000"],
+        ["--family", "zp", "--p", "2305843009213693951"],
+    ],
+    ids=["depth-20000", "depth-10000000", "p-2^61-1"],
+)
+def test_order_far_above_cap_exits_one_quickly(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", *argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec,pointer",
+    [
+        ({"family": "zp", "p": 2, "depth": True}, "/depth"),
+        ({"family": "zpn", "p": 3, "n": True, "depth": 2}, "/n"),
+    ],
+    ids=["depth", "n"],
+)
+def test_boolean_spec_field_exits_one(spec, pointer, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["lattice", "--spec-file", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert f"at: {pointer}" in err
 
 
 def test_env_cap_override(tmp_path, capsys, monkeypatch):
@@ -325,6 +360,22 @@ def test_analyze_is_one_pass(tower, output, monkeypatch, capsys):
         "certify_solitary": 1,
         "build_lattice_tower": 1,
     }
+
+
+def test_analyze_verifies_each_connecting_map_once(monkeypatch, capsys):
+    from subgroup_atlas.groups import Homomorphism
+
+    calls = []
+    original = Homomorphism._verify
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Homomorphism, "_verify", counted)
+    code, _, _ = run_cli(["analyze", "--family", "zp", "--p", "2", "--depth", "11"], capsys)
+    assert code == 0
+    assert len(calls) == 10  # the ten connecting maps of zp(2, 11)
 
 
 def test_depth_one_analysis_fails_before_building_the_lattice(monkeypatch, capsys):

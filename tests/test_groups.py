@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_bits_set,
+    oracle_centralizer,
     oracle_closure,
     oracle_homomorphisms,
     oracle_is_associative,
@@ -42,7 +43,6 @@ from subgroup_atlas.groups import (
     product_set,
     quaternion8,
     quotient,
-    subgroup_from_indices,
     trivial_subgroup,
 )
 from subgroup_atlas.towers import make_heisenberg
@@ -144,7 +144,10 @@ def test_center_q8():
 
 def test_centralizer_normalizer():
     Q8 = quaternion8()
-    assert centralizer(Q8, center(Q8)).order == 8
+    assert centralizer(Q8, center(Q8).indices()).order == 8
+    for outside in (-1, 8):
+        with pytest.raises(OutOfRange):
+            centralizer(Q8, [outside])
     i_sub = closure(Q8, [2])
     assert normalizer(Q8, i_sub).order == 8  # index-2 subgroups are normal
     D4 = dihedral(4)
@@ -171,8 +174,8 @@ def test_conjugate():
 
 def test_product_set():
     Z8 = cyclic(8)
-    H = subgroup_from_indices(Z8, [0, 4])
-    N = subgroup_from_indices(Z8, [0, 2, 4, 6])
+    H = closure(Z8, [4])
+    N = closure(Z8, [2])
     assert product_set(Z8, H, N).bits == N.bits
     D4 = dihedral(4)
     s_sub = closure(D4, [4])
@@ -182,7 +185,7 @@ def test_product_set():
 
 def test_quotient_z8():
     Z8 = cyclic(8)
-    N = subgroup_from_indices(Z8, [0, 4])
+    N = closure(Z8, [4])
     Q, proj = quotient(Z8, N)
     assert Q.order == 4
     assert proj.surjective
@@ -249,7 +252,7 @@ def test_coprime_splitting(f1, f2):
 def test_goursat_diagonal():
     G1, G2 = cyclic(2), cyclic(2)
     P = direct_product(G1, G2)
-    diag = subgroup_from_indices(P, [0, 3])
+    diag = closure(P, [3])
     q = goursat(G1, G2, diag)
     assert q.proj_left.order == 2 and q.proj_right.order == 2
     assert q.ker_left.order == 1 and q.ker_right.order == 1
@@ -259,7 +262,7 @@ def test_goursat_diagonal():
 def test_goursat_factor_subgroup():
     G1, G2 = cyclic(2), cyclic(2)
     P = direct_product(G1, G2)
-    H = subgroup_from_indices(P, [0, 2])  # G1 x 1
+    H = closure(P, [2])  # G1 x 1
     q = goursat(G1, G2, H)
     assert q.proj_left.order == 2 and q.ker_left.order == 2
     assert q.proj_right.order == 1 and q.ker_right.order == 1
@@ -495,6 +498,18 @@ def test_normalizing_matches_conjugation_oracle(data):
     cands = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2 * G.order))
     mask = groups._normalizing(G, H.mask(), gens, cands)
     assert mask.tolist() == [oracle_normalizes(table, inv, members, g) for g in cands]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_centralizer_of_generators_matches_all_pairs_oracle(data):
+    G = data.draw(st.sampled_from(NORMALIZER_GROUPS))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    table, inv = _lists(G)
+    members = oracle_closure(table, G.identity, inv, gens)
+    C = centralizer(G, gens)
+    assert set(C.indices().tolist()) == oracle_centralizer(table, members)
+    assert C.order == len(C.indices())
 
 
 @pytest.mark.parametrize("G", NORMALIZER_GROUPS, ids=lambda G: G.name)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import BUILTIN_NAMES, cached_tower
 from subgroup_atlas.errors import OutOfRange
-from subgroup_atlas.groups import all_subgroups, product_set, subgroup_from_indices
+from subgroup_atlas.groups import all_subgroups, closure, product_set
 from subgroup_atlas.lattice import (
     basic_open_fiber,
     build_lattice_tower,
@@ -123,7 +123,7 @@ def test_isolated_nodes_examples():
     ltd = build_lattice_tower(cached_tower("dihedral2(4)"))
     for k in range(1, 4):
         G = ltd.tower.level(k)
-        rot = subgroup_from_indices(G, range(2**k))
+        rot = closure(G, [1])  # the rotations
         rot_idx = ltd.node_bits[k - 1].index(rot.bits)
         assert rot_idx in isolated_nodes(ltd, k)
 

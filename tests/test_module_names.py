@@ -7,20 +7,29 @@ fails with ``NameError`` when the line that reads it runs.  This scan finds
 such names statically with the standard-library ``symtable``, so a missing
 import fails here rather than on the first call down a rarely taken path.
 An import that nothing reads is dead code left behind by a deletion; the
-second scan finds those.
+second scan finds those.  A function or method that no file of the project
+names outside its own definition is dead code too; the third scan finds
+those.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import re
 import symtable
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "subgroup_atlas"
+REPO_DIR = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = REPO_DIR / "src" / "subgroup_atlas"
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+# every file that may name a function of the package
+PROJECT_FILES = sorted(
+    path for top in ("src", "tests", "perfbench") for path in (REPO_DIR / top).rglob("*.py")
+)
 
 # Attributes the import system sets on every module.
 MODULE_ATTRIBUTES = {
@@ -76,6 +85,42 @@ def unread_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
+def _names(tree: ast.AST) -> Counter:
+    """Each identifier a syntax tree names, with its count: names,
+    attributes, imported names and the words of string constants (the
+    per-layer tracer names its targets as strings such as "Homomorphism._verify")."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def unnamed_functions(package: dict[str, str], others: list[str]) -> list[tuple[str, str]]:
+    """(module, name) for each function or method of the package sources that
+    no source names outside its own definition; dunder methods are exempt."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    named: Counter = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
+        named.update(_names(tree))
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if named[node.name] - _names(node)[node.name] <= 0:
+                out.append((module, node.name))
+    return sorted(out)
+
+
 def test_scan_covers_the_package():
     names = {path.stem for path in MODULES}
     assert {"groups", "towers", "lattice", "filtration", "cli"} <= names
@@ -127,3 +172,30 @@ def test_scan_accepts_every_kind_of_binding():
         "        return K, g, os.sep, root(4), [y for y in range(LIMIT)]\n"
     )
     assert unbound_globals(source, "<case>") == []
+
+
+def test_every_function_is_named_outside_its_definition():
+    package = {path.name: path.read_text() for path in MODULES}
+    others = [path.read_text() for path in PROJECT_FILES if path.parent != PACKAGE_DIR]
+    assert unnamed_functions(package, others) == []
+
+
+def test_scan_flags_an_unnamed_function():
+    package = {
+        "m.py": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    \"recursive names itself only in its own definition\"\n"
+            "    return recursive(n - 1) if n else used()\n"
+            "class K:\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+            "    def traced(self):\n"
+            "        return 0\n"
+            "    def dead(self):\n"
+            "        return self.dead\n"
+        ),
+    }
+    others = ["TARGETS = ('K.traced',)\n"]
+    assert unnamed_functions(package, others) == [("m.py", "dead"), ("m.py", "recursive")]

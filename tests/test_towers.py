@@ -27,7 +27,6 @@ from subgroup_atlas.towers import (
     pirim_base_power,
     truncate,
     validate,
-    z_witness_subgroup,
     _mat_pow,
     PIRIM_A,
 )
@@ -78,7 +77,7 @@ def test_dihedral2_basics():
     assert validate(t).ok
     # rotation thread has constant index 2
     for k in range(1, 5):
-        Z = z_witness_subgroup(t, k)
+        Z = closure(t.level(k), t.meta.extra["z_witness"][k - 1])
         assert t.level(k).order // Z.order == 2
 
 
