@@ -42,10 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(f"usage error: {message}")
 
 
+class _MalformedJSON(Exception):
+    """A spec or group literal that is not a JSON document."""
+
+
+def _json_document(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise _MalformedJSON(exc) from exc
+
+
 def _family_spec_from_args(args) -> dict:
     if args.spec_file:
         text = Path(args.spec_file).read_text(encoding="utf-8")
-        return parse_tower_spec(text)
+        return parse_tower_spec(_json_document(text))
     if not args.family:
         raise SpecError("either --family or --spec-file is required", ["/family"])
     doc: dict = {"family": args.family}
@@ -82,7 +93,7 @@ def _load_group_arg(raw: str):
     text = raw
     if not raw.lstrip().startswith("{"):
         text = Path(raw).read_text(encoding="utf-8")
-    return load_group_json(text)
+    return load_group_json(_json_document(text))
 
 
 def _analyze(args) -> Analysis:
@@ -271,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except AtlasError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except json.JSONDecodeError as exc:
+    except _MalformedJSON as exc:
         sys.stderr.write(f"error: malformed JSON: {exc}\n")
         return 1
     except FileNotFoundError as exc:

@@ -9,6 +9,7 @@ contract for everything downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -150,9 +151,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
     def is_abelian(self) -> bool:
         if self._abelian is None:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
@@ -270,7 +268,7 @@ def _commutator_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
     a = np.repeat(idx, len(idx))
     b = np.tile(idx, len(idx))
     comms = G.table[G.table[a, b], G.inv[G.table[b, a]]]
-    return closure(G, np.unique(comms))
+    return closure(G, np.flatnonzero(np.bincount(comms, minlength=G.order)))
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -364,17 +362,32 @@ def _subgroups_cyclic_extension(G: FiniteGroup) -> dict[int, Subgroup]:
 
 
 def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
+    """Every subgroup of any G: each found H is extended to <H, g> by the
+    elements g outside it, once per class of elements giving the same
+    subgroup.  <H, g> = <H, h g^k h'> for h, h' in H and k prime to the
+    order of g, so those elements are marked covered and skipped."""
+    t = G.table
     triv = trivial_subgroup(G)
     found: dict[int, Subgroup] = {triv.bits: triv}
-    queue = [triv]
+    # each queued subgroup travels with the elements that generated it
+    queue: list[tuple[Subgroup, list[int]]] = [(triv, [])]
     while queue:
-        H = queue.pop()
-        in_H = H.mask()
-        for g in np.nonzero(~in_H)[0]:
-            K = closure(G, list(H.indices()) + [int(g)])
+        H, gens = queue.pop()
+        covered = H.mask()
+        idx = H.indices()[:, None]
+        for g in np.nonzero(~covered)[0].tolist():
+            if covered[g]:
+                continue
+            K = closure(G, gens + [g])
             if K.bits not in found:
                 found[K.bits] = K
-                queue.append(K)
+                queue.append((K, gens + [g]))
+            powers, x, k = [], g, 1
+            while x != G.identity:
+                powers.append(x)
+                x, k = int(t[x, g]), k + 1
+            coprime = [y for j, y in enumerate(powers, 1) if math.gcd(j, k) == 1]
+            covered[t[t[idx, coprime].reshape(-1, 1), idx.T]] = True
     return found
 
 
@@ -476,8 +489,7 @@ class Homomorphism:
         self.map = arr
         self.map.setflags(write=False)
         self._verify()
-        image_count = len(np.unique(arr))
-        self.surjective = image_count == target.order
+        self.surjective = bool(np.bincount(arr, minlength=target.order).all())
 
     def _verify(self) -> None:
         """Check m(a*s) == m(a)*m(s) for every a and every s in the identity
@@ -520,7 +532,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         if rep[g] == -1:
             coset = G.table[g, ni]
             rep[coset] = int(coset.min())
-    reps = np.unique(rep)
+    reps = np.flatnonzero(rep == np.arange(n))  # each coset's minimum is its own rep
     proj_map = np.searchsorted(reps, rep)
     # the coset of a sends the coset of r to the coset of a*r
     row_gens = sorted({int(proj_map[g]) for g in G.basis})

@@ -147,7 +147,7 @@ def validate(t: Tower) -> ValidationReport:
             hom._verify()
         except WrongShape:
             out.append(Violation("HomomorphismLawViolation", k))
-        if len(np.unique(hom.map)) != hom.target.order:
+        if not np.bincount(hom.map, minlength=hom.target.order).all():
             out.append(Violation("SurjectivityViolation", k))
         if t.level(k + 1).order % t.level(k).order != 0:
             out.append(Violation("OrderDivisibilityViolation", k))

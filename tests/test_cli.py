@@ -1,6 +1,8 @@
 """CLI behavior: outputs, determinism, error handling, exit codes."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -433,3 +435,37 @@ def test_singular_matrix_literal_exits_one(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# past the interpreter's 4,300-digit limit, so json.loads raises a plain ValueError
+HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize("where", ["spec-file", "g1-literal"])
+def test_json_integer_past_digit_limit_is_malformed_json(where, tmp_path, capsys):
+    if where == "spec-file":
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"family": "zp", "p": 2, "depth": {HUGE_INT}}}')
+        argv = ["lattice", "--spec-file", str(spec)]
+    else:
+        literal = f'{{"version": 1, "kind": "cyclic", "n": {HUGE_INT}}}'
+        argv = ["goursat", "--g1", literal, "--g2", json.dumps(C2_LITERAL)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+def test_analyze_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call: about 15 ms a process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
+        "from subgroup_atlas.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['analyze', '--family', 'zp', '--p', '3', '--depth', '4'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout == "0 False\n"

@@ -311,13 +311,49 @@ def test_insoluble_fallback_a5():
 
 
 def test_generic_matches_fast_path():
-    from subgroup_atlas.groups import _subgroups_generic
-
-    for factory in (lambda: dihedral(4), heis3, quaternion8):
+    # soluble groups forced through the insoluble path agree with cyclic extension
+    for factory in (lambda: dihedral(4), heis3, quaternion8, lambda: dihedral(8), s4, a4):
         G = factory()
         fast = {s.bits for s in all_subgroups(G)}
-        slow = set(_subgroups_generic(G))
+        slow = set(groups._subgroups_generic(G))
         assert fast == slow
+
+
+def test_insoluble_fallback_s5():
+    G = s5()
+    assert G.order == 120
+    subs = all_subgroups(G)
+    assert len(subs) == 156
+    assert {_labels(G, H.indices()) for H in subs} == _perm_oracle(G)
+
+
+def test_generic_path_closes_once_per_class_of_equivalent_elements(monkeypatch):
+    # <H, g> = <H, h g^k h'>: A5 runs one closure per H and element outside H,
+    # 3,189 in all, without that rule
+    G = a5()
+    real, calls = groups.closure, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "closure", counting)
+    assert len(groups._subgroups_generic(G)) == 59
+    assert len(calls) == 264
+
+
+@st.composite
+def small_permutation_groups(draw):
+    degree = draw(st.integers(1, 5))
+    gens = [draw(st.permutations(range(degree))) for _ in range(2)]
+    return _perm_group(*gens)
+
+
+@given(small_permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_generic_matches_oracle_on_two_generator_permutation_groups(G):
+    found = groups._subgroups_generic(G)
+    assert {_labels(G, H.indices()) for H in found.values()} == _perm_oracle(G)
 
 
 def test_load_group_json_kinds():
@@ -470,6 +506,31 @@ def s4():
 
 def a5():
     return _perm_group([1, 2, 3, 4, 0], [1, 2, 0, 3, 4])
+
+
+def a4():
+    return _perm_group([1, 2, 0, 3], [0, 2, 3, 1])
+
+
+def s5():
+    return _perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4])
+
+
+def _labels(G, members) -> frozenset[str]:
+    return frozenset(G.element_label(int(i)) for i in members)
+
+
+_PERM_ORACLE: dict[frozenset[str], set[frozenset[str]]] = {}
+
+
+def _perm_oracle(G) -> set[frozenset[str]]:
+    """The subgroups of a permutation group of degree <= 5 as sets of element
+    labels, by closing every pair of elements: each subgroup of S5 is
+    2-generated.  Kept per element set, so each group pays for it once."""
+    key = _labels(G, range(G.order))
+    if key not in _PERM_ORACLE:
+        _PERM_ORACLE[key] = {_labels(G, s) for s in oracle_subgroups(G, gen_bound=2)}
+    return _PERM_ORACLE[key]
 
 
 NORMALIZER_GROUPS = [dihedral(4), quaternion8(), s4(), heis3()]

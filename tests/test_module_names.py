@@ -85,10 +85,14 @@ def unread_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
+DOTTED_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
 def _names(tree: ast.AST) -> Counter:
     """Each identifier a syntax tree names, with its count: names,
-    attributes, imported names and the words of string constants (the
-    per-layer tracer names its targets as strings such as "Homomorphism._verify")."""
+    attributes, imported names and the parts of string constants that are
+    whole dotted identifiers (the per-layer tracer names its targets as
+    strings such as "Homomorphism._verify").  Words in prose name nothing."""
     out: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -98,7 +102,8 @@ def _names(tree: ast.AST) -> Counter:
         elif isinstance(node, ast.alias):
             out[node.name.rpartition(".")[2]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(re.findall(r"\w+", node.value))
+            if DOTTED_IDENTIFIER.fullmatch(node.value):
+                out.update(node.value.split("."))
     return out
 
 
@@ -195,7 +200,11 @@ def test_scan_flags_an_unnamed_function():
             "        return 0\n"
             "    def dead(self):\n"
             "        return self.dead\n"
+            "    def prose(self):\n"
+            "        return 1\n"
         ),
     }
-    others = ["TARGETS = ('K.traced',)\n"]
-    assert unnamed_functions(package, others) == [("m.py", "dead"), ("m.py", "recursive")]
+    others = ["TARGETS = ('K.traced',)\n", "raise ValueError('no prose for that')\n"]
+    assert unnamed_functions(package, others) == [
+        ("m.py", "dead"), ("m.py", "prose"), ("m.py", "recursive"),
+    ]
