@@ -25,7 +25,6 @@ from .groups import (
     direct_product,
     frattini,
     goursat,
-    goursat_reconstruct,
 )
 from .lattice import LatticeTower, build_lattice_tower
 from .towers import (
@@ -384,8 +383,6 @@ def goursat_full_audit(G1: FiniteGroup, G2: FiniteGroup) -> AuditResult:
     n2 = G2.order
     for H in subs:
         q = goursat(G1, G2, H)  # verifies witness + round trip internally
-        if goursat_reconstruct(G1, G2, P, q).bits != H.bits:
-            passed = False
         section = q.proj_left.order // q.ker_left.order
         if H.order != q.ker_left.order * q.ker_right.order * section:
             passed = False
@@ -425,12 +422,12 @@ def pirim_h_node_certificates(t: Tower, lt: LatticeTower) -> dict[tuple[int, int
 
 
 def certify_solitary(
-    t: Tower, lt: LatticeTower, report: CBReport, zp_audit: AuditResult | None
+    t: Tower, lt: LatticeTower, zp_audit: AuditResult | None
 ) -> dict[tuple[int, int], list[str]]:
     """Casebook certificates usable by solitary_candidates, keyed by node.
 
-    `zp_audit` is the tower's virtually_zp_audit over the same lattice and
-    report, or None for a tower that is not virtually Z_p.
+    `zp_audit` is the tower's virtually_zp_audit over the same lattice, or
+    None for a tower that is not virtually Z_p.
     """
     out: dict[tuple[int, int], list[str]] = {}
     if zp_audit is not None and zp_audit.passed:

@@ -63,9 +63,9 @@ class Analysis:
         """Casebook solitary certificates, computed on first use: factors of a
         product whose verdict never consults them skip the work."""
         t = self.tower
-        if t.factors is not None or not t.levels:
+        if t.factors is not None:
             return {}
-        return certify_solitary(t, self.lattice, self.report, self.zp_audit)
+        return certify_solitary(t, self.lattice, self.zp_audit)
 
 
 def _ev(kind: str, name: str, **data) -> dict:
@@ -90,7 +90,7 @@ def classify(a: Analysis) -> Verdict:
     evidence: list[dict] = []
 
     # (a) constant tower: the limit is the top level itself
-    if t.levels and _is_constant(t):
+    if len(set(lt.level_orders)) == 1:
         n_points = lt.node_count(1)
         evidence.append(_ev("certificate", "constant_tower", points=n_points))
         if any(any(s) for s in report.survivors[1]):
@@ -209,11 +209,6 @@ def classify(a: Analysis) -> Verdict:
         _ev("observation", "apparent_height", value=str(report.apparent_height))
     )
     return Verdict("Undetermined", {}, "EmpiricalOnly", evidence)
-
-
-def _is_constant(t: Tower) -> bool:
-    orders = [g.order for g in t.levels]
-    return all(o == orders[0] for o in orders)
 
 
 def _pelczynski_certificate(t: Tower) -> Optional[str]:

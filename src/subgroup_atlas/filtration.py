@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import OutOfRange, WrongShape
+from .errors import OutOfRange
 from .groups import conjugate
 from .lattice import LatticeTower
 from .towers import Tower
@@ -163,10 +163,8 @@ def solitary_candidates(
 
 def conjugation_orbits(lt: LatticeTower, k: int) -> list[list[int]]:
     """Partition of level-k nodes into conjugacy orbits (generator action)."""
-    if lt.node_bits[k - 1] is None:
-        if lt.factor_lattices is not None:
-            return _product_orbits(lt, k)
-        raise WrongShape("conjugation needs explicit subgroups")
+    if lt.factor_lattices is not None:
+        return _product_orbits(lt, k)
     G = lt.tower.level(k)
     bits_index = {b: i for i, b in enumerate(lt.node_bits[k - 1])}
     seen: set[int] = set()

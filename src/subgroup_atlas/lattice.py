@@ -5,9 +5,11 @@ approximates the subgroup space of the tower's limit: nodes at level k are
 the subgroups of the level-k group in canonical (order, bitset) order, and a
 node's parent is its image under the connecting map.
 
-Towers built as coprime products are handled structurally: the product
-lattice is the levelwise product of the factor lattices (every subgroup of a
-coprime product factorizes), so no product Cayley tables are needed.
+Coprime product towers have no level groups at any cap: the product lattice
+is the levelwise product of the factor lattices (every subgroup of a coprime
+product factorizes), so no product Cayley table is ever built.  Up to
+PRODUCT_BITSET_LIMIT the factor bitsets are folded into the row-major product
+indexing, because they fix the canonical node order.
 """
 
 from __future__ import annotations
@@ -59,13 +61,12 @@ class LatticeTower:
         return self.level_orders[k - 1] // self.node_orders[k - 1][i]
 
     def subgroup(self, k: int, i: int) -> Subgroup:
-        bits = self.node_bits[k - 1]
-        if bits is None or not self.tower.levels:
+        if not self.tower.levels:
             raise CapExceeded(
                 f"level {k} nodes are structural; explicit subgroups unavailable"
             )
         order = self.node_orders[k - 1][i]
-        return Subgroup(self.tower.level(k), bits[i], order)
+        return Subgroup(self.tower.level(k), self.node_bits[k - 1][i], order)
 
     def parent_of(self, k: int, i: int) -> int:
         """Parent node index (at level k-1) of node i at level k >= 2."""
@@ -136,7 +137,7 @@ def _explicit_lattice(t: Tower, cap: int | None) -> LatticeTower:
     )
 
 
-def _fold_bits(bits_left: int, n_left: int, bits_right: int, n_right: int) -> int:
+def _fold_bits(bits_left: int, bits_right: int, n_right: int) -> int:
     """Bitset of H_left x H_right inside the row-major product indexing."""
     out = 0
     b = bits_left
@@ -176,10 +177,8 @@ def _product_lattice(t: Tower, parts: list[LatticeTower]) -> LatticeTower:
             bits = []
             for tp in tuples:
                 acc_bits = parts[0].node_bits[k][tp[0]]
-                acc_n = parts[0].level_orders[k]
                 for p, i in zip(parts[1:], tp[1:]):
-                    acc_bits = _fold_bits(acc_bits, acc_n, p.node_bits[k][i], p.level_orders[k])
-                    acc_n *= p.level_orders[k]
+                    acc_bits = _fold_bits(acc_bits, p.node_bits[k][i], p.level_orders[k])
                 bits.append(acc_bits)
         if bits is not None:
             perm = sorted(range(len(tuples)), key=lambda j: (orders[j], bits[j]))
@@ -243,7 +242,7 @@ def basic_open_fiber(
         fiber = nxt
     fiber = sorted(fiber)
 
-    if verify and j > 0 and lt.node_bits[k + j - 1] is not None and lt.tower.levels:
+    if verify and j > 0 and lt.tower.levels:
         G = lt.tower.level(k + j)
         hom = lt.tower.composite_map(k + j, k)
         ker = hom.kernel()

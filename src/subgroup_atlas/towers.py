@@ -88,7 +88,7 @@ class Tower:
         return self.meta.depth
 
     def level(self, k: int) -> FiniteGroup:
-        """1-based level access (explicit towers only)."""
+        """1-based level access; coprime product towers have no level groups."""
         if not self.levels:
             raise CapExceeded(
                 "tower is structural; explicit level groups were not materialized"
@@ -180,10 +180,9 @@ def truncate(t: Tower, depth: int) -> Tower:
     factors = None
     if t.factors is not None:
         factors = [truncate(f, depth) for f in t.factors]
-    if t.levels:
-        primes = frozenset().union(*(g.primes for g in t.levels[:depth]))
-    else:
         primes = frozenset().union(*(f.meta.primes for f in factors))
+    else:
+        primes = frozenset().union(*(g.primes for g in t.levels[:depth]))
     meta = TowerMeta(
         family_name=t.meta.family_name,
         primes=primes,
@@ -202,9 +201,7 @@ def truncate(t: Tower, depth: int) -> Tower:
 
 def make_zp(p: int, depth: int, cap: int | None = None) -> Tower:
     """Levels Z/p^k with reduction maps; the p-adic procyclic family."""
-    cap = order_cap() if cap is None else cap
-    if p**depth > cap:
-        raise CapExceeded(f"p^depth = {p**depth} above cap {cap}")
+    _check_order({"family": "zp", "p": p, "depth": depth}, cap)
     levels = [cyclic(p**k) for k in range(1, depth + 1)]
     maps = [
         Homomorphism(levels[k], levels[k - 1], np.arange(p ** (k + 1)) % p**k)
@@ -235,9 +232,7 @@ def _abelian_power_group(p: int, k: int, n: int) -> FiniteGroup:
 
 def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
     """Levels (Z/p^k)^n with componentwise reduction maps."""
-    cap = order_cap() if cap is None else cap
-    if p ** (n * depth) > cap:
-        raise CapExceeded(f"p^(n*depth) = {p**(n*depth)} above cap {cap}")
+    _check_order({"family": "zpn", "p": p, "n": n, "depth": depth}, cap)
     levels = [_abelian_power_group(p, k, n) for k in range(1, depth + 1)]
     maps = []
     for k in range(1, depth):
@@ -281,9 +276,7 @@ def _heisenberg_group(p: int, k: int) -> FiniteGroup:
 
 def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
     """Levels of upper unitriangular 3x3 matrices over Z/p^k."""
-    cap = order_cap() if cap is None else cap
-    if p ** (3 * depth) > cap:
-        raise CapExceeded(f"p^(3*depth) = {p**(3*depth)} above cap {cap}")
+    _check_order({"family": "heisenberg", "p": p, "depth": depth}, cap)
     levels = [_heisenberg_group(p, k) for k in range(1, depth + 1)]
     maps = []
     for k in range(1, depth):
@@ -305,9 +298,7 @@ def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
 
 def make_dihedral2(depth: int, cap: int | None = None) -> Tower:
     """Pro-2 dihedral levels Z/2^k x| inversion; maps kill the top rotation."""
-    cap = order_cap() if cap is None else cap
-    if 2 ** (depth + 1) > cap:
-        raise CapExceeded(f"2^(depth+1) = {2**(depth+1)} above cap {cap}")
+    _check_order({"family": "dihedral2", "depth": depth}, cap)
     levels = [dihedral(2**k) for k in range(1, depth + 1)]
     maps = []
     for k in range(1, depth):
@@ -397,9 +388,7 @@ def _pirim_group(k: int, A1) -> FiniteGroup:
 def make_pirim(depth: int, cap: int | None = None) -> Tower:
     """Poly-procyclic pro-3 tower (Z/3^k)^2 x| <t>, t acting by a fixed power
     of the matrix A = [[0,1],[4,2]] chosen inside the first congruence subgroup."""
-    cap = order_cap() if cap is None else cap
-    if 3 ** (3 * depth - 1) > cap:
-        raise CapExceeded(f"3^(3*depth-1) = {3**(3*depth-1)} above cap {cap}")
+    _check_order({"family": "pirim", "depth": depth}, cap)
     m, A1 = pirim_base_power()
     if _mat_pow(A1, 1, 3) != ((1, 0), (0, 1)):
         raise RelationCheckFailed("A1 is not in the first congruence subgroup")
@@ -517,9 +506,7 @@ def make_wilson(depth: int, cap: int | None = None) -> Tower:
     """Pro-2 tower of the two-generator group with abelianized squares;
     levels are built by explicit embedding into (Z/2^k)^3 x| V and the
     defining relations are re-verified at every level."""
-    cap = order_cap() if cap is None else cap
-    if 2 ** (3 * depth - 1) > cap:
-        raise CapExceeded(f"2^(3*depth-1) = {2**(3*depth-1)} above cap {cap}")
+    cap = _check_order({"family": "wilson", "depth": depth}, cap)
     levels = []
     gen_infos = []
     elements_per_level = []
@@ -549,14 +536,14 @@ def make_wilson(depth: int, cap: int | None = None) -> Tower:
 
 # -- products -------------------------------------------------------------------
 
-def make_product(towers: Sequence[Tower], cap: int | None = None) -> Tower:
+def make_product(towers: Sequence[Tower]) -> Tower:
     """Levelwise direct product of towers over pairwise disjoint prime sets.
 
-    Levels are materialized as explicit product groups only while each product
-    order stays under the cap; larger products stay structural (factors kept,
-    lattice work routed through the factor lattices).
+    The product is structural at every cap: it keeps its factors and has no
+    level groups or maps (`Tower.level` raises CapExceeded), because every
+    subgroup of a coprime product splits and its lattice is built from the
+    factor lattices.
     """
-    cap = order_cap() if cap is None else cap
     towers = list(towers)
     if len(towers) < 2:
         raise WrongShape("product needs at least two factors")
@@ -572,22 +559,6 @@ def make_product(towers: Sequence[Tower], cap: int | None = None) -> Tower:
             raise PrimeOverlap(f"shared primes {sorted(seen & t.meta.primes)}")
         seen |= t.meta.primes
 
-    explicit = all(
-        int(np.prod([float(t.level(k).order) for t in towers])) <= cap
-        for k in range(1, depth + 1)
-    )
-    levels: list[FiniteGroup] = []
-    maps: list[Homomorphism] = []
-    if explicit:
-        for k in range(1, depth + 1):
-            G = towers[0].level(k)
-            for t in towers[1:]:
-                G = direct_product(G, t.level(k), cap=cap)
-            levels.append(G)
-        for k in range(1, depth):
-            mapping = _product_map(towers, k)
-            maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
-
     flags = TowerFlags(
         abelian=all(t.meta.flags.abelian for t in towers),
         nilpotent=all(t.meta.flags.nilpotent for t in towers),
@@ -602,7 +573,7 @@ def make_product(towers: Sequence[Tower], cap: int | None = None) -> Tower:
         dim_estimate=None,
         extra={"factor_families": [t.meta.family_name for t in towers]},
     )
-    return Tower(levels, maps, meta, factors=towers)
+    return Tower([], [], meta, factors=towers)
 
 
 def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
@@ -728,17 +699,7 @@ def parse_tower_spec(doc: dict | str) -> dict:
             raise SpecError("n must be a positive integer", ["/n"])
         spec["n"] = n
 
-    base, exponent = _order_power(spec)
-    # base >= 2, so an exponent of cap.bit_length() or more is over the cap:
-    # found without computing the power, which can be too large to print
-    if exponent >= cap.bit_length():
-        raise CapExceeded(
-            f"{family} needs order at least 2^{cap.bit_length()}, above cap {cap}"
-        )
-    if base**exponent > cap:
-        raise CapExceeded(
-            f"{family} at depth {depth} needs order {base**exponent}, above cap {cap}"
-        )
+    _check_order(spec, cap)
     return spec
 
 
@@ -778,11 +739,30 @@ def _order_power(spec: dict) -> tuple[int, int]:
     return 2, 3 * d - 1  # wilson
 
 
+def _check_order(spec: dict, cap: int | None = None) -> int:
+    """Raise CapExceeded when the top level of a family spec is above the cap
+    (the configured one when None); returns the cap."""
+    cap = order_cap() if cap is None else cap
+    base, exponent = _order_power(spec)
+    # base >= 2, so an exponent of cap.bit_length() or more is over the cap:
+    # found without computing the power, which can be too large to print
+    if exponent >= cap.bit_length():
+        raise CapExceeded(
+            f"{spec['family']} needs order at least 2^{cap.bit_length()}, above cap {cap}"
+        )
+    if base**exponent > cap:
+        raise CapExceeded(
+            f"{spec['family']} at depth {spec['depth']} needs order {base**exponent}, "
+            f"above cap {cap}"
+        )
+    return cap
+
+
 def build_tower(spec: dict, cap: int | None = None) -> Tower:
     """Construct the tower described by a parsed spec."""
     fam = spec["family"]
     if fam == "product":
-        return make_product([build_tower(f, cap=cap) for f in spec["factors"]], cap=cap)
+        return make_product([build_tower(f, cap=cap) for f in spec["factors"]])
     if fam == "custom":
         levels = [load_group_json(g) for g in spec["levels"]]
         return custom_tower(levels, spec["maps"])

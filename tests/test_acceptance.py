@@ -120,7 +120,7 @@ def test_criterion_4_zp_verdict(p):
     assert v.tag == "OmegaAlphaN"
     assert v.params == {"alpha": 1, "n": 1}
     assert v.confidence == "Certified"
-    certs = certify_solitary(t, lt, rep, a.zp_audit)
+    certs = certify_solitary(t, lt, a.zp_audit)
     cands = solitary_candidates(rep, certs)
     per_level: dict[int, list] = {}
     for c in cands:
@@ -141,7 +141,7 @@ def test_criterion_5_zpn_verdict(name, p, depth):
     assert v.tag == "Pelczynski"
     assert v.confidence == "Certified"
     assert all(not s for s in rep.solitary)
-    certs = certify_solitary(t, lt, rep, a.zp_audit)
+    certs = certify_solitary(t, lt, a.zp_audit)
     assert not certs
     _report(5, f"{name} is Pelczynski Certified with zero solitary candidates")
 
@@ -225,7 +225,7 @@ def test_criterion_9_pirim_audits():
 
     lt = build_lattice_tower(t)
     rep = cb_filtration(lt, default_max_rank(2, 1))
-    certs = certify_solitary(t, lt, rep, None)
+    certs = certify_solitary(t, lt, None)
     cands = solitary_candidates(rep, certs)
     assert any(
         lt.node_orders[c.level - 1][c.index] == 81 and c.status == "Certified"

@@ -195,7 +195,7 @@ def test_certify_solitary_pirim_contains_module_node():
     t = cached_tower("pirim(2)")
     lt = build_lattice_tower(t)
     rep = cb_filtration(lt, default_max_rank(2, 1))
-    certs = certify_solitary(t, lt, rep, None)
+    certs = certify_solitary(t, lt, None)
     assert certs
     (level, idx), names = sorted(certs.items())[0]
     assert level == 2

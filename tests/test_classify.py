@@ -142,7 +142,7 @@ def test_height_two_infinite_solitary_branch(monkeypatch):
     rep = cb_filtration(lt, default_max_rank(3, 1))
     rep.apparent_height = ApparentHeight(None, unbounded_at=3)
 
-    def fake_certs(_t, _lt, _rep, _zp_audit):
+    def fake_certs(_t, _lt, _zp_audit):
         return {
             (1, 0): ["synthetic"],
             (2, 0): ["synthetic"],

@@ -300,6 +300,53 @@ def test_product_analyze_via_cli(tmp_path, capsys):
     assert doc["verdict"]["params"] == {"alpha": 2, "n": 1}
 
 
+def _constant_custom(n: int) -> dict:
+    return {
+        "family": "custom",
+        "levels": [{"version": 1, "kind": "cyclic", "n": n}] * 3,
+        "maps": [list(range(n))] * 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "factors,caps,evidence",
+    [
+        ([_constant_custom(2), _constant_custom(3)], ["4096", "5"],
+         [{"certificate": "constant_tower", "points": 4}]),
+        ([{"family": "zp", "p": 2, "depth": 4}, {"family": "zp", "p": 3, "depth": 4}],
+         ["4096", "100"], None),
+    ],
+    ids=["constant-custom", "zp2-zp3"],
+)
+def test_product_verdict_does_not_depend_on_the_cap(factors, caps, evidence, tmp_path,
+                                                    capsys, monkeypatch):
+    spec = tmp_path / "prod.json"
+    spec.write_text(json.dumps({"family": "product", "factors": factors}))
+    outputs = []
+    for cap in caps:
+        monkeypatch.setenv("SUBGROUP_ATLAS_CAP", cap)
+        code, out, _ = run_cli(["classify", "--spec-file", str(spec)], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    if evidence is not None:
+        assert json.loads(outputs[0])["evidence"] == evidence
+
+
+def test_large_cap_product_stays_structural(tmp_path, capsys, monkeypatch):
+    # the top product level has order 810,000: no table of it may be built
+    spec = tmp_path / "prod.json"
+    spec.write_text(json.dumps({"family": "product", "factors": [
+        {"family": "zp", "p": p, "depth": 4} for p in (2, 3, 5)
+    ]}))
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "1000000000")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["classify", "--spec-file", str(spec)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["tag"] == "OmegaAlphaN"
+
+
 def test_conflict_exit_code_two(monkeypatch, capsys):
     import subgroup_atlas.cli as cli_mod
     from subgroup_atlas.classify import Verdict, analyze_tower

@@ -9,7 +9,8 @@ import fails here rather than on the first call down a rarely taken path.
 An import that nothing reads is dead code left behind by a deletion; the
 second scan finds those.  A function or method that no file of the project
 names outside its own definition is dead code too; the third scan finds
-those.
+those.  A parameter that its function's body never reads is an argument every
+caller computes for nothing; the fourth scan finds those.
 """
 
 from __future__ import annotations
@@ -126,6 +127,32 @@ def unnamed_functions(package: dict[str, str], others: list[str]) -> list[tuple[
     return sorted(out)
 
 
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter of a function or lambda that
+    its body never reads; ``self`` and ``cls`` are exempt.  A nested function
+    that reads a parameter of its enclosing function counts as a read."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out.extend(
+            (name, param) for param in params
+            if param not in read and param not in ("self", "cls")
+        )
+    return sorted(out)
+
+
 def test_scan_covers_the_package():
     names = {path.stem for path in MODULES}
     assert {"groups", "towers", "lattice", "filtration", "cli"} <= names
@@ -207,4 +234,28 @@ def test_scan_flags_an_unnamed_function():
     others = ["TARGETS = ('K.traced',)\n", "raise ValueError('no prose for that')\n"]
     assert unnamed_functions(package, others) == [
         ("m.py", "dead"), ("m.py", "prose"), ("m.py", "recursive"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_scan_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **opts):\n"
+        "    def inner(x):\n"
+        "        return a + x\n"
+        "    return inner(c), opts\n"
+        "class K:\n"
+        "    def m(self, unused):\n"
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def build(cls, n=len(\"default values are not the body\")):\n"
+        "        return cls\n"
+        "key = lambda j, _: j\n"
+    )
+    assert unread_parameters(source) == [
+        ("<lambda>", "_"), ("build", "n"), ("f", "b"), ("f", "rest"), ("m", "unused"),
     ]

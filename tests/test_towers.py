@@ -1,5 +1,7 @@
 """Tower constructor and validation tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from subgroup_atlas.errors import (
     WrongShape,
 )
 from subgroup_atlas.groups import all_subgroups, closure, cyclic, frattini, quotient
+from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import (
     build_tower,
     custom_tower,
@@ -45,6 +48,26 @@ def test_zp_basics():
 def test_zp_cap():
     with pytest.raises(CapExceeded):
         make_zp(2, 3, cap=4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_zp(2, 20000),
+        lambda: make_zpn(2, 3, 20000),
+        lambda: make_heisenberg(2, 20000),
+        lambda: make_dihedral2(20000),
+        lambda: make_pirim(20000),
+        lambda: make_wilson(5000),
+    ],
+    ids=["zp", "zpn", "heisenberg", "dihedral2", "pirim", "wilson"],
+)
+def test_constructor_far_above_cap_raises_quickly(build):
+    # the top order has thousands of digits, too many to print
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zpn_basics():
@@ -126,10 +149,36 @@ def test_pirim_tower():
 
 def test_product_basics():
     t = make_product([make_zp(2, 3), make_zp(3, 3)])
-    assert [g.order for g in t.levels] == [6, 36, 216]
+    lt = build_lattice_tower(t)
+    assert lt.level_orders == [6, 36, 216]
     assert t.meta.primes == frozenset({2, 3})
     assert validate(t).ok
-    assert len(all_subgroups(t.level(1))) == 4  # coprime splitting 2*2
+    assert lt.node_count(1) == 4  # coprime splitting 2*2
+    with pytest.raises(CapExceeded):
+        t.level(1)
+
+
+def test_product_builds_no_product_group(monkeypatch):
+    import subgroup_atlas.towers as towers_mod
+    from subgroup_atlas.groups import Homomorphism
+
+    factors = [make_zp(2, 4), make_zp(3, 4)]
+    calls = {"direct_product": 0, "Homomorphism": 0}
+    real_product, real_init = towers_mod.direct_product, Homomorphism.__init__
+
+    def counted_product(*args, **kwargs):
+        calls["direct_product"] += 1
+        return real_product(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["Homomorphism"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(towers_mod, "direct_product", counted_product)
+    monkeypatch.setattr(Homomorphism, "__init__", counted_init)
+    t = make_product(factors)
+    assert calls == {"direct_product": 0, "Homomorphism": 0}
+    assert t.levels == [] and t.maps == []
 
 
 def test_product_errors():
@@ -247,4 +296,6 @@ def test_build_tower_product_spec():
     )
     t = build_tower(spec)
     assert t.meta.family_name == "product"
-    assert [g.order for g in t.levels] == [6, 36]
+    assert build_lattice_tower(t).level_orders == [6, 36]
+    with pytest.raises(CapExceeded):
+        t.level(1)
