@@ -37,6 +37,17 @@ def _table_dtype(order: int):
     return np.uint16 if order <= 0xFFFF else np.uint32
 
 
+# Cells of the table that one step of a construction-time check reads at
+# once, so a check allocates a fixed block, never an n x n temporary.
+BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(n: int) -> range:
+    """Start rows of the row blocks that cover an n x n table: each block is
+    the range's step rows long, BLOCK_CELLS cells or one row at most."""
+    return range(0, n, max(1, BLOCK_CELLS // n))
+
+
 class FiniteGroup:
     """A finite group as an explicit Cayley table.
 
@@ -101,7 +112,10 @@ class FiniteGroup:
 
     def _build_inverses(self) -> np.ndarray:
         t, e, idx = self.table, self.identity, np.arange(self.order)
-        inv = np.argmax(t == e, axis=1)  # the first b with a*b == e, else 0
+        inv = np.empty(self.order, dtype=np.intp)
+        blocks = _row_blocks(self.order)
+        for lo in blocks:  # the first b with a*b == e, else 0
+            inv[lo:lo + blocks.step] = np.argmax(t[lo:lo + blocks.step] == e, axis=1)
         if not (np.all(t[idx, inv] == e) and np.all(t[inv, idx] == e)):
             raise WrongShape("table has an element without a two-sided inverse")
         inv.setflags(write=False)
@@ -141,9 +155,13 @@ class FiniteGroup:
                         members.append(y)
         if len(members) != n:
             raise WrongShape("stored generators do not generate the group")
+        blocks = _row_blocks(n)
         for s in basis:
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
-                raise WrongShape(f"table is not associative (s={s})")
+            s_row = t[s].astype(np.intp)  # c -> s*c
+            for lo in blocks:
+                rows = t[lo:lo + blocks.step]
+                if not np.array_equal(t[rows[:, s]], rows[:, s_row]):
+                    raise WrongShape(f"table is not associative (s={s})")
         return basis
 
     # -- basic queries ------------------------------------------------------
@@ -152,8 +170,11 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def is_abelian(self) -> bool:
+        """Whether the basis elements commute pairwise: exact, since the
+        basis generates the group, which is verified associative."""
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            on_basis = self.table[np.ix_(self.basis, self.basis)]
+            self._abelian = bool(np.array_equal(on_basis, on_basis.T))
         return self._abelian
 
     def power_map(self, e: int) -> np.ndarray:

@@ -744,12 +744,16 @@ def _check_order(spec: dict, cap: int | None = None) -> int:
     (the configured one when None); returns the cap."""
     cap = order_cap() if cap is None else cap
     base, exponent = _order_power(spec)
-    # base >= 2, so an exponent of cap.bit_length() or more is over the cap:
-    # found without computing the power, which can be too large to print
+    # the order is at least 2^exponent and at least base: an exponent of
+    # cap.bit_length() or more, or a base above the cap, is found over the cap
+    # without computing the power or printing the base, which can be too
+    # large to print
     if exponent >= cap.bit_length():
         raise CapExceeded(
             f"{spec['family']} needs order at least 2^{cap.bit_length()}, above cap {cap}"
         )
+    if base > cap:  # only p: a base of 2 or 3 above the cap fails the exponent test
+        raise CapExceeded(f"{spec['family']} needs order at least p, above cap {cap}")
     if base**exponent > cap:
         raise CapExceeded(
             f"{spec['family']} at depth {spec['depth']} needs order {base**exponent}, "

@@ -97,6 +97,12 @@ def oracle_is_associative(table) -> bool:
     )
 
 
+def oracle_is_abelian(table) -> bool:
+    """Every pair commutes: the whole table equals its transpose."""
+    t = np.asarray(table)
+    return bool(np.array_equal(t, t.T))
+
+
 def oracle_is_hom(source, target, mapping) -> bool:
     """The homomorphism law m(a*b) == m(a)*m(b) over every pair (a, b)."""
     m = np.asarray(mapping)

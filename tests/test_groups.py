@@ -12,6 +12,7 @@ from conftest import (
     oracle_centralizer,
     oracle_closure,
     oracle_homomorphisms,
+    oracle_is_abelian,
     oracle_is_associative,
     oracle_is_hom,
     oracle_normalizes,
@@ -438,6 +439,71 @@ def test_loop_with_one_swapped_intercalate_rejected(n):
     table[np.ix_(rc, rc)] = table[np.ix_(rc, rc[::-1])]
     with pytest.raises(WrongShape, match="not associative"):
         FiniteGroup(table)
+
+
+def _relabelled_intercalate(n: int, witness_rows: list[int]) -> tuple[np.ndarray, int]:
+    """Z/n with the intercalate at rows and columns {2, n/2 + 2} swapped,
+    relabelled so that the four rows a where Light's test for s = 1 fails
+    (a = 1, 2, n/2 + 1 and n/2 + 2) become `witness_rows`, and 0 stays 0.
+    Returns the table and the new label of 1."""
+    a = np.arange(n)
+    table = (a[:, None] + a[None, :]) % n
+    rc = [2, n // 2 + 2]
+    table[np.ix_(rc, rc)] = table[np.ix_(rc, rc[::-1])]
+    witnesses = [1, 2, n // 2 + 1, n // 2 + 2]
+    pi = np.empty(n, dtype=np.int64)
+    pi[witnesses] = witness_rows
+    pi[np.setdiff1d(a, witnesses)] = np.setdiff1d(a, witness_rows)
+    out = np.empty_like(table)
+    out[np.ix_(pi, pi)] = pi[table]
+    return out, int(pi[1])
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2046])
+def test_intercalate_only_in_the_last_partial_block_rejected(n):
+    step = max(1, groups.BLOCK_CELLS // n)
+    last = n - n % step
+    assert n - last >= 4  # the last block is partial and holds every witness row
+    table, s = _relabelled_intercalate(n, [last, last + 1, n - 2, n - 1])
+    with pytest.raises(WrongShape, match=rf"not associative \(s={s}\)"):
+        FiniteGroup(table, generators=[s])
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2046])
+def test_intercalate_straddling_a_block_boundary_rejected(n):
+    step = max(1, groups.BLOCK_CELLS // n)
+    assert n % step and step + 2 <= n
+    table, s = _relabelled_intercalate(n, [step - 2, step - 1, step, step + 1])
+    with pytest.raises(WrongShape, match=rf"not associative \(s={s}\)"):
+        FiniteGroup(table, generators=[s])
+
+
+@lru_cache(maxsize=None)
+def _commutativity_pool() -> tuple[FiniteGroup, ...]:
+    D6 = dihedral(6)
+    Z2xS3 = direct_product(cyclic(2), dihedral(3))
+    return (
+        dihedral(4), quaternion8(), direct_product(cyclic(4), dihedral(3)), s4(), heis3(),
+        *(quotient(D6, N)[0] for N in all_subgroups(D6) if is_normal(D6, N)),
+        direct_product(cyclic(3), cyclic(5)), direct_product(cyclic(2), cyclic(2)),
+        # a table literal: no generators, so its basis is picked from all elements
+        load_group_json({"version": 1, "kind": "table", "mult": Z2xS3.table.tolist()}),
+    )
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_is_abelian_matches_transpose_oracle(data):
+    pool = _commutativity_pool()
+    G = data.draw(st.sampled_from(pool))
+    if data.draw(st.booleans()):
+        G = direct_product(G, data.draw(st.sampled_from(pool)))
+    if data.draw(st.booleans()):  # relabelled, as a table without generators
+        pi = np.array(data.draw(st.permutations(range(G.order))))
+        table = np.empty_like(G.table)
+        table[np.ix_(pi, pi)] = pi[G.table]
+        G = FiniteGroup(table)
+    assert G.is_abelian() == oracle_is_abelian(G.table)
 
 
 def test_stored_generators_must_generate():

@@ -220,18 +220,36 @@ def test_table_is_read_only_and_not_copied():
 
 # -- memory ------------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
+TABLE_BUILDS = pytest.mark.parametrize(
     "build",
     [lambda: cyclic(2048), lambda: dihedral(1024),
      lambda: direct_product(cyclic(16), cyclic(81))],
     ids=["cyclic(2048)", "dihedral(1024)", "C16xC81"],
 )
-def test_table_build_peak_memory(build):
+
+
+def _traced_build(build):
+    """The built group and the tracemalloc peak while building it."""
     tracemalloc.start()
     try:
         G = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return G, peak
+
+
+@TABLE_BUILDS
+def test_table_build_peak_memory(build):
+    G, peak = _traced_build(build)
     # the table itself is one itemsize a cell; no n^2 int64 temporary fits
     assert peak <= 4 * G.table.itemsize * G.order**2
+
+
+@TABLE_BUILDS
+def test_table_checks_allocate_no_n_by_n_temporary(build):
+    G, peak = _traced_build(build)
+    # Light's test and the inverse search read fixed row blocks of
+    # groups.BLOCK_CELLS cells, so beyond the table only a fraction of it fits
+    assert G.order**2 >= 16 * groups.BLOCK_CELLS
+    assert peak <= 1.25 * G.table.itemsize * G.order**2

@@ -70,6 +70,27 @@ def test_constructor_far_above_cap_raises_quickly(build):
     assert time.perf_counter() - start < 1.0
 
 
+HUGE_P = 10**4400 + 1  # more digits than an int may print
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_zp(HUGE_P, 1),
+        lambda: make_zpn(HUGE_P, 1, 1),
+        lambda: make_heisenberg(10**1500, 1),  # order p^3 would have 4,500 digits
+        lambda: make_dihedral2(1, cap=1),
+        lambda: make_pirim(1, cap=2),
+        lambda: make_wilson(1, cap=1),
+    ],
+    ids=["zp", "zpn", "heisenberg", "dihedral2", "pirim", "wilson"],
+)
+def test_constructor_with_base_above_cap_raises_cap_exceeded(build):
+    # neither the base nor the order is printed in the message
+    with pytest.raises(CapExceeded, match=r"needs order at least .*, above cap \d+$"):
+        build()
+
+
 def test_zpn_basics():
     t = make_zpn(3, 2, 2)
     assert [g.order for g in t.levels] == [9, 81]
