@@ -4,6 +4,7 @@ classification of the limit subgroup space."""
 from .errors import (
     AtlasError,
     CapExceeded,
+    ConfigError,
     DepthMismatch,
     NotNormal,
     OutOfRange,

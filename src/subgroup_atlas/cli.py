@@ -53,13 +53,16 @@ def _json_document(text: str):
         raise _MalformedJSON(exc) from exc
 
 
-def _family_spec_from_args(args) -> dict:
-    if args.spec_file:
+def _family_spec_from_args(args, family: str | None = None) -> dict:
+    """The parsed spec of --spec-file or of --family and its parameters; a
+    given `family` replaces both."""
+    if args.spec_file and family is None:
         text = Path(args.spec_file).read_text(encoding="utf-8")
         return parse_tower_spec(_json_document(text))
-    if not args.family:
+    family = family or args.family
+    if not family:
         raise SpecError("either --family or --spec-file is required", ["/family"])
-    doc: dict = {"family": args.family}
+    doc: dict = {"family": family}
     if args.p is not None:
         doc["p"] = args.p
     if args.n is not None:
@@ -173,11 +176,11 @@ def _run_named_audit(name: str, args) -> list:
         spec = _family_spec_from_args(args)
         return [audits_mod.frattini_stability_audit(build_tower(spec))]
     if name == "wilson_commutator":
-        depth = args.depth or 3
-        return [audits_mod.wilson_commutator_audit(make_wilson(depth))]
+        spec = _family_spec_from_args(args, "wilson")
+        return [audits_mod.wilson_commutator_audit(build_tower(spec))]
     if name == "pirim_irreducibility":
-        depth = args.depth or 2
-        return [audits_mod.pirim_irreducibility_audit(make_pirim(depth))]
+        spec = _family_spec_from_args(args, "pirim")
+        return [audits_mod.pirim_irreducibility_audit(build_tower(spec))]
     if name == "solitary_criterion_hxz":
         spec = _family_spec_from_args(args)
         left = build_tower(spec)

@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ConfigError
+
 DEFAULT_ORDER_CAP = 4096
 
 # Largest group order for which subgroup bitsets are materialized in
@@ -18,8 +20,8 @@ def order_cap() -> int:
         return DEFAULT_ORDER_CAP
     try:
         value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}")
+    except ValueError:  # not an integer, or one past the digit limit
+        value = 0
     if value <= 0:
-        raise ValueError(f"{ENV_CAP} must be positive, got {value}")
+        raise ConfigError(f"{ENV_CAP} must be a positive integer, got {raw!r}")
     return value

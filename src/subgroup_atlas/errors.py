@@ -5,6 +5,10 @@ class AtlasError(Exception):
     """Base class for all subgroup-atlas errors."""
 
 
+class ConfigError(AtlasError):
+    """An environment setting has a value the package cannot use."""
+
+
 class CapExceeded(AtlasError):
     """A group order or enumeration size is above the configured cap."""
 

@@ -442,8 +442,7 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    mask = np.all(G.table == G.table.T, axis=1)
-    return _subgroup_from_mask(G, mask)
+    return centralizer(G, G.basis)
 
 
 def centralizer(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -471,13 +470,19 @@ def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
 
 
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G contained in H (intersection of conjugates)."""
-    bits = H.bits
-    for g in range(G.order):
-        bits &= conjugate(G, H, g).bits
-        if bits == 0:
-            break
-    return Subgroup(G, bits, bin(bits).count("1"))
+    """Largest normal subgroup of G contained in H.
+
+    K starts at H and is intersected with K^s for each basis element s until
+    a whole pass leaves it unchanged.  Each step keeps the core, and the
+    fixed point is normalized by the basis, so it is normal: it is the core.
+    """
+    K, previous = H, None
+    while K.bits != previous:
+        previous = K.bits
+        for s in G.basis:
+            bits = K.bits & conjugate(G, K, s).bits
+            K = Subgroup(G, bits, bin(bits).count("1"))
+    return K
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:

@@ -8,8 +8,9 @@ families record the metadata the classifier consumes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +36,6 @@ from .groups import (
 )
 
 TOWER_SCHEMA_VERSION = 1
-
-DEFAULT_DEPTHS = {
-    "zp": 4,
-    "zpn": 4,
-    "dihedral2": 4,
-    "heisenberg": 2,
-    "wilson": 3,
-    "pirim": 2,
-}
 
 
 @dataclass
@@ -199,14 +191,26 @@ def truncate(t: Tower, depth: int) -> Tower:
 
 # -- families ------------------------------------------------------------------
 
+def _reduction_maps(
+    levels: list[FiniteGroup], boxes: list[tuple[int, ...]]
+) -> list[Homomorphism]:
+    """Connecting maps of a coordinate family: level k's elements are the
+    row-major indices of the box boxes[k-1], and the map down reduces each
+    coordinate modulo the lower level's bound."""
+    maps = []
+    for k in range(1, len(levels)):
+        hi, lo = boxes[k], boxes[k - 1]
+        coords = np.unravel_index(np.arange(math.prod(hi)), hi)
+        mapping = np.ravel_multi_index([c % b for c, b in zip(coords, lo)], lo)
+        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
+    return maps
+
+
 def make_zp(p: int, depth: int, cap: int | None = None) -> Tower:
     """Levels Z/p^k with reduction maps; the p-adic procyclic family."""
     _check_order({"family": "zp", "p": p, "depth": depth}, cap)
     levels = [cyclic(p**k) for k in range(1, depth + 1)]
-    maps = [
-        Homomorphism(levels[k], levels[k - 1], np.arange(p ** (k + 1)) % p**k)
-        for k in range(1, depth)
-    ]
+    maps = _reduction_maps(levels, [(p**k,) for k in range(1, depth + 1)])
     meta = TowerMeta(
         family_name="zp",
         primes=frozenset([p]),
@@ -234,12 +238,7 @@ def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
     """Levels (Z/p^k)^n with componentwise reduction maps."""
     _check_order({"family": "zpn", "p": p, "n": n, "depth": depth}, cap)
     levels = [_abelian_power_group(p, k, n) for k in range(1, depth + 1)]
-    maps = []
-    for k in range(1, depth):
-        hi, lo = p ** (k + 1), p**k
-        coords = np.unravel_index(np.arange(hi**n), (hi,) * n)
-        mapping = np.ravel_multi_index([c % lo for c in coords], (lo,) * n)
-        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
+    maps = _reduction_maps(levels, [(p**k,) * n for k in range(1, depth + 1)])
     meta = TowerMeta(
         family_name="zpn",
         primes=frozenset([p]),
@@ -278,13 +277,7 @@ def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
     """Levels of upper unitriangular 3x3 matrices over Z/p^k."""
     _check_order({"family": "heisenberg", "p": p, "depth": depth}, cap)
     levels = [_heisenberg_group(p, k) for k in range(1, depth + 1)]
-    maps = []
-    for k in range(1, depth):
-        hi, lo = p ** (k + 1), p**k
-        idx = np.arange(hi**3)
-        a, b, c = idx // (hi * hi), (idx // hi) % hi, idx % hi
-        mapping = (a % lo) * lo * lo + (b % lo) * lo + (c % lo)
-        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
+    maps = _reduction_maps(levels, [(p**k,) * 3 for k in range(1, depth + 1)])
     meta = TowerMeta(
         family_name="heisenberg",
         primes=frozenset([p]),
@@ -300,13 +293,8 @@ def make_dihedral2(depth: int, cap: int | None = None) -> Tower:
     """Pro-2 dihedral levels Z/2^k x| inversion; maps kill the top rotation."""
     _check_order({"family": "dihedral2", "depth": depth}, cap)
     levels = [dihedral(2**k) for k in range(1, depth + 1)]
-    maps = []
-    for k in range(1, depth):
-        hi, lo = 2 ** (k + 1), 2**k
-        idx = np.arange(2 * hi)
-        r, f = idx % hi, idx // hi
-        mapping = f * lo + (r % lo)
-        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
+    # element f * 2^k + r of D(2^k) is s^f r^r
+    maps = _reduction_maps(levels, [(2, 2**k) for k in range(1, depth + 1)])
     meta = TowerMeta(
         family_name="dihedral2",
         primes=frozenset([2]),
@@ -397,13 +385,9 @@ def make_pirim(depth: int, cap: int | None = None) -> Tower:
         raise RelationCheckFailed(f"det(A) = {det}, expected -4")
     levels = [_pirim_group(k, A1) for k in range(1, depth + 1)]
     t_orders = [lvl.order // 9 ** (k + 1) for k, lvl in enumerate(levels)]
-    maps = []
-    for k in range(1, depth):
-        hi, lo = 3 ** (k + 1), 3**k
-        to_hi, to_lo = t_orders[k], t_orders[k - 1]
-        v0, v1, j = np.unravel_index(np.arange(levels[k].order), (hi, hi, to_hi))
-        mapping = np.ravel_multi_index((v0 % lo, v1 % lo, j % to_lo), (lo, lo, to_lo))
-        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
+    maps = _reduction_maps(
+        levels, [(3**k, 3**k, t) for k, t in enumerate(t_orders, start=1)]
+    )
     meta = TowerMeta(
         family_name="pirim",
         primes=frozenset([3]),
@@ -635,6 +619,34 @@ def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> To
     return Tower(levels, homs, meta)
 
 
+# -- the built-in families -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """A built-in family: its integer parameters besides depth, in the
+    constructor's order; its default depth; the (prime, exponent) of its top
+    order, from the parameters and the depth; and its constructor."""
+
+    params: tuple[str, ...]
+    default_depth: int
+    order: Callable[..., tuple[int, int]]
+    make: Callable[..., Tower]
+
+    def args(self, spec: dict) -> list[int]:
+        """The parameters of a spec, then its depth, in the constructor's order."""
+        return [spec[key] for key in self.params] + [spec["depth"]]
+
+
+FAMILIES = {
+    "zp": Family(("p",), 4, lambda p, d: (p, d), make_zp),
+    "zpn": Family(("p", "n"), 4, lambda p, n, d: (p, n * d), make_zpn),
+    "heisenberg": Family(("p",), 2, lambda p, d: (p, 3 * d), make_heisenberg),
+    "dihedral2": Family((), 4, lambda d: (2, d + 1), make_dihedral2),
+    "pirim": Family((), 2, lambda d: (3, 3 * d - 1), make_pirim),
+    "wilson": Family((), 3, lambda d: (2, 3 * d - 1), make_wilson),
+}
+
+
 # -- tower spec JSON -------------------------------------------------------------
 
 def parse_tower_spec(doc: dict | str) -> dict:
@@ -648,8 +660,7 @@ def parse_tower_spec(doc: dict | str) -> dict:
     if not isinstance(doc, dict):
         raise SpecError("tower spec must be a JSON object", ["/"])
     family = doc.get("family")
-    known = ("zp", "zpn", "heisenberg", "dihedral2", "pirim", "wilson", "product", "custom")
-    if family not in known:
+    if family not in (*FAMILIES, "product", "custom"):
         raise SpecError(f"unknown family {family!r}", ["/family"])
 
     if family == "product":
@@ -679,12 +690,12 @@ def parse_tower_spec(doc: dict | str) -> dict:
         return {"family": "custom", "levels": doc["levels"], "maps": doc["maps"],
                 "depth": len(doc["levels"])}
 
-    depth = doc.get("depth", DEFAULT_DEPTHS[family])
-    if not _is_int(depth) or depth < 1:
-        raise SpecError("depth must be a positive integer", ["/depth"])
+    params = FAMILIES[family].params
+    depth = doc.get("depth", FAMILIES[family].default_depth)
+    _check_depth(depth)
     spec = {"family": family, "depth": depth}
     cap = order_cap()
-    if family in ("zp", "zpn", "heisenberg"):
+    if "p" in params:
         p = doc.get("p")
         if not _is_int(p) or p < 2:
             raise SpecError("p must be a prime", ["/p"])
@@ -693,7 +704,7 @@ def parse_tower_spec(doc: dict | str) -> dict:
         if _not_prime(p):
             raise SpecError("p must be a prime", ["/p"])
         spec["p"] = p
-    if family == "zpn":
+    if "n" in params:
         n = doc.get("n")
         if not _is_int(n) or n < 1:
             raise SpecError("n must be a positive integer", ["/n"])
@@ -708,46 +719,33 @@ def _not_prime(p: int) -> bool:
 
 
 def _spec_primes(spec: dict) -> set[int]:
+    """The primes of a parsed spec: a family's is the base of its order."""
     fam = spec["family"]
-    if fam in ("zp", "zpn", "heisenberg"):
-        return {spec["p"]}
-    if fam in ("dihedral2", "wilson"):
-        return {2}
-    if fam == "pirim":
-        return {3}
     if fam == "product":
-        out: set[int] = set()
-        for f in spec["factors"]:
-            out |= _spec_primes(f)
-        return out
-    return set()
+        return set().union(*(_spec_primes(f) for f in spec["factors"]))
+    if fam == "custom":
+        return set()
+    family = FAMILIES[fam]
+    return {family.order(*family.args(spec))[0]}
 
 
-def _order_power(spec: dict) -> tuple[int, int]:
-    """(base, exponent) with the top level's order base**exponent."""
-    fam, d = spec["family"], spec["depth"]
-    if fam == "zp":
-        return spec["p"], d
-    if fam == "zpn":
-        return spec["p"], spec["n"] * d
-    if fam == "heisenberg":
-        return spec["p"], 3 * d
-    if fam == "dihedral2":
-        return 2, d + 1
-    if fam == "pirim":
-        return 3, 3 * d - 1
-    return 2, 3 * d - 1  # wilson
+def _check_depth(depth) -> None:
+    if not _is_int(depth) or depth < 1:
+        raise SpecError("depth must be a positive integer", ["/depth"])
 
 
 def _check_order(spec: dict, cap: int | None = None) -> int:
-    """Raise CapExceeded when the top level of a family spec is above the cap
-    (the configured one when None); returns the cap."""
+    """Raise SpecError when the depth of a family spec is not a positive
+    integer and CapExceeded when its top level is above the cap (the
+    configured one when None); returns the cap."""
     cap = order_cap() if cap is None else cap
-    base, exponent = _order_power(spec)
+    _check_depth(spec["depth"])
+    family = FAMILIES[spec["family"]]
+    base, exponent = family.order(*family.args(spec))
     # the order is at least 2^exponent and at least base: an exponent of
     # cap.bit_length() or more, or a base above the cap, is found over the cap
     # without computing the power or printing the base, which can be too
-    # large to print
+    # large to print; the power itself is printed as base^exponent
     if exponent >= cap.bit_length():
         raise CapExceeded(
             f"{spec['family']} needs order at least 2^{cap.bit_length()}, above cap {cap}"
@@ -756,7 +754,7 @@ def _check_order(spec: dict, cap: int | None = None) -> int:
         raise CapExceeded(f"{spec['family']} needs order at least p, above cap {cap}")
     if base**exponent > cap:
         raise CapExceeded(
-            f"{spec['family']} at depth {spec['depth']} needs order {base**exponent}, "
+            f"{spec['family']} at depth {spec['depth']} needs order {base}^{exponent}, "
             f"above cap {cap}"
         )
     return cap
@@ -770,17 +768,7 @@ def build_tower(spec: dict, cap: int | None = None) -> Tower:
     if fam == "custom":
         levels = [load_group_json(g) for g in spec["levels"]]
         return custom_tower(levels, spec["maps"])
-    d = spec["depth"]
-    if fam == "zp":
-        return make_zp(spec["p"], d, cap=cap)
-    if fam == "zpn":
-        return make_zpn(spec["p"], spec["n"], d, cap=cap)
-    if fam == "heisenberg":
-        return make_heisenberg(spec["p"], d, cap=cap)
-    if fam == "dihedral2":
-        return make_dihedral2(d, cap=cap)
-    if fam == "pirim":
-        return make_pirim(d, cap=cap)
-    if fam == "wilson":
-        return make_wilson(d, cap=cap)
-    raise SpecError(f"unknown family {fam!r}", ["/family"])
+    if fam not in FAMILIES:
+        raise SpecError(f"unknown family {fam!r}", ["/family"])
+    family = FAMILIES[fam]
+    return family.make(*family.args(spec), cap=cap)

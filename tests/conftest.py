@@ -88,6 +88,19 @@ def oracle_centralizer(table, members) -> frozenset[int]:
     )
 
 
+def oracle_center(table) -> frozenset[int]:
+    """Every g that commutes with every element, checked pair by pair."""
+    return oracle_centralizer(table, range(len(table)))
+
+
+def oracle_core(table, inv, members) -> frozenset[int]:
+    """The intersection of the conjugates g^-1 H g over every g."""
+    out = frozenset(members)
+    for g in range(len(table)):
+        out &= {table[table[inv[g]][h]][g] for h in members}
+    return out
+
+
 def oracle_is_associative(table) -> bool:
     """Naive n^3 check of (a*b)*c == a*(b*c) over every triple."""
     n = len(table)

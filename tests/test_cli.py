@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from subgroup_atlas.cli import main
+from subgroup_atlas.towers import FAMILIES
 
 
 def run_cli(args, capsys):
@@ -191,6 +192,35 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
         capsys,
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_env_cap_exits_one(raw, monkeypatch, capsys):
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", raw)
+    code, out, err = run_cli(
+        ["analyze", "--family", "zp", "--p", "2", "--depth", "3"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: SUBGROUP_ATLAS_CAP must be a positive integer, got {raw!r}\n"
+
+
+FAMILY_AUDITS = {"wilson_commutator": "wilson", "pirim_irreducibility": "pirim"}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_AUDITS))
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_named_family_audit_rejects_bad_depth(name, depth, capsys):
+    code, out, err = run_cli(["audit", "--name", name, "--depth", depth], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: depth must be a positive integer\n  at: /depth\n")
+
+
+@pytest.mark.parametrize("name", list(FAMILY_AUDITS))
+def test_named_family_audit_defaults_to_the_family_depth(name, capsys):
+    depth = FAMILIES[FAMILY_AUDITS[name]].default_depth
+    code, out, _ = run_cli(["audit", "--name", name], capsys)
+    assert code == 0
+    assert run_cli(["audit", "--name", name, "--depth", str(depth)], capsys) == (0, out, "")
 
 
 def test_goursat_command_inline_json(capsys):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_bits_set,
+    oracle_center,
     oracle_centralizer,
     oracle_closure,
+    oracle_core,
     oracle_homomorphisms,
     oracle_is_abelian,
     oracle_is_associative,
@@ -163,6 +165,33 @@ def test_core_of_reflection_is_trivial():
     # core of a normal subgroup is itself
     rot = closure(D4, [1])
     assert core(D4, rot).bits == rot.bits
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dihedral(4),
+        lambda: dihedral(6),
+        quaternion8,
+        lambda: cyclic(12),
+        lambda: direct_product(dihedral(3), cyclic(4)),
+        lambda: s4(),
+        lambda: a5(),
+    ],
+    ids=["D4", "D6", "Q8", "C12", "S3xC4", "S4", "A5"],
+)
+def test_center_and_core_match_oracles(build):
+    # center reads one column per basis element and core conjugates by the
+    # basis only; the oracles compare every pair and conjugate by every g
+    G = build()
+    table = G.table.tolist()
+    inv = [int(x) for x in G.inv]
+    assert oracle_bits_set(G, [oracle_center(table)]) == {center(G).bits}
+    for H in all_subgroups(G):
+        expected = oracle_core(table, inv, [int(h) for h in H.indices()])
+        got = core(G, H)
+        assert oracle_bits_set(G, [expected]) == {got.bits}
+        assert got.order == len(expected)
 
 
 def test_conjugate():

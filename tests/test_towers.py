@@ -16,6 +16,7 @@ from subgroup_atlas.errors import (
 from subgroup_atlas.groups import all_subgroups, closure, cyclic, frattini, quotient
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import (
+    FAMILIES,
     build_tower,
     custom_tower,
     direct_product_tower,
@@ -89,6 +90,49 @@ def test_constructor_with_base_above_cap_raises_cap_exceeded(build):
     # neither the base nor the order is printed in the message
     with pytest.raises(CapExceeded, match=r"needs order at least .*, above cap \d+$"):
         build()
+
+
+def test_order_just_below_the_digit_limit_is_not_printed():
+    # 3^9500 has 4,533 digits, too many to print; it passes the exponent
+    # and base tests of a cap with 3,001 digits
+    with pytest.raises(CapExceeded, match=r"needs order 3\^9500, above cap"):
+        make_zp(3, 9500, cap=10**3000)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda depth: make_zp(2, depth),
+        lambda depth: make_zpn(2, 2, depth),
+        lambda depth: make_heisenberg(3, depth),
+        make_dihedral2,
+        make_pirim,
+        make_wilson,
+    ],
+    ids=["zp", "zpn", "heisenberg", "dihedral2", "pirim", "wilson"],
+)
+@pytest.mark.parametrize("depth", [0, -1])
+def test_constructor_rejects_depth_below_one(build, depth):
+    with pytest.raises(SpecError, match="depth must be a positive integer") as err:
+        build(depth)
+    assert err.value.paths == ["/depth"]
+
+
+FAMILY_DOCS = {"zp": {"p": 3}, "zpn": {"p": 2, "n": 2}, "heisenberg": {"p": 2}}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_table_matches_constructors(family):
+    # every level's order is base^exponent of the table at that depth, and
+    # the family's prime is the base
+    row = FAMILIES[family]
+    for depth in range(1, row.default_depth + 1):
+        spec = parse_tower_spec({"family": family, "depth": depth, **FAMILY_DOCS.get(family, {})})
+        base, _ = row.order(*row.args(spec))
+        t = build_tower(spec)
+        assert t.meta.primes == {base}
+        for k in range(1, depth + 1):
+            assert t.level(k).order == base ** row.order(*row.args({**spec, "depth": k}))[1]
 
 
 def test_zpn_basics():
