@@ -7,42 +7,24 @@ contradicts an algebraic certificate, exit 1 any operational error.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import audits as audits_mod
 from .classify import Analysis, analyze_tower
 from .errors import AtlasError, SpecError
 from .groups import load_group_json
 from .lattice import build_lattice_tower, to_dot
-from .report import (
-    analysis_report,
-    audit_results_to_json,
-    audit_results_to_table,
-    report_to_dot,
-    report_to_json,
-    report_to_table,
-    verdict_to_json,
-)
-from .towers import (
-    build_tower,
-    make_dihedral2,
-    make_pirim,
-    make_wilson,
-    make_zp,
-    make_zpn,
-    parse_tower_spec,
-)
+from .report import (analysis_report, audit_results_to_json, audit_results_to_table,
+                     report_to_dot, report_to_json, report_to_table, verdict_to_json)
+from .towers import (build_tower, make_dihedral2, make_pirim, make_wilson, make_zp, make_zpn,
+                     parse_tower_spec)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise SpecError(f"usage error: {message}")
-
-
-class _MalformedJSON(Exception):
+class _MalformedJSON(AtlasError):
     """A spec or group literal that is not a JSON document."""
 
 
@@ -50,39 +32,19 @@ def _json_document(text: str):
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise _MalformedJSON(exc) from exc
+        raise _MalformedJSON(f"malformed JSON: {exc}") from exc
 
 
 def _family_spec_from_args(args, family: str | None = None) -> dict:
     """The parsed spec of --spec-file or of --family and its parameters; a
     given `family` replaces both."""
     if args.spec_file and family is None:
-        text = Path(args.spec_file).read_text(encoding="utf-8")
-        return parse_tower_spec(_json_document(text))
+        return parse_tower_spec(_json_document(Path(args.spec_file).read_text(encoding="utf-8")))
     family = family or args.family
     if not family:
         raise SpecError("either --family or --spec-file is required", ["/family"])
-    doc: dict = {"family": family}
-    if args.p is not None:
-        doc["p"] = args.p
-    if args.n is not None:
-        doc["n"] = args.n
-    if args.depth is not None:
-        doc["depth"] = args.depth
-    return parse_tower_spec(doc)
-
-
-def _add_tower_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="built-in family name")
-    p.add_argument("--spec-file", help="path to a tower spec JSON document")
-    p.add_argument("--p", type=int, help="prime for zp/zpn/heisenberg")
-    p.add_argument("--n", type=int, help="rank for zpn")
-    p.add_argument("--depth", type=int, help="tower depth override")
-    p.add_argument("--max-rank", type=int, help="filtration rank override")
-    p.add_argument("--output", choices=("json", "table", "dot"), default="json")
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted and ignored; lattices are built serially")
+    given = {k: getattr(args, k) for k in ("p", "n", "depth") if getattr(args, k) is not None}
+    return parse_tower_spec({"family": family, **given})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,41 +55,31 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_group_arg(raw: str):
-    text = raw
-    if not raw.lstrip().startswith("{"):
-        text = Path(raw).read_text(encoding="utf-8")
+    text = raw if raw.lstrip().startswith("{") else Path(raw).read_text(encoding="utf-8")
     return load_group_json(_json_document(text))
 
 
 def _analyze(args) -> Analysis:
-    spec = _family_spec_from_args(args)
-    return analyze_tower(build_tower(spec), max_rank=args.max_rank)
+    return analyze_tower(build_tower(_family_spec_from_args(args)), max_rank=args.max_rank)
 
 
 def _cmd_analyze(args) -> int:
     a = _analyze(args)
-    if args.output == "json":
-        _emit(report_to_json(analysis_report(a)), args.out)
-    elif args.output == "table":
-        _emit(report_to_table(analysis_report(a)), args.out)
-    else:
-        _emit(report_to_dot(a), args.out)
+    to_text = {"json": report_to_json, "table": report_to_table}.get(args.output)
+    _emit(to_text(analysis_report(a)) if to_text else report_to_dot(a), args.out)
     return 2 if a.verdict.conflict else 0
 
 
 def _cmd_classify(args) -> int:
     v = _analyze(args).verdict
-    if args.output == "table":
-        params = f" {v.params}" if v.params else ""
-        _emit(f"{v.tag}{params}  [{v.confidence}]\n", args.out)
-    else:
-        _emit(verdict_to_json(v), args.out)
+    params = f" {v.params}" if v.params else ""
+    table = f"{v.tag}{params}  [{v.confidence}]\n"
+    _emit(table if args.output == "table" else verdict_to_json(v), args.out)
     return 2 if v.conflict else 0
 
 
 def _cmd_lattice(args) -> int:
-    spec = _family_spec_from_args(args)
-    t = build_tower(spec)
+    t = build_tower(_family_spec_from_args(args))
     if args.output == "dot" and t.depth >= 2:
         _emit(report_to_dot(analyze_tower(t, max_rank=args.max_rank)), args.out)
         return 0
@@ -135,33 +87,20 @@ def _cmd_lattice(args) -> int:
     if args.output == "dot":
         _emit(to_dot(lt), args.out)
         return 0
-    doc = {
-        "version": 1,
-        "tower": {
-            "family": t.meta.family_name,
-            "primes": sorted(t.meta.primes),
-            "depth": t.depth,
-            "orders": [int(o) for o in lt.level_orders],
-        },
-        "lattice": {"countsPerLevel": lt.counts_per_level()},
-    }
+    counts = lt.counts_per_level()
     if args.output == "table":
-        lines = [f"{k}: {c}" for k, c in enumerate(lt.counts_per_level(), start=1)]
+        lines = [f"{k}: {c}" for k, c in enumerate(counts, start=1)]
         _emit("level: node count\n" + "\n".join(lines) + "\n", args.out)
-    else:
-        _emit(report_to_json(doc), args.out)
+        return 0
+    tower = {"family": t.meta.family_name, "primes": sorted(t.meta.primes), "depth": t.depth,
+             "orders": [int(o) for o in lt.level_orders]}
+    _emit(report_to_json({"version": 1, "tower": tower, "lattice": {"countsPerLevel": counts}}),
+          args.out)
     return 0
 
 
-AUDIT_NAMES = (
-    "frattini_stability",
-    "wilson_commutator",
-    "pirim_irreducibility",
-    "bn_recurrence",
-    "solitary_criterion_hxz",
-    "virtually_zp",
-    "goursat_full",
-)
+AUDIT_NAMES = ("frattini_stability", "wilson_commutator", "pirim_irreducibility",
+               "bn_recurrence", "solitary_criterion_hxz", "virtually_zp", "goursat_full")
 
 
 def _run_named_audit(name: str, args) -> list:
@@ -170,125 +109,185 @@ def _run_named_audit(name: str, args) -> list:
     if name == "goursat_full":
         if not (args.g1 and args.g2):
             raise SpecError("goursat_full needs --g1 and --g2")
-        return [audits_mod.goursat_full_audit(_load_group_arg(args.g1),
-                                              _load_group_arg(args.g2))]
-    if name == "frattini_stability":
-        spec = _family_spec_from_args(args)
-        return [audits_mod.frattini_stability_audit(build_tower(spec))]
-    if name == "wilson_commutator":
-        spec = _family_spec_from_args(args, "wilson")
-        return [audits_mod.wilson_commutator_audit(build_tower(spec))]
-    if name == "pirim_irreducibility":
-        spec = _family_spec_from_args(args, "pirim")
-        return [audits_mod.pirim_irreducibility_audit(build_tower(spec))]
+        return [audits_mod.goursat_full_audit(_load_group_arg(args.g1), _load_group_arg(args.g2))]
+    if name not in AUDIT_NAMES:
+        raise SpecError(f"unknown audit {name!r}; known: {', '.join(AUDIT_NAMES)}")
+    # the two family audits build their family's tower; the rest read the spec
+    family = {"wilson_commutator": "wilson", "pirim_irreducibility": "pirim"}.get(name)
+    tower = build_tower(_family_spec_from_args(args, family))
     if name == "solitary_criterion_hxz":
-        spec = _family_spec_from_args(args)
-        left = build_tower(spec)
-        return [audits_mod.solitary_criterion_hxz_audit(left, max_depth=2)]
-    if name == "virtually_zp":
-        spec = _family_spec_from_args(args)
-        return [audits_mod.virtually_zp_audit(build_tower(spec))]
-    raise SpecError(f"unknown audit {name!r}; known: {', '.join(AUDIT_NAMES)}")
+        return [audits_mod.solitary_criterion_hxz_audit(tower, max_depth=2)]
+    return [getattr(audits_mod, f"{name}_audit")(tower)]
 
 
 def _default_audit_suite() -> list:
     from .groups import cyclic, dihedral, quaternion8
 
-    results = []
-    results.append(audits_mod.frattini_stability_audit(make_zp(2, 4)))
-    results.append(audits_mod.frattini_stability_audit(make_zpn(2, 2, 4)))
-    results.append(audits_mod.frattini_stability_audit(make_dihedral2(4)))
-    results.append(audits_mod.frattini_stability_audit(make_wilson(3)))
-    results.append(audits_mod.wilson_commutator_audit(make_wilson(3)))
-    results.append(audits_mod.pirim_irreducibility_audit(make_pirim(2)))
-    results.append(audits_mod.bn_recurrence_audit(40))
-    results.append(audits_mod.solitary_criterion_hxz_audit(make_wilson(3), max_depth=2))
-    results.append(audits_mod.solitary_criterion_hxz_audit(make_zpn(3, 2, 3), max_depth=2))
-    results.append(audits_mod.virtually_zp_audit(make_zp(2, 4)))
-    results.append(audits_mod.virtually_zp_audit(make_dihedral2(4)))
-    results.append(audits_mod.goursat_full_audit(cyclic(2), cyclic(2)))
-    results.append(audits_mod.goursat_full_audit(cyclic(4), cyclic(2)))
-    results.append(audits_mod.goursat_full_audit(dihedral(4), cyclic(3)))
-    results.append(audits_mod.goursat_full_audit(quaternion8(), cyclic(2)))
-    return results
+    a = audits_mod
+    return [
+        a.frattini_stability_audit(make_zp(2, 4)), a.frattini_stability_audit(make_zpn(2, 2, 4)),
+        a.frattini_stability_audit(make_dihedral2(4)), a.frattini_stability_audit(make_wilson(3)),
+        a.wilson_commutator_audit(make_wilson(3)), a.pirim_irreducibility_audit(make_pirim(2)),
+        a.bn_recurrence_audit(40),
+        a.solitary_criterion_hxz_audit(make_wilson(3), max_depth=2),
+        a.solitary_criterion_hxz_audit(make_zpn(3, 2, 3), max_depth=2),
+        a.virtually_zp_audit(make_zp(2, 4)), a.virtually_zp_audit(make_dihedral2(4)),
+        a.goursat_full_audit(cyclic(2), cyclic(2)), a.goursat_full_audit(cyclic(4), cyclic(2)),
+        a.goursat_full_audit(dihedral(4), cyclic(3)),
+        a.goursat_full_audit(quaternion8(), cyclic(2)),
+    ]
 
 
-def _cmd_audit(args) -> int:
-    if args.all:
-        results = _default_audit_suite()
-    else:
-        name = args.audit_name or args.name
-        if not name:
-            raise SpecError("audit needs --name/--audit-name or --all")
-        results = _run_named_audit(name, args)
-    if args.output == "table":
-        _emit(audit_results_to_table(results), args.out)
-    else:
-        _emit(audit_results_to_json(results), args.out)
+def _emit_audits(results: list, args) -> int:
+    to_text = audit_results_to_table if args.output == "table" else audit_results_to_json
+    _emit(to_text(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
+def _cmd_audit(args) -> int:
+    name = args.audit_name or args.name
+    if not (args.all or name):
+        raise SpecError("audit needs --name/--audit-name or --all")
+    return _emit_audits(_default_audit_suite() if args.all else _run_named_audit(name, args), args)
+
+
 def _cmd_goursat(args) -> int:
-    result = audits_mod.goursat_full_audit(
-        _load_group_arg(args.g1), _load_group_arg(args.g2)
-    )
-    if args.output == "table":
-        _emit(audit_results_to_table([result]), args.out)
+    g1, g2 = _load_group_arg(args.g1), _load_group_arg(args.g2)
+    return _emit_audits([audits_mod.goursat_full_audit(g1, g2)], args)
+
+
+# -- the command line --------------------------------------------------------------
+
+# An option maps to (kind, help).  The kind is int or str, the type of its
+# value; a tuple of choices, the first the default; or bool, a flag that takes
+# no value.  Option --max-rank is read as args.max_rank, None if not given.
+TOWER_OPTIONS = {
+    "--family": (str, "built-in family name"),
+    "--spec-file": (str, "path to a tower spec JSON document"),
+    "--p": (int, "prime for zp/zpn/heisenberg"),
+    "--n": (int, "rank for zpn"),
+    "--depth": (int, "tower depth override"),
+    "--max-rank": (int, "filtration rank override"),
+    "--output": (("json", "table", "dot"), "output format"),
+    "--out": (str, "output path (stdout when omitted)"),
+    "--parallel": (bool, "accepted and ignored; lattices are built serially"),
+}
+# command: (handler, summary, options, required options)
+COMMANDS = {
+    "analyze": (_cmd_analyze, "the full report of a tower", TOWER_OPTIONS, ()),
+    "classify": (_cmd_classify, "the verdict of a tower", TOWER_OPTIONS, ()),
+    "lattice": (_cmd_lattice, "the subgroup lattice of each level", TOWER_OPTIONS, ()),
+    "audit": (_cmd_audit, "one named audit, or the default suite", {
+        **TOWER_OPTIONS,
+        "--name": (str, "audit name"),
+        "--audit-name": (str, "audit name (alias)"),
+        "--all": (bool, "run the default audit suite"),
+        "--g1": (str, "group literal (JSON or path) for goursat_full"),
+        "--g2": (str, "group literal (JSON or path) for goursat_full"),
+    }, ()),
+    "goursat": (_cmd_goursat, "Goursat's count of the subgroups of G1 x G2", {
+        "--g1": (str, "group literal (JSON or path)"),
+        "--g2": (str, "group literal (JSON or path)"),
+        "--output": (("json", "table"), "output format"),
+        "--out": (str, "output path (stdout when omitted)"),
+    }, ("--g1", "--g2")),
+}
+PROG = "subgroup-atlas"
+USAGE = f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ...\n"
+HELP = ("-h", "--help")
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str) -> SpecError:
+    return SpecError(f"usage error: {message}")
+
+
+def _option(token: str, names: tuple[str, ...]):
+    """None for a value: a token that does not start with "-", "-" or a
+    negative number.  Else (the option it names or None, the value attached
+    by "=" or None).  A long name's unique prefix stands for it."""
+    if token[:1] != "-" or token == "-" or NEGATIVE_NUMBER.match(token):
+        return None
+    head, eq, raw = token.partition("=")
+    long_prefix = head.startswith("--") and head != "--"
+    matches = [head] if head in names else [n for n in names if long_prefix and n.startswith(head)]
+    if len(matches) > 1:
+        raise _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+    return (matches or [None])[0], raw if eq else None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its handler as `fn` and its options, the last given winning;
+    -h or --help, first or among the options, parses to the help handler.
+    Raises SpecError("usage error: ...") at the first token `COMMANDS` rejects."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if _option(command, HELP) in [(name, None) for name in HELP]:
+            return SimpleNamespace(command=None, fn=_print_help)
+        raise _usage_error(f"expected a command ({', '.join(COMMANDS)}) or -h, got {command!r}")
+    fn, _, options, required = COMMANDS[command]
+    names = (*HELP, *options)
+    values = {name: False if kind is bool else kind[0] if isinstance(kind, tuple) else None
+              for name, (kind, _) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, raw = _option(token, names) or (None, None)
+        if name is None:
+            raise _usage_error(f"unrecognized argument: {token}")
+        kind = options[name][0] if name in options else bool  # -h and --help are flags
+        if kind is bool and raw is not None:
+            raise _usage_error(f"argument {name}: ignored explicit argument {raw!r}")
+        if name in HELP:
+            return SimpleNamespace(command=command, fn=_print_help)
+        if kind is not bool and raw is None:
+            raw = next(tokens, None)
+            if raw is None or _option(raw, names) is not None:
+                raise _usage_error(f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                raw = int(raw)
+            except ValueError:
+                raise _usage_error(f"argument {name}: invalid int value: {raw!r}") from None
+        elif isinstance(kind, tuple) and raw not in kind:
+            raise _usage_error(f"argument {name}: invalid choice: {raw!r} "
+                               f"(choose from {', '.join(kind)})")
+        values[name] = True if kind is bool else raw
+    missing = [name for name in required if values[name] is None]
+    if missing:
+        raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, fn=fn,
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
+
+
+def _print_help(args) -> int:
+    """Write the help of the command, or of the program, to stdout."""
+    if args.command is None:
+        head, tail = USAGE + "\ncommands:\n", f"\nRun '{PROG} COMMAND -h' for its options.\n"
+        rows = {command: row[1] for command, row in COMMANDS.items()}
     else:
-        _emit(audit_results_to_json([result]), args.out)
-    return 0 if result.passed else 1
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="subgroup-atlas",
-                     description="tower analysis of subgroup spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for cmd, fn in (
-        ("analyze", _cmd_analyze),
-        ("classify", _cmd_classify),
-        ("lattice", _cmd_lattice),
-    ):
-        p = sub.add_parser(cmd)
-        _add_tower_args(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("audit")
-    _add_tower_args(p)
-    p.add_argument("--name", help="audit name")
-    p.add_argument("--audit-name", help="audit name (alias)")
-    p.add_argument("--all", action="store_true", help="run the default audit suite")
-    p.add_argument("--g1", help="group literal (JSON or path) for goursat_full")
-    p.add_argument("--g2", help="group literal (JSON or path) for goursat_full")
-    p.set_defaults(fn=_cmd_audit)
-
-    p = sub.add_parser("goursat")
-    p.add_argument("--g1", required=True, help="group literal (JSON or path)")
-    p.add_argument("--g2", required=True, help="group literal (JSON or path)")
-    p.add_argument("--output", choices=("json", "table"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_goursat)
-    return parser
+        _, summary, options, required = COMMANDS[args.command]
+        head, tail = f"usage: {PROG} {args.command} [options]\n\n{summary}\n\noptions:\n", ""
+        rows = {"-h, --help": "show this help and exit"}
+        for name, (kind, text) in options.items():
+            arg = ("" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                   else f" {name[2:].replace('-', '_').upper()}")
+            rows[name + arg] = text + " (required)" * (name in required)
+    width = max(map(len, rows))
+    sys.stdout.write(head + "".join(f"  {k:<{width}}  {v}\n" for k, v in rows.items()) + tail)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.fn(args)
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         if exc.paths:
             sys.stderr.write(f"  at: {', '.join(exc.paths)}\n")
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(USAGE)
         return 1
-    except AtlasError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except _MalformedJSON as exc:
-        sys.stderr.write(f"error: malformed JSON: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+    except (AtlasError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -699,8 +699,10 @@ def parse_tower_spec(doc: dict | str) -> dict:
         p = doc.get("p")
         if not _is_int(p) or p < 2:
             raise SpecError("p must be a prime", ["/p"])
-        if p > cap:  # the order is at least p; checked before trial division
+        if p > cap:  # the order is at least p; checked before the primality test
             raise CapExceeded(f"{family} needs order at least p, above cap {cap}")
+        if p >= PRIME_TEST_BOUND:
+            raise SpecError(f"p must be below {PRIME_TEST_BOUND}", ["/p"])
         if _not_prime(p):
             raise SpecError("p must be a prime", ["/p"])
         spec["p"] = p
@@ -714,8 +716,33 @@ def parse_tower_spec(doc: dict | str) -> dict:
     return spec
 
 
+# Miller-Rabin with the 13 prime bases 2..41 decides primality exactly below
+# PRIME_TEST_BOUND (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).  A group of order p that large could
+# not be tabulated anyway.
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _not_prime(p: int) -> bool:
-    return any(p % d == 0 for d in range(2, int(p**0.5) + 1))
+    """Whether 2 <= p < PRIME_TEST_BOUND is composite."""
+    if p in PRIME_TEST_BASES:
+        return False
+    if any(p % a == 0 for a in PRIME_TEST_BASES):
+        return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in PRIME_TEST_BASES:  # a witnesses p composite unless a^d = 1 or some a^(d 2^r) = -1
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return True
+    return False
 
 
 def _spec_primes(spec: dict) -> set[int]:

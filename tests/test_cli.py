@@ -1,5 +1,9 @@
 """CLI behavior: outputs, determinism, error handling, exit codes."""
 
+import argparse
+import ast
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,8 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgroup_atlas.cli import main
+import subgroup_atlas.cli as cli_mod
+from subgroup_atlas.cli import COMMANDS, main, parse_args
+from subgroup_atlas.errors import SpecError
 from subgroup_atlas.towers import FAMILIES
 
 
@@ -533,16 +541,251 @@ def test_json_integer_past_digit_limit_is_malformed_json(where, tmp_path, capsys
     assert err.count("\n") == 1
 
 
-def test_analyze_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma on its first call: about 15 ms a process
+ONE_ARGV_PER_COMMAND = [
+    ["analyze", "--family", "zp", "--p", "3", "--depth", "4"],
+    ["classify", "--family", "dihedral2", "--depth", "3", "--output", "table"],
+    ["lattice", "--family", "zpn", "--p", "2", "--n", "2", "--depth", "2"],
+    ["audit", "--name", "bn_recurrence", "--n", "40"],
+    ["goursat", "--g1", json.dumps(C2_LITERAL), "--g2", json.dumps(C2_LITERAL)],
+]
+
+
+def test_no_command_imports_numpy_ma_argparse_or_locale():
+    # np.unique imports numpy.ma on its first call: about 15 ms a process;
+    # argparse and the locale module gettext pulls in cost about 8 ms a call
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
         "from subgroup_atlas.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['analyze', '--family', 'zp', '--p', '3', '--depth', '4'])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
+        f"for argv in {ONE_ARGV_PER_COMMAND!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, *(m in sys.modules for m in ('numpy.ma', 'argparse', 'locale')))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout == "0 False\n"
+    assert done.stdout.splitlines() == [
+        f"{argv[0]} 0 False False False" for argv in ONE_ARGV_PER_COMMAND
+    ]
+
+
+def test_package_source_does_not_import_argparse():
+    package = Path(cli_mod.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert "argparse" not in imported
+
+
+# -- the command-line grammar --------------------------------------------------------
+
+def _reference_parser():
+    """The argparse grammar the option table replaced, kept as the oracle, and
+    its parser of each command."""
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise SpecError(f"usage error: {message}")
+
+    def add_tower_args(p):
+        p.add_argument("--family")
+        p.add_argument("--spec-file")
+        p.add_argument("--p", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--depth", type=int)
+        p.add_argument("--max-rank", type=int)
+        p.add_argument("--output", choices=("json", "table", "dot"), default="json")
+        p.add_argument("--out")
+        p.add_argument("--parallel", action="store_true")
+        return p
+
+    parser = _Parser(prog="subgroup-atlas")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {cmd: add_tower_args(sub.add_parser(cmd)) for cmd in ("analyze", "classify", "lattice")}
+    p = commands["audit"] = add_tower_args(sub.add_parser("audit"))
+    p.add_argument("--name")
+    p.add_argument("--audit-name")
+    p.add_argument("--all", action="store_true")
+    p.add_argument("--g1")
+    p.add_argument("--g2")
+    p = commands["goursat"] = sub.add_parser("goursat")
+    p.add_argument("--g1", required=True)
+    p.add_argument("--g2", required=True)
+    p.add_argument("--output", choices=("json", "table"), default="json")
+    p.add_argument("--out")
+    return parser, commands
+
+
+REFERENCE, REFERENCE_COMMANDS = _reference_parser()
+# each long option of a command with its argparse action
+REFERENCE_OPTIONS = {
+    cmd: {name: action for name, action in p._option_string_actions.items()
+          if name.startswith("--") and name != "--help"}
+    for cmd, p in REFERENCE_COMMANDS.items()
+}
+EVERY_OPTION = sorted({name for options in REFERENCE_OPTIONS.values() for name in options})
+VALUES = ["zp", "dihedral2", "3", "0", "-1", "-7", "+5", " 7 ", "1_000", "\u0663", "-\u0663",
+          "-1\n", str(2**70), str(-2**70), "9" * 5000, "x", "1.5", "-1.5", "-.5", "", "json",
+          "table", "dot", "xml", "JSON", "-", "g.json", "a b", "a=b"]
+UNKNOWN = ["--bogus", "-x", "--", "---", "-hh", "-hx", "-1x", "--=x", "-=1", "-h=", "--help=x",
+           "--no-such=1", "foo", "-h", "--help", "--he", "--h"]
+FIRST = [*COMMANDS, "", "foo", "ana", "-1", "-h", "--help", "--he", "--h", "--x", "--",
+         "--help=x", "-hh"]
+ANY_VALUE = (st.sampled_from(VALUES) | st.integers(-10**30, 10**30).map(str)
+             | st.text(alphabet="ab-=.01 ", max_size=5))
+
+
+def _option_tokens(name: str, action, noise: bool):
+    """An option spelled in full or by a prefix, with a value of its kind as
+    the next token or attached by "=".  With noise, now and then a value
+    option has any value or none, and a flag has one."""
+    spelled = st.one_of(st.just(name), st.just(name),
+                        st.integers(3, len(name)).map(lambda k: name[:k]))
+    if action.nargs == 0:
+        attached = st.sampled_from(["", "", "", "", "", "=1"] if noise else [""])
+        return st.tuples(spelled, attached).map(lambda t: ["".join(t)])
+    if action.type is int:
+        value = st.integers(-10**20, 10**20).map(str)
+    elif action.choices:
+        value = st.sampled_from(action.choices)
+    else:
+        value = st.sampled_from(["zp", "wilson", "-1", "-.5", "", "x.json", "{}", "a=b"])
+    forms = ["next", "="]
+    if noise:  # now and then any value, or none
+        value = st.one_of(*[value] * 5, ANY_VALUE)
+        forms = forms * 3 + ["none"]
+    return st.tuples(spelled, value, st.sampled_from(forms)).map(
+        lambda t: {"next": [t[0], t[1]], "=": [f"{t[0]}={t[1]}"], "none": [t[0]]}[t[2]])
+
+
+def _argv_of(first: str, noise: bool):
+    """argvs starting with `first` and options of the command it names; with
+    noise, now and then options of other commands and one stray token."""
+    own = REFERENCE_OPTIONS.get(first, {})
+    every = {name: action for options in REFERENCE_OPTIONS.values()
+             for name, action in options.items()}
+    names = sorted(own) * 6 + EVERY_OPTION if noise else sorted(own)
+    option = st.one_of(*(_option_tokens(name, own.get(name, every[name]), noise)
+                         for name in names))
+    stray = st.tuples(st.integers(0, 12), st.sampled_from(UNKNOWN + VALUES))
+    strays = st.one_of(*[st.just([])] * 3, st.lists(stray, min_size=1, max_size=1))
+    return st.builds(_argv, st.just(first), st.lists(option, max_size=5),
+                     strays if noise else st.just([]))
+
+
+def _argv(first, options, strays):
+    argv = [first, *(token for option in options for token in option)]
+    for position, token in strays:
+        argv.insert(min(position, len(argv)), token)
+    return argv
+
+
+def _no_spaced_dash(argv):
+    # A token that starts with "-" and holds a space is a value to argparse,
+    # which reads only a dash without a space as an option; the table parser
+    # rejects every such value, so these tokens are left out of the comparison.
+    return not any(token.startswith("-") and " " in token for token in argv)
+
+
+ARGV = st.one_of(
+    st.just([]), *(_argv_of(first, noise=True) for first in [*COMMANDS] * 6 + FIRST),
+).filter(_no_spaced_dash)
+WELL_FORMED_ARGV = st.one_of(*(_argv_of(command, noise=False) for command in COMMANDS))
+
+
+def _accepted(parse, argv):
+    """The options `parse` reads from argv, or None for a usage error or a
+    help request (argparse prints help and exits)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            ns = parse(argv)
+    except (SpecError, SystemExit):
+        return None
+    if getattr(ns, "fn", None) is cli_mod._print_help:
+        return None
+    return {key: value for key, value in vars(ns).items() if key != "fn"}
+
+
+@settings(max_examples=800, deadline=None)
+@given(ARGV)
+def test_parser_agrees_with_the_argparse_grammar(argv):
+    assert _accepted(parse_args, argv) == _accepted(REFERENCE.parse_args, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WELL_FORMED_ARGV)
+def test_parser_reads_well_formed_argvs_as_argparse_does(argv):
+    assert _accepted(parse_args, argv) == _accepted(REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "zp", "--p", "3", "--depth", "4"],
+    ["analyze", "--family=zp", "--p=3", "--depth=4"],
+    ["analyze", "--fam", "zp", "--p", "3", "--dep=4"],
+    ["analyze", "--p", "2", "--family", "zp", "--p", "3", "--depth", "4"],
+], ids=["separate", "equals", "abbreviated", "last-wins"])
+def test_option_forms_read_the_same(argv):
+    args = parse_args(argv)
+    assert (args.command, args.family, args.p, args.depth) == ("analyze", "zp", 3, 4)
+    assert (args.n, args.output, args.parallel) == (None, "json", False)
+
+
+def test_exact_name_wins_over_a_prefix():
+    assert parse_args(["analyze", "--p", "5"]).p == 5
+    args = parse_args(["analyze", "--pa"])
+    assert args.parallel is True and args.p is None
+
+
+def test_negative_int_value():
+    assert parse_args(["audit", "--name", "x", "--depth", "-1"]).depth == -1
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "expected a command"),
+    (["nonsense"], "expected a command"),
+    (["analyze", "--bogus"], "unrecognized argument: --bogus"),
+    (["analyze", "--family"], "argument --family: expected one argument"),
+    (["analyze", "--family", "-x"], "argument --family: expected one argument"),
+    (["analyze", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    (["analyze", "--output", "xml"], "argument --output: invalid choice: 'xml'"),
+    (["goursat", "--g1", "{}"], "the following arguments are required: --g2"),
+    (["analyze", "--parallel=1"], "argument --parallel: ignored explicit argument '1'"),
+    (["analyze", "--o", "json"], "ambiguous option: --o could match --output, --out"),
+], ids=["empty", "unknown-command", "unknown-option", "missing-value", "dash-value",
+        "bad-int", "bad-choice", "missing-required", "flag-value", "ambiguous"])
+def test_usage_errors_exit_one_with_the_usage_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    first, usage = err.splitlines()
+    assert first.startswith(f"error: usage error: {message}")
+    assert usage == "usage: subgroup-atlas [-h] {analyze,classify,lattice,audit,goursat} ..."
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"]])
+def test_top_level_help_lists_every_command(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: subgroup-atlas [-h]")
+    for command in COMMANDS:
+        assert f"\n  {command} " in out
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_command_help_lists_every_option(command, flag, capsys):
+    code, out, err = run_cli([command, "--out", "x.json", flag], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: subgroup-atlas {command} ")
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+    assert listed == set(COMMANDS[command][2])
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["subgroup-atlas", "audit", "--name", "bn_recurrence"])
+    code, out, _ = run_cli(None, capsys)
+    assert code == 0
+    assert json.loads(out)[0]["name"] == "bn_recurrence"

@@ -1,5 +1,6 @@
 """Tower constructor and validation tests."""
 
+import math
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from subgroup_atlas.groups import all_subgroups, closure, cyclic, frattini, quot
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import (
     FAMILIES,
+    PRIME_TEST_BOUND,
     build_tower,
     custom_tower,
     direct_product_tower,
@@ -32,6 +34,7 @@ from subgroup_atlas.towers import (
     truncate,
     validate,
     _mat_pow,
+    _not_prime,
     PIRIM_A,
 )
 
@@ -333,6 +336,46 @@ def test_parse_tower_spec():
     with pytest.raises(SpecError) as err:
         parse_tower_spec({"family": "zp", "p": 4, "depth": 2})
     assert "/p" in err.value.paths
+
+
+def test_prime_test_matches_trial_division_below_1e5():
+    limit = 10**5
+    composite = [False, False] + [
+        any(n % d == 0 for d in range(2, int(n**0.5) + 1)) for n in range(2, limit)
+    ]
+    assert [n for n in range(2, limit) if _not_prime(n) != composite[n]] == []
+
+
+@pytest.mark.parametrize("n,factors", [
+    (3825123056546413051, (149491, 747451, 34233211)),  # strong pseudoprime to bases 2..23
+    (318665857834031151167461, (399165290221, 798330580441)),  # ... to bases 2..37
+])
+def test_strong_pseudoprimes_are_composite(n, factors):
+    assert math.prod(factors) == n
+    assert _not_prime(n)
+
+
+def test_p_past_the_float_range_is_a_spec_error(monkeypatch):
+    # int(p**0.5) raised OverflowError for p above 2^1024
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", str(10**400))
+    with pytest.raises(SpecError, match=f"p must be below {PRIME_TEST_BOUND}") as err:
+        parse_tower_spec({"family": "zp", "p": 10**350 + 1, "depth": 1})
+    assert err.value.paths == ["/p"]
+    with pytest.raises(SpecError) as err:
+        parse_tower_spec({"family": "zpn", "p": PRIME_TEST_BOUND, "n": 1, "depth": 1})
+    assert err.value.paths == ["/p"]
+
+
+def test_large_prime_parses_quickly(monkeypatch):
+    # trial division up to sqrt(2^61 - 1) took about 1.5e9 divisions
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", str(10**20))
+    start = time.perf_counter()
+    spec = parse_tower_spec({"family": "zp", "p": 2**61 - 1, "depth": 1})
+    assert time.perf_counter() - start < 1.0
+    assert spec == {"family": "zp", "depth": 1, "p": 2**61 - 1}
+    with pytest.raises(SpecError) as err:
+        parse_tower_spec({"family": "zp", "p": 2**61 + 1, "depth": 1})
+    assert err.value.paths == ["/p"]
 
 
 def test_parse_tower_spec_defaults():
