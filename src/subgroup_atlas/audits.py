@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import order_cap
 from .errors import CapExceeded, OutOfRange, WrongFamily, WrongShape
 from .filtration import CBReport, cb_filtration, default_max_rank
 from .groups import (
@@ -22,6 +21,7 @@ from .groups import (
     centralizer,
     closure,
     commutator_subgroup,
+    cyclic,
     direct_product,
     frattini,
     goursat,
@@ -45,11 +45,11 @@ class AuditResult:
     details: dict = field(default_factory=dict)
 
 
-def stabilized_count(counts: list[int], window: int = 3) -> int | None:
-    """The common value of the last `window` entries, if they agree."""
-    if len(counts) < window:
+def stabilized_count(counts: list[int]) -> int | None:
+    """The common value of the last three entries, if they agree."""
+    if len(counts) < 3:
         return None
-    tail = counts[-window:]
+    tail = counts[-3:]
     return tail[0] if all(c == tail[0] for c in tail) else None
 
 
@@ -146,21 +146,21 @@ def _primitive_classes_mod(pk: int) -> list[tuple[int, int]]:
     return out
 
 
-def pirim_irreducibility_audit(t: Tower, r_max: int = 3) -> AuditResult:
+def pirim_irreducibility_audit(t: Tower) -> AuditResult:
     """At the top level, no meaningful power-of-3 exponent of the acting matrix
     fixes a rank-one direct summand, and every invariant submodule is
     comparable with the chain of scaled full modules (no invariant line in
     disguise).
 
-    Exponents are capped at 3^(k-2): beyond that the matrix is the identity
-    mod 3^k, so the check carries no information at this level.
+    Exponents are capped at 3^min(3, k-2): beyond 3^(k-2) the matrix is the
+    identity mod 3^k, so the check carries no information at this level.
     """
     if t.meta.family_name != "pirim":
         raise WrongFamily("pirim_irreducibility_audit needs a pirim tower")
     k = t.depth
     pk = 3**k
     A1 = tuple(tuple(r) for r in t.meta.extra["A1"])
-    effective_r_max = min(r_max, max(0, k - 2))
+    effective_r_max = min(3, max(0, k - 2))
     details: dict = {
         "modulus": pk,
         "effective_r_max": effective_r_max,
@@ -185,7 +185,7 @@ def pirim_irreducibility_audit(t: Tower, r_max: int = 3) -> AuditResult:
 
     # invariant submodules under the base action: every one must be comparable
     # with each scaled module 3^j * M, which rules out lines
-    M = _pirim_module_group(pk)
+    M = direct_product(cyclic(pk), cyclic(pk))
     B = _mat_pow(A1, 1, pk)
     perm = np.array(
         [((B[0][0] * (i // pk) + B[0][1] * (i % pk)) % pk) * pk
@@ -215,12 +215,6 @@ def _in_cyclic_span(bx: int, by: int, x: int, y: int, pk: int) -> bool:
         if (a * x) % pk == bx and (a * y) % pk == by:
             return True
     return False
-
-
-def _pirim_module_group(pk: int) -> FiniteGroup:
-    from .groups import cyclic
-
-    return direct_product(cyclic(pk), cyclic(pk), cap=max(order_cap(), pk * pk))
 
 
 def _scaled_module_bits(pk: int, j: int) -> int:
@@ -276,15 +270,15 @@ def left_factor_node_index(lt: LatticeTower, prod: Tower, k: int) -> int:
     return bits.index(target.bits)
 
 
-def solitary_criterion_hxz_audit(h_tower: Tower, max_depth: int | None = None) -> AuditResult:
+def solitary_criterion_hxz_audit(h_tower: Tower) -> AuditResult:
     """Solitary criterion for the left factor of an H x Z_p product at the
-    matching prime: the left-factor node is a solitary candidate exactly when
-    the commutator index of the H-family stabilizes (the finite witness that
-    the commutator subgroup is open)."""
+    matching prime, read from the depth-2 product: the left-factor node is a
+    solitary candidate exactly when the commutator index of the H-family
+    stabilizes (the finite witness that the commutator subgroup is open)."""
     if len(h_tower.meta.primes) != 1:
         raise WrongShape("hxz audit needs a single-prime left factor")
     p = next(iter(h_tower.meta.primes))
-    depth = max_depth or min(h_tower.depth, 2)
+    depth = 2
     product = direct_product_tower(truncate(h_tower, depth), make_zp(p, depth))
 
     h_indices = commutator_index_per_level(h_tower)

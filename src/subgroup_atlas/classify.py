@@ -22,6 +22,7 @@ from .audits import (
 from .errors import OutOfRange
 from .filtration import (
     CBReport,
+    SolitaryCandidate,
     cb_filtration,
     default_max_rank,
     solitary_candidates,
@@ -67,6 +68,16 @@ class Analysis:
             return {}
         return certify_solitary(t, self.lattice, self.zp_audit)
 
+    @cached_property
+    def isolated(self) -> dict[int, set[int]]:
+        """Isolated nodes of each level below the top, keyed by level."""
+        return {k: isolated_nodes(self.lattice, k) for k in range(1, self.lattice.depth)}
+
+    @cached_property
+    def solitary(self) -> list[SolitaryCandidate]:
+        """Solitary candidates of the filtration, with their certificates."""
+        return solitary_candidates(self.report, self.certificates)
+
 
 def _ev(kind: str, name: str, **data) -> dict:
     out = {kind: name}
@@ -77,10 +88,6 @@ def _ev(kind: str, name: str, **data) -> dict:
 def _conflict(evidence: list[dict], name: str, **data) -> Verdict:
     evidence = evidence + [_ev("conflict", name, **data)]
     return Verdict("Undetermined", {}, "EmpiricalOnly", evidence, conflict=True)
-
-
-def _isolated_counts(lt: LatticeTower) -> list[int]:
-    return [len(isolated_nodes(lt, k)) for k in range(1, lt.depth)]
 
 
 def classify(a: Analysis) -> Verdict:
@@ -116,7 +123,7 @@ def classify(a: Analysis) -> Verdict:
         growing = idx[-3] < idx[-2] < idx[-1]
         if growing:
             evidence.append(_ev("certificate", "frattini_index_growing", indices=idx))
-            iso = _isolated_counts(lt)
+            iso = [len(nodes) for nodes in a.isolated.values()]
             if any(iso):
                 return _conflict(evidence, "isolated_nodes_despite_growing_frattini",
                                  isolated_counts=iso)
@@ -149,7 +156,7 @@ def classify(a: Analysis) -> Verdict:
         return _classify_product(t, lt, report, evidence)
 
     certs = a.certificates
-    cand = solitary_candidates(report, certs)
+    cand = a.solitary
 
     # (e) Pelczynski: certified no-solitary family, dense isolated points
     pel_cert = _pelczynski_certificate(t)
@@ -228,11 +235,9 @@ def _certified_counts_per_level(
     return counts
 
 
-def _strictly_growing(counts: list[int], window: int = 3) -> bool:
-    if len(counts) < window:
-        return False
-    tail = counts[-window:]
-    return all(tail[i] < tail[i + 1] for i in range(len(tail) - 1))
+def _strictly_growing(counts: list[int]) -> bool:
+    """Whether the last three counts strictly increase."""
+    return len(counts) >= 3 and counts[-3] < counts[-2] < counts[-1]
 
 
 def _classify_product(

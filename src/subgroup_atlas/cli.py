@@ -105,7 +105,7 @@ AUDIT_NAMES = ("frattini_stability", "wilson_commutator", "pirim_irreducibility"
 
 def _run_named_audit(name: str, args) -> list:
     if name == "bn_recurrence":
-        return [audits_mod.bn_recurrence_audit(args.n or 40)]
+        return [audits_mod.bn_recurrence_audit(40 if args.n is None else args.n)]
     if name == "goursat_full":
         if not (args.g1 and args.g2):
             raise SpecError("goursat_full needs --g1 and --g2")
@@ -115,8 +115,6 @@ def _run_named_audit(name: str, args) -> list:
     # the two family audits build their family's tower; the rest read the spec
     family = {"wilson_commutator": "wilson", "pirim_irreducibility": "pirim"}.get(name)
     tower = build_tower(_family_spec_from_args(args, family))
-    if name == "solitary_criterion_hxz":
-        return [audits_mod.solitary_criterion_hxz_audit(tower, max_depth=2)]
     return [getattr(audits_mod, f"{name}_audit")(tower)]
 
 
@@ -129,8 +127,8 @@ def _default_audit_suite() -> list:
         a.frattini_stability_audit(make_dihedral2(4)), a.frattini_stability_audit(make_wilson(3)),
         a.wilson_commutator_audit(make_wilson(3)), a.pirim_irreducibility_audit(make_pirim(2)),
         a.bn_recurrence_audit(40),
-        a.solitary_criterion_hxz_audit(make_wilson(3), max_depth=2),
-        a.solitary_criterion_hxz_audit(make_zpn(3, 2, 3), max_depth=2),
+        a.solitary_criterion_hxz_audit(make_wilson(3)),
+        a.solitary_criterion_hxz_audit(make_zpn(3, 2, 3)),
         a.virtually_zp_audit(make_zp(2, 4)), a.virtually_zp_audit(make_dihedral2(4)),
         a.goursat_full_audit(cyclic(2), cyclic(2)), a.goursat_full_audit(cyclic(4), cyclic(2)),
         a.goursat_full_audit(dihedral(4), cyclic(3)),

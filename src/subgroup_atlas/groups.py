@@ -272,16 +272,14 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return _subgroup_from_mask(G, mask)
 
 
-def _derived_series_reaches_trivial(G: FiniteGroup, max_steps: int = 64) -> bool:
+def _derived_series_reaches_trivial(G: FiniteGroup) -> bool:
     current = full_subgroup(G)
-    for _ in range(max_steps):
-        if current.order == 1:
-            return True
+    while current.order > 1:  # each step shrinks the order, so the loop ends
         nxt = _commutator_of(G, current)
         if nxt.order == current.order:
             return False
         current = nxt
-    return False
+    return True
 
 
 def _commutator_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -315,7 +313,7 @@ def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarr
     return in_H[t[t[G.inv[cs], hs], cs]].all(axis=1)
 
 
-def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, bitset).
 
     Bottom-up cyclic-extension BFS: each known subgroup H is extended by the
@@ -325,9 +323,8 @@ def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[Subgroup]:
     Abelian groups and groups of prime-power order (nilpotent) are taken as
     soluble without running the derived-series test.
     """
-    cap = order_cap() if cap is None else cap
-    if G.order > cap:
-        raise CapExceeded(f"group order {G.order} above cap {cap}")
+    if G.order > order_cap():
+        raise CapExceeded(f"group order {G.order} above cap {order_cap()}")
     if G._subgroups is not None:
         return list(G._subgroups)
 
@@ -572,12 +569,11 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     return Q, proj
 
 
-def direct_product(G1: FiniteGroup, G2: FiniteGroup, cap: int | None = None) -> FiniteGroup:
+def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Direct product with element index i1*|G2| + i2 (row-major by left factor)."""
-    cap = order_cap() if cap is None else cap
     n1, n2 = G1.order, G2.order
-    if n1 * n2 > cap:
-        raise CapExceeded(f"product order {n1 * n2} above cap {cap}")
+    if n1 * n2 > order_cap():
+        raise CapExceeded(f"product order {n1 * n2} above cap {order_cap()}")
     a1, a2 = np.unravel_index(np.arange(n1 * n2), (n1, n2))
     # (g, 1)(b1, b2) = (g*b1, b2) and (1, h)(b1, b2) = (b1, h*b2)
     rows = [G1.table[g, a1].astype(np.int64) * n2 + a2 for g in G1.basis]
@@ -791,7 +787,7 @@ def from_elements(
 
 
 def generate_from(
-    seed_elements: list, mul: Callable, identity, cap: int | None = None,
+    seed_elements: list, mul: Callable, identity,
     label: Callable | None = None, name: str = "",
 ) -> tuple[FiniteGroup, list]:
     """Generate the group spanned by seed elements under mul, deterministically;
@@ -801,7 +797,7 @@ def generate_from(
     in the given order, which fixes the element indexing.  `label` names an
     element value; labels are computed when asked for.
     """
-    cap = order_cap() if cap is None else cap
+    cap = order_cap()
     elements = [identity]
     seen = {identity}
     frontier = [identity]

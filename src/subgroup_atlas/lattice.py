@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import PRODUCT_BITSET_LIMIT, order_cap
+from .config import PRODUCT_BITSET_LIMIT
 from .errors import CapExceeded, OutOfRange, WrongShape
 from .groups import Subgroup, all_subgroups, product_set
 from .towers import Tower
@@ -84,21 +84,16 @@ class LatticeTower:
         return Thread(k, path, idxs)
 
 
-def build_lattice_tower(t: Tower, cap: int | None = None) -> LatticeTower:
+def build_lattice_tower(t: Tower) -> LatticeTower:
     """Compute nodes, parent/child maps and full preimages for a tower."""
     if t.factors is not None:
-        parts = [build_lattice_tower(f, cap=cap) for f in t.factors]
+        parts = [build_lattice_tower(f) for f in t.factors]
         return _product_lattice(t, parts)
-    return _explicit_lattice(t, cap=cap)
+    return _explicit_lattice(t)
 
 
-def _explicit_lattice(t: Tower, cap: int | None) -> LatticeTower:
-    cap = order_cap() if cap is None else cap
-    for g in t.levels:
-        if g.order > cap:
-            raise CapExceeded(f"level order {g.order} above cap {cap}")
-
-    subs_per_level = [all_subgroups(g, cap=cap) for g in t.levels]
+def _explicit_lattice(t: Tower) -> LatticeTower:
+    subs_per_level = [all_subgroups(g) for g in t.levels]
 
     node_orders = [[s.order for s in subs] for subs in subs_per_level]
     node_bits = [[s.bits for s in subs] for subs in subs_per_level]
@@ -223,9 +218,7 @@ def _product_lattice(t: Tower, parts: list[LatticeTower]) -> LatticeTower:
     )
 
 
-def basic_open_fiber(
-    lt: LatticeTower, k: int, i: int, j: int, verify: bool = True
-) -> list[int]:
+def basic_open_fiber(lt: LatticeTower, k: int, i: int, j: int) -> list[int]:
     """Node indices at level k+j whose image at level k is node i.
 
     For explicit lattices the result is cross-checked against the subgroup
@@ -242,7 +235,7 @@ def basic_open_fiber(
         fiber = nxt
     fiber = sorted(fiber)
 
-    if verify and j > 0 and lt.tower.levels:
+    if j > 0 and lt.tower.levels:
         G = lt.tower.level(k + j)
         hom = lt.tower.composite_map(k + j, k)
         ker = hom.kernel()

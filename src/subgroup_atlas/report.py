@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 
 from .classify import Analysis, Verdict
-from .filtration import solitary_candidates
-from .lattice import isolated_nodes, to_dot
+from .lattice import to_dot
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -19,8 +18,6 @@ REPORT_SCHEMA_VERSION = 1
 def analysis_report(a: Analysis) -> dict:
     """Assemble the versioned report document from one analysis pass."""
     t, lt, report = a.tower, a.lattice, a.report
-    cands = solitary_candidates(report, a.certificates)
-    iso_counts = [len(isolated_nodes(lt, k)) for k in range(1, lt.depth)]
     doc = {
         "version": REPORT_SCHEMA_VERSION,
         "tower": {
@@ -37,7 +34,7 @@ def analysis_report(a: Analysis) -> dict:
             "maxRank": report.max_rank,
             "survivorsPerRank": report.survivor_counts(),
             "apparentHeight": report.apparent_height.as_json(),
-            "isolatedCounts": iso_counts,
+            "isolatedCounts": [len(nodes) for nodes in a.isolated.values()],
             "solitary": [
                 {
                     "level": c.level,
@@ -45,7 +42,7 @@ def analysis_report(a: Analysis) -> dict:
                     "certified": c.status == "Certified",
                     "certificates": c.certificates,
                 }
-                for c in cands
+                for c in a.solitary
             ],
         },
         "verdict": a.verdict.as_json(),
@@ -87,12 +84,10 @@ def report_to_table(doc: dict) -> str:
 
 
 def report_to_dot(a: Analysis) -> str:
-    lt = a.lattice
-    iso = {k: isolated_nodes(lt, k) for k in range(1, lt.depth)}
     sol: dict[int, set[int]] = {}
-    for c in solitary_candidates(a.report, a.certificates):
+    for c in a.solitary:
         sol.setdefault(c.level, set()).add(c.index)
-    return to_dot(lt, isolated=iso, solitary=sol)
+    return to_dot(a.lattice, isolated=a.isolated, solitary=sol)
 
 
 def audit_results_to_json(results: list) -> str:

@@ -206,9 +206,9 @@ def _reduction_maps(
     return maps
 
 
-def make_zp(p: int, depth: int, cap: int | None = None) -> Tower:
+def make_zp(p: int, depth: int) -> Tower:
     """Levels Z/p^k with reduction maps; the p-adic procyclic family."""
-    _check_order({"family": "zp", "p": p, "depth": depth}, cap)
+    _check_order({"family": "zp", "p": p, "depth": depth})
     levels = [cyclic(p**k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) for k in range(1, depth + 1)])
     meta = TowerMeta(
@@ -234,9 +234,9 @@ def _abelian_power_group(p: int, k: int, n: int) -> FiniteGroup:
     return G
 
 
-def make_zpn(p: int, n: int, depth: int, cap: int | None = None) -> Tower:
+def make_zpn(p: int, n: int, depth: int) -> Tower:
     """Levels (Z/p^k)^n with componentwise reduction maps."""
-    _check_order({"family": "zpn", "p": p, "n": n, "depth": depth}, cap)
+    _check_order({"family": "zpn", "p": p, "n": n, "depth": depth})
     levels = [_abelian_power_group(p, k, n) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) * n for k in range(1, depth + 1)])
     meta = TowerMeta(
@@ -273,9 +273,9 @@ def _heisenberg_group(p: int, k: int) -> FiniteGroup:
     )
 
 
-def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
+def make_heisenberg(p: int, depth: int) -> Tower:
     """Levels of upper unitriangular 3x3 matrices over Z/p^k."""
-    _check_order({"family": "heisenberg", "p": p, "depth": depth}, cap)
+    _check_order({"family": "heisenberg", "p": p, "depth": depth})
     levels = [_heisenberg_group(p, k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) * 3 for k in range(1, depth + 1)])
     meta = TowerMeta(
@@ -289,9 +289,9 @@ def make_heisenberg(p: int, depth: int, cap: int | None = None) -> Tower:
     return Tower(levels, maps, meta)
 
 
-def make_dihedral2(depth: int, cap: int | None = None) -> Tower:
+def make_dihedral2(depth: int) -> Tower:
     """Pro-2 dihedral levels Z/2^k x| inversion; maps kill the top rotation."""
-    _check_order({"family": "dihedral2", "depth": depth}, cap)
+    _check_order({"family": "dihedral2", "depth": depth})
     levels = [dihedral(2**k) for k in range(1, depth + 1)]
     # element f * 2^k + r of D(2^k) is s^f r^r
     maps = _reduction_maps(levels, [(2, 2**k) for k in range(1, depth + 1)])
@@ -373,10 +373,10 @@ def _pirim_group(k: int, A1) -> FiniteGroup:
     return FiniteGroup(table, generators=gens, labels=label, name=f"Pirim(3^{k})")
 
 
-def make_pirim(depth: int, cap: int | None = None) -> Tower:
+def make_pirim(depth: int) -> Tower:
     """Poly-procyclic pro-3 tower (Z/3^k)^2 x| <t>, t acting by a fixed power
     of the matrix A = [[0,1],[4,2]] chosen inside the first congruence subgroup."""
-    _check_order({"family": "pirim", "depth": depth}, cap)
+    _check_order({"family": "pirim", "depth": depth})
     m, A1 = pirim_base_power()
     if _mat_pow(A1, 1, 3) != ((1, 0), (0, 1)):
         raise RelationCheckFailed("A1 is not in the first congruence subgroup")
@@ -424,7 +424,7 @@ _WILSON_MUL = {
 }
 
 
-def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict, list]:
+def _wilson_level(k: int) -> tuple[FiniteGroup, dict, list]:
     """Level k of the Wilson tower, generated inside (Z/2^k)^3 x| V; also
     returns the element list, in generate_from's BFS order."""
     mod = 2**k
@@ -439,7 +439,7 @@ def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict, list]:
     x1 = ((1, 0, 1), "s1")
     x2 = ((0, 1, 0), "s2")
     G, elements = generate_from(
-        [x1, x2], mul, ident, cap=cap,
+        [x1, x2], mul, ident,
         label=lambda e: f"({e[0][0]},{e[0][1]},{e[0][2]};{e[1]})",
         name=f"W(2^{k})",
     )
@@ -486,16 +486,16 @@ def _wilson_level(k: int, cap: int) -> tuple[FiniteGroup, dict, list]:
     return G, gen_info, elements
 
 
-def make_wilson(depth: int, cap: int | None = None) -> Tower:
+def make_wilson(depth: int) -> Tower:
     """Pro-2 tower of the two-generator group with abelianized squares;
     levels are built by explicit embedding into (Z/2^k)^3 x| V and the
     defining relations are re-verified at every level."""
-    cap = _check_order({"family": "wilson", "depth": depth}, cap)
+    _check_order({"family": "wilson", "depth": depth})
     levels = []
     gen_infos = []
     elements_per_level = []
     for k in range(1, depth + 1):
-        G, info, elements = _wilson_level(k, cap)
+        G, info, elements = _wilson_level(k)
         levels.append(G)
         gen_infos.append(info)
         elements_per_level.append(elements)
@@ -568,16 +568,15 @@ def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
                                 [t.level(k).order for t in towers])
 
 
-def direct_product_tower(t1: Tower, t2: Tower, cap: int | None = None) -> Tower:
+def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
     """Levelwise direct product without the disjoint-prime requirement.
 
     Same-prime products do not satisfy the coprime lattice factorization, so
     the result carries no `factors` shortcut and is analyzed explicitly.
     """
-    cap = order_cap() if cap is None else cap
     if t1.depth != t2.depth:
         raise DepthMismatch("factor depths differ")
-    levels = [direct_product(t1.level(k), t2.level(k), cap=cap) for k in range(1, t1.depth + 1)]
+    levels = [direct_product(t1.level(k), t2.level(k)) for k in range(1, t1.depth + 1)]
     maps = [
         Homomorphism(levels[k], levels[k - 1], _product_map([t1, t2], k))
         for k in range(1, t1.depth)
@@ -712,7 +711,7 @@ def parse_tower_spec(doc: dict | str) -> dict:
             raise SpecError("n must be a positive integer", ["/n"])
         spec["n"] = n
 
-    _check_order(spec, cap)
+    _check_order(spec)
     return spec
 
 
@@ -761,11 +760,10 @@ def _check_depth(depth) -> None:
         raise SpecError("depth must be a positive integer", ["/depth"])
 
 
-def _check_order(spec: dict, cap: int | None = None) -> int:
+def _check_order(spec: dict) -> None:
     """Raise SpecError when the depth of a family spec is not a positive
-    integer and CapExceeded when its top level is above the cap (the
-    configured one when None); returns the cap."""
-    cap = order_cap() if cap is None else cap
+    integer and CapExceeded when its top level is above the order cap."""
+    cap = order_cap()
     _check_depth(spec["depth"])
     family = FAMILIES[spec["family"]]
     base, exponent = family.order(*family.args(spec))
@@ -784,18 +782,17 @@ def _check_order(spec: dict, cap: int | None = None) -> int:
             f"{spec['family']} at depth {spec['depth']} needs order {base}^{exponent}, "
             f"above cap {cap}"
         )
-    return cap
 
 
-def build_tower(spec: dict, cap: int | None = None) -> Tower:
+def build_tower(spec: dict) -> Tower:
     """Construct the tower described by a parsed spec."""
     fam = spec["family"]
     if fam == "product":
-        return make_product([build_tower(f, cap=cap) for f in spec["factors"]])
+        return make_product([build_tower(f) for f in spec["factors"]])
     if fam == "custom":
         levels = [load_group_json(g) for g in spec["levels"]]
         return custom_tower(levels, spec["maps"])
     if fam not in FAMILIES:
         raise SpecError(f"unknown family {fam!r}", ["/family"])
     family = FAMILIES[fam]
-    return family.make(*family.args(spec), cap=cap)
+    return family.make(*family.args(spec))

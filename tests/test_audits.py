@@ -93,7 +93,7 @@ def test_bn_recurrence_needs_three():
 
 
 def test_hxz_audit_wilson():
-    a = solitary_criterion_hxz_audit(cached_tower("wilson(3)"), max_depth=2)
+    a = solitary_criterion_hxz_audit(cached_tower("wilson(3)"))
     assert a.passed
     assert a.details["witness_commutator_open"]
     assert a.details["certified_nodes"]
@@ -102,11 +102,11 @@ def test_hxz_audit_wilson():
 
 
 def test_hxz_audit_abelian_factors():
-    a = solitary_criterion_hxz_audit(cached_tower("zpn(3,2,3)"), max_depth=2)
+    a = solitary_criterion_hxz_audit(cached_tower("zpn(3,2,3)"))
     assert a.passed
     assert not a.details["witness_commutator_open"]
     assert a.details["certified_nodes"] == []
-    a2 = solitary_criterion_hxz_audit(cached_tower("zp(3,4)"), max_depth=2)
+    a2 = solitary_criterion_hxz_audit(cached_tower("zp(3,4)"))
     assert a2.passed
     assert not a2.details["witness_commutator_open"]
 

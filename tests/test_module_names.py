@@ -10,7 +10,9 @@ An import that nothing reads is dead code left behind by a deletion; the
 second scan finds those.  A function or method that no file of the project
 names outside its own definition is dead code too; the third scan finds
 those.  A parameter that its function's body never reads is an argument every
-caller computes for nothing; the fourth scan finds those.
+caller computes for nothing; the fourth scan finds those.  A parameter with
+a default that no call in the program passes only ever takes that one value,
+so it is a constant dressed up as a knob; the fifth scan finds those.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 PROJECT_FILES = sorted(
     path for top in ("src", "tests", "perfbench") for path in (REPO_DIR / top).rglob("*.py")
 )
+# every file whose calls count as passing a parameter: tests do not
+CALLER_FILES = [path for path in PROJECT_FILES if path.parts[len(REPO_DIR.parts)] != "tests"]
 
 # Attributes the import system sets on every module.
 MODULE_ATTRIBUTES = {
@@ -258,4 +262,110 @@ def test_scan_flags_an_unread_parameter():
     )
     assert unread_parameters(source) == [
         ("<lambda>", "_"), ("build", "n"), ("f", "b"), ("f", "rest"), ("m", "unused"),
+    ]
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call is matched by: a plain name or the last attribute."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call passes a parameter: by keyword, by position (None for
+    a keyword-only one), or through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter with a default, of a
+    function or method of the package sources, that no call in the caller
+    sources passes.  Calls are matched by the called name; a class name
+    stands for its ``__init__``, and a method's ``self`` or ``cls`` takes no
+    position in a call."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+    out = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owner = {
+            id(item): cls
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(node))
+            name = cls.name if cls is not None and node.name == "__init__" else node.name
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            offset = 1 if cls is not None and not static else 0
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [
+                (a.arg, i - offset)
+                for i, a in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ]
+            defaulted += [
+                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            out.extend(
+                (module, node.name, param)
+                for param, position in defaulted
+                if not any(_passes(call, param, position) for call in calls.get(name, ()))
+            )
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = {path.name: path.read_text() for path in MODULES}
+    callers = [path.read_text() for path in CALLER_FILES]
+    assert unpassed_defaults(package, callers) == []
+
+
+def test_scan_flags_a_parameter_no_call_passes():
+    package = {
+        "m.py": (
+            "def f(a, by_keyword=1, by_position=2, never=3, *, only_keyword=4):\n"
+            "    return a\n"
+            "def g(starred=1, spread=2):\n"
+            "    return starred\n"
+            "def h(kw=1):\n"
+            "    return kw\n"
+            "class K:\n"
+            "    def __init__(self, size=0, unused=1):\n"
+            "        self.size = size\n"
+            "    def m(self, first=0, second=1):\n"
+            "        return first\n"
+            "    @staticmethod\n"
+            "    def s(first=0, second=1):\n"
+            "        return first\n"
+        ),
+    }
+    callers = [
+        "f(0, 1, by_keyword=5, only_keyword=6)\n"
+        "g(*[1])\n"
+        "h(**{'kw': 2})\n"
+        "K(3).m(4)\n"
+        "K.s(5)\n",
+        "import m\nm.f(0, 1, 2)\n",
+    ]
+    assert unpassed_defaults(package, callers) == [
+        ("m.py", "__init__", "unused"),
+        ("m.py", "f", "never"),
+        ("m.py", "m", "second"),
+        ("m.py", "s", "second"),
     ]

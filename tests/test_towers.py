@@ -49,9 +49,10 @@ def test_zp_basics():
     assert t.map_down(1).apply(1) == 1  # 1 mod 25 -> 1 mod 5
 
 
-def test_zp_cap():
+def test_zp_cap(monkeypatch):
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "4")
     with pytest.raises(CapExceeded):
-        make_zp(2, 3, cap=4)
+        make_zp(2, 3)
 
 
 @pytest.mark.parametrize(
@@ -78,28 +79,31 @@ HUGE_P = 10**4400 + 1  # more digits than an int may print
 
 
 @pytest.mark.parametrize(
-    "build",
+    "cap,build",
     [
-        lambda: make_zp(HUGE_P, 1),
-        lambda: make_zpn(HUGE_P, 1, 1),
-        lambda: make_heisenberg(10**1500, 1),  # order p^3 would have 4,500 digits
-        lambda: make_dihedral2(1, cap=1),
-        lambda: make_pirim(1, cap=2),
-        lambda: make_wilson(1, cap=1),
+        (None, lambda: make_zp(HUGE_P, 1)),
+        (None, lambda: make_zpn(HUGE_P, 1, 1)),
+        (None, lambda: make_heisenberg(10**1500, 1)),  # order p^3 would have 4,500 digits
+        ("1", lambda: make_dihedral2(1)),
+        ("2", lambda: make_pirim(1)),
+        ("1", lambda: make_wilson(1)),
     ],
     ids=["zp", "zpn", "heisenberg", "dihedral2", "pirim", "wilson"],
 )
-def test_constructor_with_base_above_cap_raises_cap_exceeded(build):
+def test_constructor_with_base_above_cap_raises_cap_exceeded(cap, build, monkeypatch):
     # neither the base nor the order is printed in the message
+    if cap is not None:
+        monkeypatch.setenv("SUBGROUP_ATLAS_CAP", cap)
     with pytest.raises(CapExceeded, match=r"needs order at least .*, above cap \d+$"):
         build()
 
 
-def test_order_just_below_the_digit_limit_is_not_printed():
+def test_order_just_below_the_digit_limit_is_not_printed(monkeypatch):
     # 3^9500 has 4,533 digits, too many to print; it passes the exponent
     # and base tests of a cap with 3,001 digits
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", str(10**3000))
     with pytest.raises(CapExceeded, match=r"needs order 3\^9500, above cap"):
-        make_zp(3, 9500, cap=10**3000)
+        make_zp(3, 9500)
 
 
 @pytest.mark.parametrize(
