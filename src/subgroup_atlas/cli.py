@@ -37,8 +37,15 @@ def _json_document(text: str):
 
 def _family_spec_from_args(args, family: str | None = None) -> dict:
     """The parsed spec of --spec-file or of --family and its parameters; a
-    given `family` replaces both."""
-    if args.spec_file and family is None:
+    given `family` replaces --family.  Options that a run would ignore are
+    usage errors: the tower options beside --spec-file, and --spec-file
+    where `family` is given."""
+    if args.spec_file:
+        if family is not None:
+            raise _usage_error(f"--spec-file does not apply: this audit builds a {family} tower")
+        ignored = [f"--{k}" for k in ("family", "p", "n", "depth") if getattr(args, k) is not None]
+        if ignored:
+            raise _usage_error(f"--spec-file cannot be combined with {', '.join(ignored)}")
         return parse_tower_spec(_json_document(Path(args.spec_file).read_text(encoding="utf-8")))
     family = family or args.family
     if not family:
@@ -177,6 +184,7 @@ COMMANDS = {
     "lattice": (_cmd_lattice, "the subgroup lattice of each level", TOWER_OPTIONS, ()),
     "audit": (_cmd_audit, "one named audit, or the default suite", {
         **TOWER_OPTIONS,
+        "--output": (("json", "table"), "output format"),
         "--name": (str, "audit name"),
         "--audit-name": (str, "audit name (alias)"),
         "--all": (bool, "run the default audit suite"),

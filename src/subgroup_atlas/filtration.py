@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import OutOfRange
 from .groups import conjugate
 from .lattice import LatticeTower
@@ -81,25 +83,18 @@ def cb_filtration(lt: LatticeTower, max_rank: int) -> CBReport:
     if not (1 <= max_rank < D):
         raise OutOfRange(f"maxRank must satisfy 1 <= maxRank < depth {D}")
 
-    survivors: list[list[set[int]]] = [
-        [set(range(lt.node_count(k))) for k in range(1, D + 1)]
-    ]
+    # alive[k-1]: the current rank's survivors at level k, as a mask
+    alive = [np.ones(lt.node_count(k), dtype=bool) for k in range(1, D + 1)]
+    survivors: list[list[set[int]]] = [[_members(m) for m in alive]]
     apparent_isolated: list[list[set[int]]] = []
     for r in range(max_rank):
-        prev = survivors[r]
-        nxt: list[set[int]] = []
-        iso: list[set[int]] = []
+        nxt = []
         for k in range(1, D - r):
-            keep: set[int] = set()
-            drop: set[int] = set()
-            child_level = prev[k]  # level k+1 survivors
-            for i in prev[k - 1]:
-                living = sum(1 for c in lt.children[k - 1][i] if c in child_level)
-                (keep if living >= 2 else drop).add(i)
-            nxt.append(keep)
-            iso.append(drop)
-        survivors.append(nxt)
-        apparent_isolated.append(iso)
+            living = np.bincount(lt.parents[k - 1][alive[k]], minlength=lt.node_count(k))
+            nxt.append(alive[k - 1] & (living >= 2))
+        survivors.append([_members(m) for m in nxt])
+        apparent_isolated.append([_members(a & ~m) for a, m in zip(alive, nxt)])
+        alive = nxt
 
     apparent_height = _apparent_height(survivors, max_rank, D)
     solitary = (
@@ -113,6 +108,10 @@ def cb_filtration(lt: LatticeTower, max_rank: int) -> CBReport:
         apparent_height=apparent_height,
         solitary=solitary,
     )
+
+
+def _members(mask: np.ndarray) -> set[int]:
+    return set(np.flatnonzero(mask).tolist())
 
 
 def _apparent_height(
@@ -190,23 +189,23 @@ def conjugation_orbits(lt: LatticeTower, k: int) -> list[list[int]]:
 
 
 def _product_orbits(lt: LatticeTower, k: int) -> list[list[int]]:
-    parts = lt.factor_lattices
-    tuples = lt.node_factor_idx[k - 1]
-    index_of = {tp: i for i, tp in enumerate(tuples)}
-    factor_orbit_id = []
-    for p in parts:
+    """Conjugacy classes of a direct product are products of classes: a node's
+    orbit is read off its factor nodes' orbits."""
+    factor_idx = lt.node_factor_idx[k - 1]
+    orbit_ids, orbit_counts = [], []
+    for p in lt.factor_lattices:
         orbits = conjugation_orbits(p, k)
-        oid = {}
+        oid = np.empty(p.node_count(k), dtype=np.int64)
         for onum, orb in enumerate(orbits):
-            for i in orb:
-                oid[i] = onum
-        factor_orbit_id.append(oid)
-    groups: dict[tuple, list[int]] = {}
-    for i, tp in enumerate(tuples):
-        key = tuple(oid[c] for oid, c in zip(factor_orbit_id, tp))
-        groups.setdefault(key, []).append(i)
-    # conjugacy classes of a direct product are products of classes
-    return [sorted(v) for _, v in sorted(groups.items())]
+            oid[orb] = onum
+        orbit_ids.append(oid)
+        orbit_counts.append(len(orbits))
+    key = np.ravel_multi_index(
+        [oid[c] for oid, c in zip(orbit_ids, factor_idx.T)], orbit_counts
+    )
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
 
 
 def conjugation_audit(lt: LatticeTower, report: CBReport) -> bool:

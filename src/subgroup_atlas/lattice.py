@@ -3,7 +3,9 @@
 The lattice tower is the finitely branching tree whose branch space
 approximates the subgroup space of the tower's limit: nodes at level k are
 the subgroups of the level-k group in canonical (order, bitset) order, and a
-node's parent is its image under the connecting map.
+node's parent is its image under the connecting map.  The tree is stored
+once, as one int64 array of parents and one of full preimages per level;
+child counts and ancestors are read from the parent arrays.
 
 Coprime product towers have no level groups at any cap: the product lattice
 is the levelwise product of the factor lattices (every subgroup of a coprime
@@ -14,6 +16,7 @@ indexing, because they fix the canonical node order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,10 +44,10 @@ class LatticeTower:
     node_orders: list[list[int]]          # per level, per node: |H|
     node_bits: list[Optional[list[int]]]  # per level: bitsets, or None if not materialized
     parents: list[np.ndarray]             # parents[k-1][i] = parent at level k of node i at level k+1
-    children: list[list[list[int]]]       # children[k-1][i] = child node indices of node i at level k
-    full_preimage: list[list[int]]        # per level k=1..D-1: node index at k+1
+    full_preimage: list[np.ndarray]       # full_preimage[k-1][i] = node at level k+1 over node i at k
     factor_lattices: Optional[list["LatticeTower"]] = None
-    node_factor_idx: Optional[list[list[tuple]]] = None  # product route only
+    # product route only: node_factor_idx[k-1][i] = node i's factor node indices
+    node_factor_idx: Optional[list[np.ndarray]] = None
 
     @property
     def depth(self) -> int:
@@ -78,14 +81,14 @@ class LatticeTower:
         idxs = [self.node_index_in_group(k, i)]
         cur = i
         for j in range(k, self.depth):
-            cur = self.full_preimage[j - 1][cur]
+            cur = int(self.full_preimage[j - 1][cur])
             path.append(cur)
             idxs.append(self.node_index_in_group(j + 1, cur))
         return Thread(k, path, idxs)
 
 
 def build_lattice_tower(t: Tower) -> LatticeTower:
-    """Compute nodes, parent/child maps and full preimages for a tower."""
+    """Compute nodes, parents and full preimages for a tower."""
     if t.factors is not None:
         parts = [build_lattice_tower(f) for f in t.factors]
         return _product_lattice(t, parts)
@@ -100,26 +103,16 @@ def _explicit_lattice(t: Tower) -> LatticeTower:
     level_orders = [g.order for g in t.levels]
 
     parents: list[np.ndarray] = []
-    children: list[list[list[int]]] = []
-    full_preimage: list[list[int]] = []
+    full_preimage: list[np.ndarray] = []
     for k in range(1, t.depth):
-        lo_index = {b: i for i, b in enumerate(node_bits[k - 1])}
         hom = t.map_down(k)
-        par = np.zeros(len(node_bits[k]), dtype=np.int64)
-        for i, s in enumerate(subs_per_level[k]):
-            image = hom.image_subgroup(s)
-            par[i] = lo_index[image.bits]
-        parents.append(par)
-        ch: list[list[int]] = [[] for _ in node_bits[k - 1]]
-        for i, p in enumerate(par):
-            ch[int(p)].append(i)
-        children.append(ch)
+        lo_index = {b: i for i, b in enumerate(node_bits[k - 1])}
+        parents.append(np.array(
+            [lo_index[hom.image_subgroup(s).bits] for s in subs_per_level[k]], dtype=np.int64))
         hi_index = {b: i for i, b in enumerate(node_bits[k])}
-        fp = []
-        for s in subs_per_level[k - 1]:
-            pre = hom.preimage_subgroup(s)
-            fp.append(hi_index[pre.bits])
-        full_preimage.append(fp)
+        full_preimage.append(np.array(
+            [hi_index[hom.preimage_subgroup(s).bits] for s in subs_per_level[k - 1]],
+            dtype=np.int64))
 
     return LatticeTower(
         tower=t,
@@ -127,7 +120,6 @@ def _explicit_lattice(t: Tower) -> LatticeTower:
         node_orders=node_orders,
         node_bits=node_bits,
         parents=parents,
-        children=children,
         full_preimage=full_preimage,
     )
 
@@ -145,76 +137,65 @@ def _fold_bits(bits_left: int, bits_right: int, n_right: int) -> int:
 
 
 def _product_lattice(t: Tower, parts: list[LatticeTower]) -> LatticeTower:
+    """Nodes are tuples of factor nodes, canonically sorted; a link maps each
+    factor node through its factor's link array, and the row-major index of
+    the linked tuple gives its node through the level's inverse sort."""
     depth = parts[0].depth
-    level_orders = [
-        int(np.prod([p.level_orders[k] for p in parts], dtype=object))
-        for k in range(depth)
-    ]
+    level_orders = [math.prod(p.level_orders[k] for p in parts) for k in range(depth)]
 
     node_orders: list[list[int]] = []
     node_bits: list[Optional[list[int]]] = []
-    node_tuples: list[list[tuple]] = []
-    index_of: list[dict] = []
+    node_factor_idx: list[np.ndarray] = []
+    shapes: list[tuple[int, ...]] = []
+    rank: list[np.ndarray] = []  # per level: node index of each row-major index
     for k in range(depth):
-        tuples = [()]
-        for p in parts:
-            tuples = [tp + (i,) for tp in tuples for i in range(len(p.node_orders[k]))]
-        orders = []
-        for tp in tuples:
-            o = 1
-            for p, i in zip(parts, tp):
-                o *= p.node_orders[k][i]
-            orders.append(o)
+        shape = tuple(p.node_count(k + 1) for p in parts)
+        coords = np.unravel_index(np.arange(math.prod(shape)), shape)
+        orders = np.ones(len(coords[0]), dtype=object)
+        for p, c in zip(parts, coords):
+            orders *= np.array(p.node_orders[k], dtype=object)[c]
+        orders = orders.tolist()
         bits: Optional[list[int]] = None
         if level_orders[k] <= PRODUCT_BITSET_LIMIT and all(
             p.node_bits[k] is not None for p in parts
         ):
             bits = []
-            for tp in tuples:
+            for tp in zip(*(c.tolist() for c in coords)):
                 acc_bits = parts[0].node_bits[k][tp[0]]
                 for p, i in zip(parts[1:], tp[1:]):
                     acc_bits = _fold_bits(acc_bits, p.node_bits[k][i], p.level_orders[k])
                 bits.append(acc_bits)
-        if bits is not None:
-            perm = sorted(range(len(tuples)), key=lambda j: (orders[j], bits[j]))
+            perm = np.array(sorted(range(len(orders)), key=lambda j: (orders[j], bits[j])),
+                            dtype=np.int64)
         else:
-            perm = sorted(range(len(tuples)), key=lambda j: (orders[j], tuples[j]))
-        node_tuples.append([tuples[j] for j in perm])
+            # row-major order is the factor tuples' order, so a stable sort
+            # on the order alone breaks ties by tuple
+            perm = np.array(sorted(range(len(orders)), key=orders.__getitem__), dtype=np.int64)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(len(perm))
+        node_factor_idx.append(np.stack(coords, axis=1)[perm])
+        shapes.append(shape)
+        rank.append(inverse)
         node_orders.append([orders[j] for j in perm])
         node_bits.append([bits[j] for j in perm] if bits is not None else None)
-        index_of.append({tp: i for i, tp in enumerate(node_tuples[-1])})
 
-    parents: list[np.ndarray] = []
-    children: list[list[list[int]]] = []
-    full_preimage: list[list[int]] = []
-    for k in range(1, depth):
-        par = np.zeros(len(node_tuples[k]), dtype=np.int64)
-        for i, tp in enumerate(node_tuples[k]):
-            ptp = tuple(
-                int(p.parents[k - 1][ci]) for p, ci in zip(parts, tp)
-            )
-            par[i] = index_of[k - 1][ptp]
-        parents.append(par)
-        ch: list[list[int]] = [[] for _ in node_tuples[k - 1]]
-        for i, p_idx in enumerate(par):
-            ch[int(p_idx)].append(i)
-        children.append(ch)
-        fp = []
-        for tp in node_tuples[k - 1]:
-            pre_tp = tuple(p.full_preimage[k - 1][ci] for p, ci in zip(parts, tp))
-            fp.append(index_of[k][pre_tp])
-        full_preimage.append(fp)
+    def link(k: int, arrays: list[np.ndarray], to: int) -> np.ndarray:
+        linked = [a[c] for a, c in zip(arrays, node_factor_idx[k].T)]
+        return rank[to][np.ravel_multi_index(linked, shapes[to])]
 
+    parents = [link(k, [p.parents[k - 1] for p in parts], k - 1) for k in range(1, depth)]
+    full_preimage = [
+        link(k - 1, [p.full_preimage[k - 1] for p in parts], k) for k in range(1, depth)
+    ]
     return LatticeTower(
         tower=t,
         level_orders=level_orders,
         node_orders=node_orders,
         node_bits=node_bits,
         parents=parents,
-        children=children,
         full_preimage=full_preimage,
         factor_lattices=parts,
-        node_factor_idx=node_tuples,
+        node_factor_idx=node_factor_idx,
     )
 
 
@@ -227,27 +208,42 @@ def basic_open_fiber(lt: LatticeTower, k: int, i: int, j: int) -> list[int]:
     """
     if j < 0 or k < 1 or k + j > lt.depth:
         raise OutOfRange(f"fiber endpoint {k}+{j} outside levels 1..{lt.depth}")
-    fiber = [i]
-    for lvl in range(k, k + j):
-        nxt: list[int] = []
-        for node in fiber:
-            nxt.extend(lt.children[lvl - 1][node])
-        fiber = nxt
-    fiber = sorted(fiber)
+    ancestor = np.arange(lt.node_count(k + j))
+    for lvl in range(k + j - 1, k - 1, -1):
+        ancestor = lt.parents[lvl - 1][ancestor]
+    fiber = np.flatnonzero(ancestor == i).tolist()
 
     if j > 0 and lt.tower.levels:
+        # the preimage of the node, and the kernel as the preimage of the
+        # trivial node 0, stepped down one connecting map at a time
+        target, ker = lt.subgroup(k, i), lt.subgroup(k, 0)
+        for lvl in range(k, k + j):
+            hom = lt.tower.map_down(lvl)
+            target, ker = hom.preimage_subgroup(target), hom.preimage_subgroup(ker)
         G = lt.tower.level(k + j)
-        hom = lt.tower.composite_map(k + j, k)
-        ker = hom.kernel()
-        target = hom.preimage_subgroup(lt.subgroup(k, i))
-        by_criterion = []
-        for idx in range(lt.node_count(k + j)):
-            K = lt.subgroup(k + j, idx)
-            if product_set(G, K, ker).bits == target.bits:
-                by_criterion.append(idx)
+        by_criterion = [
+            idx for idx in range(lt.node_count(k + j))
+            if product_set(G, lt.subgroup(k + j, idx), ker).bits == target.bits
+        ]
         if by_criterion != fiber:
             raise WrongShape("fiber disagrees with the K*ker criterion")
     return fiber
+
+
+def _chain_nodes(lt: LatticeTower, k: int, through_full_preimage: bool) -> set[int]:
+    """Nodes at level k whose subtree to depth D is a chain, found bottom-up:
+    a node qualifies when it has exactly one child and that child qualifies
+    (and, through full preimages, is the node's full preimage)."""
+    if not (1 <= k < lt.depth):
+        raise OutOfRange(f"level {k} must satisfy 1 <= k < depth {lt.depth}")
+    ok = np.ones(lt.node_count(lt.depth), dtype=bool)
+    for lvl in range(lt.depth - 1, k - 1, -1):
+        par = lt.parents[lvl - 1]
+        if through_full_preimage:
+            ok &= lt.full_preimage[lvl - 1][par] == np.arange(len(par))
+        n = lt.node_count(lvl)
+        ok = (np.bincount(par, minlength=n) == 1) & (np.bincount(par[ok], minlength=n) == 1)
+    return set(np.flatnonzero(ok).tolist())
 
 
 def isolated_nodes(lt: LatticeTower, k: int) -> set[int]:
@@ -257,40 +253,12 @@ def isolated_nodes(lt: LatticeTower, k: int) -> set[int]:
     to be the full preimage pins the index sequence constant, which is the
     finite witness of openness.
     """
-    if not (1 <= k < lt.depth):
-        raise OutOfRange(f"level {k} must satisfy 1 <= k < depth {lt.depth}")
-    out = set()
-    for i in range(lt.node_count(k)):
-        cur = i
-        ok = True
-        for lvl in range(k, lt.depth):
-            ch = lt.children[lvl - 1][cur]
-            if len(ch) != 1 or ch[0] != lt.full_preimage[lvl - 1][cur]:
-                ok = False
-                break
-            cur = ch[0]
-        if ok:
-            out.add(i)
-    return out
+    return _chain_nodes(lt, k, through_full_preimage=True)
 
 
 def chain_apparent_nodes(lt: LatticeTower, k: int) -> set[int]:
     """Nodes at level k whose subtree to depth D is a chain (index may drift)."""
-    if not (1 <= k < lt.depth):
-        raise OutOfRange(f"level {k} must satisfy 1 <= k < depth {lt.depth}")
-    out = set()
-    for i in range(lt.node_count(k)):
-        cur = i
-        ok = True
-        for lvl in range(k, lt.depth):
-            ch = lt.children[lvl - 1][cur]
-            if len(ch) != 1:
-                ok = False
-                break
-            cur = ch[0]
-        if ok:
-            out.add(i)
-    return out
+    return _chain_nodes(lt, k, through_full_preimage=False)
 
 
 @dataclass
@@ -305,13 +273,11 @@ def density_check(lt: LatticeTower) -> DensityResult:
     constant group index."""
     bad: list[tuple[int, int]] = []
     for k in range(1, lt.depth):
-        for i in range(lt.node_count(k)):
-            fp = lt.full_preimage[k - 1][i]
-            if fp not in lt.children[k - 1][i]:
-                bad.append((k, i))
-                continue
-            if lt.node_index_in_group(k + 1, fp) != lt.node_index_in_group(k, i):
-                bad.append((k, i))
+        fp = lt.full_preimage[k - 1]
+        index_lo = lt.level_orders[k - 1] // np.array(lt.node_orders[k - 1], dtype=object)
+        index_hi = lt.level_orders[k] // np.array(lt.node_orders[k], dtype=object)[fp]
+        wrong = (lt.parents[k - 1][fp] != np.arange(len(fp))) | (index_hi != index_lo)
+        bad += [(k, i) for i in np.flatnonzero(wrong).tolist()]
     return DensityResult(not bad, bad)
 
 

@@ -91,16 +91,6 @@ class Tower:
         """The connecting map level k+1 -> level k (1-based)."""
         return self.maps[k - 1]
 
-    def composite_map(self, upper: int, lower: int) -> Homomorphism:
-        """Composite connecting map from level `upper` down to level `lower`,
-        composed on the index arrays and verified once."""
-        if not (1 <= lower <= upper <= self.depth):
-            raise WrongShape("bad composite endpoints")
-        mapping = np.arange(self.level(upper).order)
-        for k in range(upper - 1, lower - 1, -1):
-            mapping = self.map_down(k).map[mapping]
-        return Homomorphism(self.level(upper), self.level(lower), mapping)
-
 
 @dataclass
 class Violation:
@@ -143,23 +133,13 @@ def validate(t: Tower) -> ValidationReport:
             out.append(Violation("SurjectivityViolation", k))
         if t.level(k + 1).order % t.level(k).order != 0:
             out.append(Violation("OrderDivisibilityViolation", k))
-    # composite maps stay surjective homomorphisms when levels are skipped
-    for upper in range(3, t.depth + 1):
-        try:
-            composite = t.composite_map(upper, upper - 2)
-        except WrongShape:
-            out.append(Violation("CompositeHomomorphismViolation", upper))
-            continue
-        if not composite.surjective:
-            out.append(Violation("CompositeSurjectivityViolation", upper))
     union = frozenset().union(*(g.primes for g in t.levels))
     if t.meta.primes != union:
         out.append(Violation("PrimeMetaMismatch", 0))
     if t.meta.dim_estimate is not None and len(t.meta.primes) == 1:
         p = next(iter(t.meta.primes))
         exps = [round(np.emath.logn(p, g.order)) for g in t.levels]
-        stab = t.meta.extra.get("dim_stabilization_level", 1)
-        for k in range(max(2, stab + 1), t.depth + 1):
+        for k in range(2, t.depth + 1):
             if exps[k - 1] - exps[k - 2] != t.meta.dim_estimate:
                 out.append(Violation("DimEstimateViolation", k))
     return ValidationReport(out)
@@ -220,7 +200,7 @@ def make_zp(p: int, depth: int) -> Tower:
         depth=depth,
         dim_estimate=1,
         # z_witness: per level, generators of the procyclic open subgroup
-        extra={"p": p, "z_witness": [[1] for _ in range(depth)]},
+        extra={"z_witness": [[1] for _ in range(depth)]},
     )
     return Tower(levels, maps, meta)
 
@@ -250,7 +230,6 @@ def make_zpn(p: int, n: int, depth: int) -> Tower:
         ),
         depth=depth,
         dim_estimate=n,
-        extra={"p": p, "n": n},
     )
     if n == 1:
         meta.extra["z_witness"] = [[1] for _ in range(depth)]
@@ -284,7 +263,6 @@ def make_heisenberg(p: int, depth: int) -> Tower:
         flags=TowerFlags(nilpotent=True, finitely_generated=True),
         depth=depth,
         dim_estimate=3,
-        extra={"p": p},
     )
     return Tower(levels, maps, meta)
 
@@ -303,7 +281,7 @@ def make_dihedral2(depth: int) -> Tower:
         ),
         depth=depth,
         dim_estimate=1,
-        extra={"p": 2, "z_witness": [[1] for _ in range(depth)]},
+        extra={"z_witness": [[1] for _ in range(depth)]},
     )
     return Tower(levels, maps, meta)
 
@@ -394,14 +372,7 @@ def make_pirim(depth: int) -> Tower:
         flags=TowerFlags(finitely_generated=True),
         depth=depth,
         dim_estimate=3,
-        extra={
-            "p": 3,
-            "power_exponent": m,
-            "A1": [list(r) for r in A1],
-            "t_orders": t_orders,
-            "h_node_levels": True,
-            "dim_stabilization_level": 1,
-        },
+        extra={"power_exponent": m, "A1": [list(r) for r in A1], "t_orders": t_orders},
     )
     return Tower(levels, maps, meta)
 
@@ -513,7 +484,7 @@ def make_wilson(depth: int) -> Tower:
         flags=TowerFlags(finitely_generated=True),
         depth=depth,
         dim_estimate=3,
-        extra={"p": 2, "x_gens": gen_infos, "dim_stabilization_level": 1},
+        extra={"x_gens": gen_infos},
     )
     return Tower(levels, maps, meta)
 
@@ -555,7 +526,6 @@ def make_product(towers: Sequence[Tower]) -> Tower:
         flags=flags,
         depth=depth,
         dim_estimate=None,
-        extra={"factor_families": [t.meta.family_name for t in towers]},
     )
     return Tower([], [], meta, factors=towers)
 
@@ -592,7 +562,6 @@ def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
         ),
         depth=t1.depth,
         dim_estimate=None,
-        extra={"left_family": t1.meta.family_name, "right_family": t2.meta.family_name},
     )
     return Tower(levels, maps, meta)
 

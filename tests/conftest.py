@@ -162,6 +162,78 @@ def oracle_bits_set(G, oracle_sets) -> set[int]:
     return out
 
 
+# -- child-list oracles for the lattice tree -------------------------------------
+# The lattice stores each level's parents and full preimages as arrays; these
+# walk explicit child lists, one node at a time, as the tree was once stored.
+
+def oracle_children(lt) -> list[list[list[int]]]:
+    """children[k-1][i]: the nodes at level k+1 whose parent is node i at level k."""
+    out = []
+    for k in range(1, lt.depth):
+        ch: list[list[int]] = [[] for _ in range(lt.node_count(k))]
+        for i, p in enumerate(lt.parents[k - 1]):
+            ch[int(p)].append(i)
+        out.append(ch)
+    return out
+
+
+def oracle_survivors(lt, max_rank: int) -> list[list[set[int]]]:
+    """survivors[r][k-1]: rank-r survivors at level k, for levels 1..D-r; a
+    survivor stays when at least two of its children survive."""
+    children = oracle_children(lt)
+    survivors = [[set(range(lt.node_count(k))) for k in range(1, lt.depth + 1)]]
+    for r in range(max_rank):
+        prev = survivors[r]
+        survivors.append([
+            {i for i in prev[k - 1] if sum(c in prev[k] for c in children[k - 1][i]) >= 2}
+            for k in range(1, lt.depth - r)
+        ])
+    return survivors
+
+
+def oracle_chain_nodes(lt, k: int, through_full_preimage: bool) -> set[int]:
+    """Nodes at level k whose subtree to depth D is a chain, each step (when
+    `through_full_preimage`) the full preimage."""
+    children = oracle_children(lt)
+    out = set()
+    for i in range(lt.node_count(k)):
+        cur, ok = i, True
+        for lvl in range(k, lt.depth):
+            ch = children[lvl - 1][cur]
+            if len(ch) != 1 or (
+                through_full_preimage and ch[0] != lt.full_preimage[lvl - 1][cur]
+            ):
+                ok = False
+                break
+            cur = ch[0]
+        if ok:
+            out.add(i)
+    return out
+
+
+def oracle_density_counterexamples(lt) -> list[tuple[int, int]]:
+    """(k, i) whose full preimage is not a child of node i, or is one with a
+    different group index."""
+    children = oracle_children(lt)
+    bad = []
+    for k in range(1, lt.depth):
+        for i in range(lt.node_count(k)):
+            fp = int(lt.full_preimage[k - 1][i])
+            if fp not in children[k - 1][i] or (
+                lt.node_index_in_group(k + 1, fp) != lt.node_index_in_group(k, i)
+            ):
+                bad.append((k, i))
+    return bad
+
+
+def oracle_fiber(children, k: int, i: int, j: int) -> list[int]:
+    """Nodes at level k+j below node i, gathered down `oracle_children`."""
+    fiber = [i]
+    for lvl in range(k, k + j):
+        fiber = [c for node in fiber for c in children[lvl - 1][node]]
+    return sorted(fiber)
+
+
 # -- cached towers (groups memoize their own subgroup lists) ----------------------
 
 @lru_cache(maxsize=None)

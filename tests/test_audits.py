@@ -1,5 +1,6 @@
 """Casebook audit tests."""
 
+import numpy as np
 import pytest
 
 from conftest import cached_tower
@@ -154,7 +155,10 @@ def test_virtually_zp_audit_matches_composite_formula(make):
     C_top = centralizer(t.level(top), witness.indices())
     per_level, certified = [], []
     for k in range(1, top):
-        C = t.composite_map(top, k).image_subgroup(C_top)
+        composite = np.arange(t.level(top).order)
+        for j in range(top - 1, k - 1, -1):
+            composite = t.map_down(j).map[composite]
+        C = closure(t.level(k), np.unique(composite[C_top.indices()]).tolist())
         inside = sorted(
             i for i in rep.survivors[1][k - 1] if lt.node_bits[k - 1][i] & ~C.bits == 0
         )

@@ -243,6 +243,47 @@ def test_named_family_audit_defaults_to_the_family_depth(name, capsys):
     assert run_cli(["audit", "--name", name, "--depth", str(depth)], capsys) == (0, out, "")
 
 
+@pytest.mark.parametrize("name", list(FAMILY_AUDITS))
+def test_named_family_audit_rejects_a_spec_file(name, tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    spec.write_text(json.dumps({"family": "zp", "p": 5, "depth": 3}))
+    code, out, err = run_cli(["audit", "--name", name, "--spec-file", str(spec)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage error: --spec-file does not apply: "
+                          f"this audit builds a {FAMILY_AUDITS[name]} tower\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "lattice", "audit"])
+@pytest.mark.parametrize("extra", [["--depth", "0"], ["--depth", "2"], ["--p", "7"],
+                                   ["--n", "2"], ["--family", "zp"]])
+def test_spec_file_rejects_tower_options(command, extra, tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    spec.write_text(json.dumps({"family": "zp", "p": 5, "depth": 3}))
+    argv = [command, "--spec-file", str(spec), *extra]
+    if command == "audit":
+        argv += ["--name", "frattini_stability"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage error: --spec-file cannot be combined with {extra[0]}\n")
+
+
+def test_spec_file_rejection_names_every_ignored_option(tmp_path, capsys):
+    spec = tmp_path / "t.json"
+    spec.write_text(json.dumps({"family": "zp", "p": 5, "depth": 3}))
+    code, _, err = run_cli(["analyze", "--depth", "9", "--spec-file", str(spec), "--p", "7",
+                            "--family", "zp"], capsys)
+    assert code == 1
+    assert err.startswith("error: usage error: --spec-file cannot be combined with "
+                          "--family, --p, --depth\n")
+
+
+def test_audit_output_dot_is_a_usage_error(capsys):
+    code, out, err = run_cli(["audit", "--all", "--output", "dot"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage error: argument --output: invalid choice: 'dot' "
+                          "(choose from json, table)\n")
+
+
 def test_goursat_command_inline_json(capsys):
     g = json.dumps({"version": 1, "kind": "cyclic", "n": 4})
     h = json.dumps({"version": 1, "kind": "cyclic", "n": 2})
@@ -603,14 +644,14 @@ def _reference_parser():
         def error(self, message):
             raise SpecError(f"usage error: {message}")
 
-    def add_tower_args(p):
+    def add_tower_args(p, outputs=("json", "table", "dot")):
         p.add_argument("--family")
         p.add_argument("--spec-file")
         p.add_argument("--p", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--depth", type=int)
         p.add_argument("--max-rank", type=int)
-        p.add_argument("--output", choices=("json", "table", "dot"), default="json")
+        p.add_argument("--output", choices=outputs, default="json")
         p.add_argument("--out")
         p.add_argument("--parallel", action="store_true")
         return p
@@ -618,7 +659,8 @@ def _reference_parser():
     parser = _Parser(prog="subgroup-atlas")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {cmd: add_tower_args(sub.add_parser(cmd)) for cmd in ("analyze", "classify", "lattice")}
-    p = commands["audit"] = add_tower_args(sub.add_parser("audit"))
+    # audit renders results as JSON or a table only, like goursat
+    p = commands["audit"] = add_tower_args(sub.add_parser("audit"), ("json", "table"))
     p.add_argument("--name")
     p.add_argument("--audit-name")
     p.add_argument("--all", action="store_true")

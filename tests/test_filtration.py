@@ -1,11 +1,14 @@
 """Filtration semantics and structural property tests."""
 
+import math
+
 import pytest
 
 from conftest import BUILTIN_NAMES, cached_tower, valid_products
 from subgroup_atlas.filtration import (
     cb_filtration,
     conjugation_audit,
+    conjugation_orbits,
     default_max_rank,
     height_bound_audit,
     solitary_candidates,
@@ -148,6 +151,27 @@ def test_height_bound_products():
     for label, t in valid_products():
         lt, rep = _analysis(t)
         assert height_bound_audit(t, rep), label
+
+
+def test_product_orbits_are_products_of_factor_orbits():
+    # grouped by the factors' orbit tuples, one node at a time
+    for label, t in valid_products(2):
+        lt = build_lattice_tower(t)
+        parts = lt.factor_lattices
+        for k in range(1, lt.depth + 1):
+            rows = lt.node_factor_idx[k - 1].tolist()
+            for i, row in enumerate(rows):
+                orders = [p.node_orders[k - 1][c] for p, c in zip(parts, row)]
+                assert lt.node_orders[k - 1][i] == math.prod(orders), label
+            orbit_of = [
+                {i: n for n, orbit in enumerate(conjugation_orbits(p, k)) for i in orbit}
+                for p in parts
+            ]
+            groups: dict[tuple, list[int]] = {}
+            for i, row in enumerate(rows):
+                key = tuple(o[c] for o, c in zip(orbit_of, row))
+                groups.setdefault(key, []).append(i)
+            assert conjugation_orbits(lt, k) == [groups[key] for key in sorted(groups)], label
 
 
 def test_threads_index_monotone():

@@ -4,10 +4,21 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import BUILTIN_NAMES, cached_tower
+from conftest import (
+    BUILTIN_NAMES,
+    cached_tower,
+    oracle_chain_nodes,
+    oracle_children,
+    oracle_density_counterexamples,
+    oracle_fiber,
+    oracle_survivors,
+    valid_products,
+)
 from subgroup_atlas.errors import OutOfRange
+from subgroup_atlas.filtration import cb_filtration
 from subgroup_atlas.groups import all_subgroups, closure, product_set
 from subgroup_atlas.lattice import (
     basic_open_fiber,
@@ -51,6 +62,29 @@ def test_lattice_unchanged(name):
     assert digest[:16] == LATTICE_DIGESTS[name]
 
 
+# sha256 prefixes of full_preimage as computed when the tree was stored as
+# child lists beside the parent arrays
+FULL_PREIMAGE_DIGESTS = {
+    "zp(2,4)": "69aad986fa40ca06",
+    "zp(3,4)": "69aad986fa40ca06",
+    "zp(5,4)": "69aad986fa40ca06",
+    "zpn(2,2,4)": "b3524803b5054af0",
+    "zpn(3,2,3)": "2ffed5ba0ff10843",
+    "heisenberg(3,2)": "97f593019801f55d",
+    "dihedral2(4)": "5ba12297fafbc806",
+    "wilson(3)": "00a01a7cd4d2880f",
+    "pirim(2)": "9a10da7053708f43",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_full_preimage_unchanged(name):
+    lt = build_lattice_tower(cached_tower(name))
+    doc = [[int(x) for x in fp] for fp in lt.full_preimage]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest[:16] == FULL_PREIMAGE_DIGESTS[name]
+
+
 def test_node_counts():
     lt = build_lattice_tower(make_zp(2, 3))
     assert lt.counts_per_level() == [2, 3, 4]
@@ -64,16 +98,18 @@ def test_parent_child_invariants():
     for name in ("zp(2,4)", "zpn(3,2,2)", "dihedral2(4)", "pirim(2)"):
         lt = build_lattice_tower(cached_tower(name))
         for k in range(1, lt.depth):
-            seen = set()
-            for i in range(lt.node_count(k)):
-                ch = lt.children[k - 1][i]
-                assert len(ch) >= 1  # induced map is onto: full preimage exists
-                seen.update(ch)
-                fp = lt.full_preimage[k - 1][i]
-                assert fp in ch
+            par, fp = lt.parents[k - 1], lt.full_preimage[k - 1]
+            n_lo, n_hi = lt.node_count(k), lt.node_count(k + 1)
+            assert par.dtype == fp.dtype == np.int64
+            assert par.shape == (n_hi,) and fp.shape == (n_lo,)
+            # the induced map is onto: every node has a child
+            assert np.array_equal(np.unique(par), np.arange(n_lo))
+            # each full preimage is a child of its node
+            assert np.array_equal(par[fp], np.arange(n_lo))
+            assert fp.max() < n_hi
+            for i in range(n_lo):
                 # group index of the full preimage equals the node's index
-                assert lt.node_index_in_group(k + 1, fp) == lt.node_index_in_group(k, i)
-            assert seen == set(range(lt.node_count(k + 1)))  # unique parent each
+                assert lt.node_index_in_group(k + 1, int(fp[i])) == lt.node_index_in_group(k, i)
 
 
 def test_fiber_trivial_cases():
@@ -146,11 +182,47 @@ def test_density_all_builtins():
 def test_density_fault_injection():
     lt = build_lattice_tower(make_zp(2, 3))
     broken = copy.deepcopy(lt)
-    victim = broken.full_preimage[0][0]
-    broken.children[0][0] = [c for c in broken.children[0][0] if c != victim]
+    not_child = int(np.flatnonzero(broken.parents[0] != 0)[0])
+    broken.full_preimage[0][0] = not_child
     res = density_check(broken)
     assert not res.ok
     assert (1, 0) in res.counterexamples
+    assert res.counterexamples == oracle_density_counterexamples(broken)
+
+
+def _assert_readers_match_child_lists(lt):
+    max_rank = lt.depth - 1
+    survivors = oracle_survivors(lt, max_rank)
+    rep = cb_filtration(lt, max_rank)
+    assert rep.survivors == survivors
+    assert rep.apparent_isolated == [
+        [s - t for s, t in zip(survivors[r], survivors[r + 1])] for r in range(max_rank)
+    ]
+    # wrong full preimages that density and isolation must see: the next
+    # node's, and the lowest-numbered child, which may have another index
+    children = oracle_children(lt)
+    shifted, lowest = copy.copy(lt), copy.copy(lt)
+    shifted.full_preimage = [np.roll(fp, 1) for fp in lt.full_preimage]
+    lowest.full_preimage = [np.array([min(ch) for ch in level]) for level in children]
+    for tree in (lt, shifted, lowest):
+        for k in range(1, lt.depth):
+            assert isolated_nodes(tree, k) == oracle_chain_nodes(tree, k, True)
+            assert chain_apparent_nodes(tree, k) == oracle_chain_nodes(tree, k, False)
+        assert density_check(tree).counterexamples == oracle_density_counterexamples(tree)
+    for k in range(1, lt.depth):  # j = 0 is test_fiber_trivial_cases
+        for j in range(1, lt.depth - k + 1):
+            for i in range(lt.node_count(k)):
+                assert basic_open_fiber(lt, k, i, j) == oracle_fiber(children, k, i, j)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_readers_match_child_lists(name):
+    _assert_readers_match_child_lists(build_lattice_tower(cached_tower(name)))
+
+
+def test_readers_match_child_lists_on_products():
+    for _, t in valid_products():
+        _assert_readers_match_child_lists(build_lattice_tower(t))
 
 
 def test_product_lattice_matches_explicit():
@@ -169,6 +241,7 @@ def test_product_lattice_matches_explicit():
             assert structural.node_orders[k - 1] == explicit.node_orders[k - 1]
         for k in range(2, structural.depth + 1):
             assert list(structural.parents[k - 2]) == list(explicit.parents[k - 2])
+            assert list(structural.full_preimage[k - 2]) == list(explicit.full_preimage[k - 2])
 
 
 def test_dot_export():

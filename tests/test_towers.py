@@ -3,7 +3,6 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
 from conftest import cached_tower
@@ -299,16 +298,6 @@ def test_truncate_valid():
     assert t3.depth == 3
     assert validate(t3).ok
     assert t3.level(3) is t.level(3)  # shares level objects
-
-
-def test_composite_maps():
-    t = make_zp(3, 4)
-    comp = t.composite_map(4, 1)
-    assert np.array_equal(comp.map, np.arange(81) % 3)
-    assert comp.surjective
-    t2 = cached_tower("wilson(3)")
-    comp2 = t2.composite_map(3, 1)
-    assert comp2.surjective
 
 
 def test_single_prime_exponent_growth():
