@@ -110,10 +110,22 @@ AUDIT_NAMES = ("frattini_stability", "wilson_commutator", "pirim_irreducibility"
                "bn_recurrence", "solitary_criterion_hxz", "virtually_zp", "goursat_full")
 
 
+def _reject_tower_options(args, what: str, read: tuple[str, ...] = ()) -> None:
+    """A usage error naming each tower option given to `what`, which builds no
+    tower from them; the options in `read` are its own parameters."""
+    given = [k for k in ("family", "p", "n", "depth", "spec_file")
+             if k not in read and getattr(args, k) is not None]
+    if given:
+        names = ", ".join(f"--{k.replace('_', '-')}" for k in given)
+        raise _usage_error(f"{what} does not read {names}")
+
+
 def _run_named_audit(name: str, args) -> list:
     if name == "bn_recurrence":
+        _reject_tower_options(args, "audit --name bn_recurrence", read=("n",))
         return [audits_mod.bn_recurrence_audit(40 if args.n is None else args.n)]
     if name == "goursat_full":
+        _reject_tower_options(args, "audit --name goursat_full")
         if not (args.g1 and args.g2):
             raise SpecError("goursat_full needs --g1 and --g2")
         return [audits_mod.goursat_full_audit(_load_group_arg(args.g1), _load_group_arg(args.g2))]
@@ -153,6 +165,8 @@ def _cmd_audit(args) -> int:
     name = args.audit_name or args.name
     if not (args.all or name):
         raise SpecError("audit needs --name/--audit-name or --all")
+    if args.all:
+        _reject_tower_options(args, "audit --all")
     return _emit_audits(_default_audit_suite() if args.all else _run_named_audit(name, args), args)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,18 @@ def _table_dtype(order: int):
 # Cells of the table that one step of a construction-time check reads at
 # once, so a check allocates a fixed block, never an n x n temporary.
 BLOCK_CELLS = 1 << 16
+# Measured time of one table cell gathered by index arithmetic, in cells of
+# a boolean pass over a membership block: the enumeration picks its rule by it.
+GATHER_CELL_COST = 8
+
+
+def _block_cells(n: int) -> int:
+    """Cells of a block of membership rows of a group of order n: max(BLOCK_CELLS
+    // 8, n^2 / 64), but BLOCK_CELLS at most.  Each pass is shared by as many
+    rows as fit, while the index temporaries, up to 16 bytes a cell, stay
+    within BLOCK_CELLS bytes on small groups and within an eighth of the
+    2n^2-byte table on large ones."""
+    return min(BLOCK_CELLS, max(BLOCK_CELLS // 8, n * n // 64))
 
 
 def _row_blocks(n: int) -> range:
@@ -218,27 +231,37 @@ class Subgroup:
         return bool((self.bits >> a) & 1)
 
     def indices(self) -> np.ndarray:
-        mask = _bits_to_mask(self.bits, self.parent.order)
-        return np.nonzero(mask)[0]
+        return np.nonzero(self.mask())[0]
 
     def mask(self) -> np.ndarray:
-        return _bits_to_mask(self.bits, self.parent.order)
+        return _bits_to_rows([self.bits], self.parent.order)[0]
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
-def _mask_to_bits(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+def _rows_to_bits(rows: np.ndarray) -> list[int]:
+    """The bitset of each row of an (m x n) membership matrix."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
-def _bits_to_mask(bits: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+
+def _bits_to_rows(bits: Sequence[int], n: int) -> np.ndarray:
+    """The (len(bits) x n) membership matrix whose row i is bitset bits[i]."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(bits), width), axis=1, count=n,
+                         bitorder="little").view(bool)
 
 
 def _subgroup_from_mask(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
-    return Subgroup(G, _mask_to_bits(mask), int(mask.sum()))
+    return Subgroup(G, _rows_to_bits(mask[None])[0], int(mask.sum()))
+
+
+def _cells(M: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M[r, c] for index arrays (broadcast together), read from the flat M."""
+    return M.ravel().take(np.multiply(r, M.shape[1], dtype=np.intp) + c)
 
 
 # -- elementary operations ---------------------------------------------------
@@ -329,54 +352,181 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         return list(G._subgroups)
 
     if len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
-        found = _subgroups_cyclic_extension(G)
+        result = _subgroups_cyclic_extension(G)
     else:
-        found = _subgroups_generic(G)
-
-    result = sorted(found.values(), key=lambda s: (s.order, s.bits))
+        result = sorted(_subgroups_generic(G).values(), key=lambda s: (s.order, s.bits))
     G._subgroups = result
     return list(result)
 
 
-def _subgroups_cyclic_extension(G: FiniteGroup) -> dict[int, Subgroup]:
-    n = G.order
-    primes = sorted(G.primes)
-    pow_maps = {q: G.power_map(q) for q in primes}
-    abelian = G.is_abelian()
+def _subgroups_cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of a soluble G, sorted, one breadth-first layer at a time.
 
-    triv = trivial_subgroup(G)
-    found: dict[int, Subgroup] = {triv.bits: triv}
-    # each frontier subgroup travels with the extension elements that built it
-    frontier: list[tuple[Subgroup, list[int]]] = [(triv, [])]
-    while frontier:
-        nxt = []
-        for H, gens in frontier:
-            in_H = H.mask()
-            idx = H.indices()
-            # q_of[g]: the smallest prime q with g^q in H, 0 for no candidate
-            q_of = np.zeros(n, dtype=np.int64)
-            for q in reversed(primes):
-                q_of[in_H[pow_maps[q]]] = q
-            q_of[in_H] = 0
-            cands = np.nonzero(q_of)[0]
-            if not abelian:
-                cands = cands[_normalizing(G, in_H, gens, cands)]
-            covered = in_H.copy()
-            for g in cands.tolist():
-                if covered[g]:
-                    continue
-                K_mask = in_H.copy()
-                x = g
-                for _ in range(int(q_of[g]) - 1):
-                    K_mask[G.table[x, idx]] = True
-                    x = G.mul(x, g)
-                covered |= K_mask
-                K = _subgroup_from_mask(G, K_mask)
-                if K.bits not in found:
-                    found[K.bits] = K
-                    nxt.append((K, gens + [g]))
-        frontier = nxt
-    return found
+    K = <H, c> for c normalizing H with c^q in H, q prime, has |K : H| = q,
+    so layer L holds the subgroups whose order is a product of L primes, and
+    the last layer is G itself.  A layer is its subgroups' bitsets, orders
+    and, for a non-abelian G, the L extension elements that built each one,
+    which generate it.  It is extended in blocks of at most BLOCK_CELLS cells
+    of its membership matrix, and the subgroups built, each once, are the
+    next layer.
+    """
+    n = G.order
+    step = max(1, _block_cells(n) // n)
+    layer, orders = [1 << G.identity], np.ones(1, dtype=np.int64)
+    gens = None if G.is_abelian() else np.empty((1, 0), dtype=np.int64)
+    found = [(1, layer[0])]
+    length, m = 0, n  # the number of prime factors of n, with multiplicity
+    for p in G.primes:
+        while m % p == 0:
+            m, length = m // p, length + 1
+    for _ in range(length):
+        built, gens_parts, order_parts, seen = [], [], [], set()
+        for lo in range(0, len(layer), step):
+            K, K_gens, K_orders = _extend_block(
+                G, _bits_to_rows(layer[lo:lo + step], n),
+                None if gens is None else gens[lo:lo + step], orders[lo:lo + step])
+            # a subgroup built from several rows is kept once
+            index = dict(zip(K, range(len(K))))
+            new = index.keys() - seen
+            seen |= new
+            rows = np.fromiter(map(index.get, new), dtype=np.intp, count=len(new))
+            built += new
+            order_parts.append(K_orders.take(rows))
+            if gens is not None:
+                gens_parts.append(K_gens.take(rows, axis=0))
+        layer, orders = built, np.concatenate(order_parts)
+        gens = None if gens is None else np.concatenate(gens_parts)
+        found += zip(orders.tolist(), layer)
+    return [Subgroup(G, b, o) for o, b in sorted(found)]
+
+
+def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
+                  orders: np.ndarray):
+    """The subgroups K = <H, c> over the rows H of a block, each once per row:
+    their bitsets, extension elements (None for an abelian G) and orders.
+
+    The candidates of a row are the c outside H with c^q in H, q the least
+    such prime, that normalize H (tested on H's extension elements).  K is
+    the union of the cosets c^i H, i < q, and K/H has order q, so the
+    candidates that give K are exactly K minus H, (q - 1)|H| of them.  The
+    least of them is kept, by whichever exact rule costs less:
+    - c is kept when no coset c^i H, 0 < i < q, has a smaller element:
+      (q - 1)|H| table cells gathered a candidate;
+    - rounds take each row's first candidate, build its K and drop the
+      candidates K covers: two passes over the block a round.  A row has at
+      most (its candidates) / ((p - 1)|H|) K, p the least prime, and that
+      many rounds leave each row one K in the last, whose K minus H is what
+      remains of its candidates, so that round builds no cosets.
+    A gathered cell costs about GATHER_CELL_COST cells of a pass.
+    """
+    t = G.table
+    primes = sorted(G.primes)
+    cand = H.take(G.power_map(primes[0]), axis=1)
+    for p in primes[1:]:
+        cand |= H.take(G.power_map(p), axis=1)
+    cand &= ~H  # outside H, with a prime power inside
+    if gens is not None:
+        # c normalizes H when c^-1 h c lies in H for each extension element h
+        r, c = cand.nonzero()
+        for j in range(gens.shape[1]):
+            ok = _cells(H, r, _cells(t, _cells(t, G.inv.take(c), gens[:, j].take(r)), c))
+            r, c = r[ok], c[ok]
+        cand[:] = False
+        cand[r, c] = True
+    counts = cand.sum(axis=1)
+    rounds = int(counts.max()) // ((primes[0] - 1) * int(orders.min()))
+    if not rounds:
+        none = None if gens is None else np.empty((0, gens.shape[1] + 1), dtype=np.int64)
+        return [], none, orders[:0]
+    if rounds > 1 and (GATHER_CELL_COST * int(cand.sum()) * (primes[-1] - 1) * int(orders.max())
+                       <= (rounds - 1) * 2 * H.size):
+        r, c = cand.nonzero()
+        q = _least_prime(G, H, r, c, primes)
+        # each row's elements, padded with the identity, which every row holds
+        at, elements = H.nonzero()
+        members = np.full((len(H), int(orders.max())), G.identity)
+        starts = np.fromiter(accumulate(orders.tolist(), initial=0), np.intp, len(orders) + 1)
+        members[at, np.arange(len(at)) - starts[at]] = elements
+        keep = _least_in_class(t, members, r, c, q)
+        r, c, q = r[keep], c[keep], q[keep]
+        step = max(1, _block_cells(len(t)) // len(t))
+        K = [b for lo in range(0, len(r), step)
+             for b in _written_cosets(t, H, members, r[lo:lo + step], c[lo:lo + step],
+                                      q[lo:lo + step])]
+    else:
+        picks, K = [], []
+        for i in range(rounds):
+            r = counts.nonzero()[0]
+            if not len(r):
+                break
+            c = cand.argmax(axis=1).take(r)
+            q = _least_prime(G, H, r, c, primes)
+            if i + 1 < rounds:
+                built = _coset_unions(G, H, r, c, q)
+                cand[r] &= ~built
+                counts = cand.sum(axis=1)
+            else:  # a row has one K left, and its candidates are K minus H
+                built = H.take(r, axis=0) | cand.take(r, axis=0)
+            picks.append((r, c, q))
+            K += _rows_to_bits(built)
+        r, c, q = picks[0] if len(picks) == 1 else map(np.concatenate, zip(*picks))
+    new_gens = None if gens is None else np.concatenate([gens.take(r, axis=0), c[:, None]], axis=1)
+    return K, new_gens, orders.take(r) * q
+
+
+def _least_prime(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
+                 primes: list[int]) -> np.ndarray:
+    """For each candidate c of row r, the least prime q with c^q in H_r."""
+    q = np.full(len(r), primes[-1])
+    for p in reversed(primes[:-1]):
+        q[_cells(H, r, G.power_map(p).take(c))] = p
+    return q
+
+
+def _least_in_class(t: np.ndarray, members: np.ndarray, r: np.ndarray, c: np.ndarray,
+                    q: np.ndarray) -> np.ndarray:
+    """Whether each candidate c of row r is the least element of the union of
+    the cosets c^i H_r, 0 < i < q, with H_r's elements (padded with repeats)
+    row r of `members`, a block of candidates at a time."""
+    keep = np.empty(len(c), dtype=bool)
+    step = max(1, _block_cells(len(t)) // members.shape[1])
+    for lo in range(0, len(c), step):
+        cs, qs = c[lo:lo + step], q[lo:lo + step]
+        elements = members.take(r[lo:lo + step], axis=0)
+        least, x = np.full(len(cs), len(t)), cs
+        for i in range(1, int(qs.max())):
+            coset_min = _cells(t, x[:, None], elements).min(axis=1)
+            least = np.where(qs > i, np.minimum(least, coset_min), least)
+            x = _cells(t, x, cs)
+        keep[lo:lo + step] = least == cs
+    return keep
+
+
+def _written_cosets(t: np.ndarray, H: np.ndarray, members: np.ndarray, r: np.ndarray,
+                    c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The bitsets of the unions of the cosets c_j^i H_{r_j}, i < q_j, each
+    coset written element by element from H's elements, row r_j of `members`."""
+    K, rows, x = H.take(r, axis=0), np.arange(len(r))[:, None], c
+    elements = members.take(r, axis=0)
+    for _ in range(1, int(q.max())):
+        K[rows, _cells(t, x[:, None], elements)] = True
+        x = _cells(t, x, c)
+    return _rows_to_bits(K)
+
+
+def _coset_unions(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
+                  q: np.ndarray) -> np.ndarray:
+    """Row j: the union of the cosets c_j^i H_{r_j}, i < q_j.  Powers up to the
+    largest q repeat cosets of the rows with a smaller one, since c_j^q_j
+    lies in H_{r_j}."""
+    K = H.take(r, axis=0)
+    top = int(q.max())
+    step = y = G.inv.take(c)
+    for i in range(1, top):
+        K |= _cells(H, r[:, None], G.table[y])  # g lies in c^i H when c^-i g lies in H
+        if i + 1 < top:
+            y = _cells(G.table, y, step)
+    return K
 
 
 def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:

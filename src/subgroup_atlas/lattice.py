@@ -23,8 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .config import PRODUCT_BITSET_LIMIT
-from .errors import CapExceeded, OutOfRange, WrongShape
-from .groups import Subgroup, all_subgroups, product_set
+from .errors import CapExceeded, NotNormal, OutOfRange, WrongShape
+from .groups import (Homomorphism, Subgroup, _bits_to_rows, _block_cells, _rows_to_bits,
+                     all_subgroups, is_normal)
 from .towers import Tower
 
 
@@ -102,17 +103,15 @@ def _explicit_lattice(t: Tower) -> LatticeTower:
     node_bits = [[s.bits for s in subs] for subs in subs_per_level]
     level_orders = [g.order for g in t.levels]
 
+    # nodes are found by bitset, with two levels' indices in hand at a time
     parents: list[np.ndarray] = []
     full_preimage: list[np.ndarray] = []
+    index = {b: i for i, b in enumerate(node_bits[0])} if node_bits else {}
     for k in range(1, t.depth):
-        hom = t.map_down(k)
-        lo_index = {b: i for i, b in enumerate(node_bits[k - 1])}
-        parents.append(np.array(
-            [lo_index[hom.image_subgroup(s).bits] for s in subs_per_level[k]], dtype=np.int64))
-        hi_index = {b: i for i, b in enumerate(node_bits[k])}
-        full_preimage.append(np.array(
-            [hi_index[hom.preimage_subgroup(s).bits] for s in subs_per_level[k - 1]],
-            dtype=np.int64))
+        lower, index = index, {b: i for i, b in enumerate(node_bits[k])}
+        up, down = _links(t.map_down(k), node_bits[k], node_bits[k - 1], lower, index)
+        parents.append(np.array(up, dtype=np.int64))
+        full_preimage.append(np.array(down, dtype=np.int64))
 
     return LatticeTower(
         tower=t,
@@ -122,6 +121,33 @@ def _explicit_lattice(t: Tower) -> LatticeTower:
         parents=parents,
         full_preimage=full_preimage,
     )
+
+
+def _links(hom: Homomorphism, upper: list[int], lower: list[int], lower_index: dict[int, int],
+           upper_index: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The node index of the image of each upper node and of the full
+    preimage of each lower node under a surjective hom, from the levels'
+    membership matrices in row blocks.  A full preimage is a lower row
+    gathered along the map.  An image is an `any` over the preimages of each
+    element: an upper row is gathered into |ker| slabs, slab j holding x'k_j
+    for each lower element x, with x' one element over x and k_j the j-th
+    element of the kernel."""
+    n_hi, n_lo = hom.source.order, hom.target.order
+    step = max(1, _block_cells(n_hi) // n_hi)
+    lift = np.empty(n_lo, dtype=np.intp)
+    lift[hom.map] = np.arange(n_hi)
+    kernel = (hom.map == hom.target.identity).nonzero()[0]
+    by_image = hom.source.table[lift[None, :], kernel[:, None]].ravel()
+    images: list[int] = []
+    for lo in range(0, len(upper), step):
+        rows = _bits_to_rows(upper[lo:lo + step], n_hi).take(by_image, axis=1)
+        image = rows.reshape(len(rows), -1, n_lo).any(axis=1)
+        images += [lower_index[b] for b in _rows_to_bits(image)]
+    preimages: list[int] = []
+    for lo in range(0, len(lower), step):
+        rows = _bits_to_rows(lower[lo:lo + step], n_lo).take(hom.map, axis=1)
+        preimages += [upper_index[b] for b in _rows_to_bits(rows)]
+    return images, preimages
 
 
 def _fold_bits(bits_left: int, bits_right: int, n_right: int) -> int:
@@ -221,11 +247,16 @@ def basic_open_fiber(lt: LatticeTower, k: int, i: int, j: int) -> list[int]:
             hom = lt.tower.map_down(lvl)
             target, ker = hom.preimage_subgroup(target), hom.preimage_subgroup(ker)
         G = lt.tower.level(k + j)
-        by_criterion = [
-            idx for idx in range(lt.node_count(k + j))
-            if product_set(G, lt.subgroup(k + j, idx), ker).bits == target.bits
-        ]
-        if by_criterion != fiber:
+        if not is_normal(G, ker):
+            raise NotNormal("the kernel of the connecting maps is not normal")
+        # K*ker is a subgroup of order |K||ker|/|K & ker|, so it equals the
+        # preimage exactly when K and ker lie in it and the orders agree
+        rows = _bits_to_rows(lt.node_bits[k + j - 1], G.order)
+        meets = rows[:, ker.mask()].sum(axis=1)
+        inside = ~rows[:, ~target.mask()].any(axis=1) & (ker.bits & ~target.bits == 0)
+        orders = np.array(lt.node_orders[k + j - 1], dtype=np.int64)
+        by_criterion = np.flatnonzero(inside & (orders * ker.order == meets * target.order))
+        if by_criterion.tolist() != fiber:
             raise WrongShape("fiber disagrees with the K*ker criterion")
     return fiber
 

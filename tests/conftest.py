@@ -13,6 +13,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from subgroup_atlas.groups import all_subgroups
 from subgroup_atlas.towers import (
     Tower,
     make_dihedral2,
@@ -232,6 +233,21 @@ def oracle_fiber(children, k: int, i: int, j: int) -> list[int]:
     for lvl in range(k, k + j):
         fiber = [c for node in fiber for c in children[lvl - 1][node]]
     return sorted(fiber)
+
+
+def oracle_links(t) -> tuple[list[list[int]], list[list[int]]]:
+    """Parents and full preimages of an explicit tower, one image_subgroup or
+    preimage_subgroup call per node and a bits-to-index dict per level, as the
+    lattice once found them."""
+    subs = [all_subgroups(g) for g in t.levels]
+    parents, full_preimage = [], []
+    for k in range(1, t.depth):
+        hom = t.map_down(k)
+        lo_index = {s.bits: i for i, s in enumerate(subs[k - 1])}
+        hi_index = {s.bits: i for i, s in enumerate(subs[k])}
+        parents.append([lo_index[hom.image_subgroup(s).bits] for s in subs[k]])
+        full_preimage.append([hi_index[hom.preimage_subgroup(s).bits] for s in subs[k - 1]])
+    return parents, full_preimage
 
 
 # -- cached towers (groups memoize their own subgroup lists) ----------------------

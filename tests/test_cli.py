@@ -284,6 +284,40 @@ def test_audit_output_dot_is_a_usage_error(capsys):
                           "(choose from json, table)\n")
 
 
+C2_LITERAL = json.dumps({"version": 1, "kind": "cyclic", "n": 2})
+# audits that build no tower from the tower options, with the options each reads
+TOWERLESS_AUDITS = {
+    "audit --all": (["audit", "--all"], ()),
+    "audit --name bn_recurrence": (["audit", "--name", "bn_recurrence"], ("--n",)),
+    "audit --name goursat_full": (
+        ["audit", "--name", "goursat_full", "--g1", C2_LITERAL, "--g2", C2_LITERAL], ()),
+}
+TOWER_OPTION_ARGS = [["--family", "zp"], ["--p", "3"], ["--n", "2"], ["--depth", "0"],
+                 ["--spec-file", "tower.json"]]
+
+
+@pytest.mark.parametrize("what,extra", [
+    (what, extra) for what, (_, read) in TOWERLESS_AUDITS.items()
+    for extra in TOWER_OPTION_ARGS if extra[0] not in read
+])
+def test_towerless_audit_rejects_tower_options(what, extra, capsys):
+    code, out, err = run_cli([*TOWERLESS_AUDITS[what][0], *extra], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage error: {what} does not read {extra[0]}\n")
+
+
+def test_towerless_audit_rejection_names_every_ignored_option(capsys):
+    code, out, err = run_cli(["audit", "--all", "--depth", "0", "--p", "3", "--family", "zp"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage error: audit --all does not read --family, --p, --depth\n")
+    code, _, err = run_cli(["audit", "--name", "bn_recurrence", "--n", "10", "--depth", "0",
+                            "--spec-file", "tower.json"], capsys)
+    assert code == 1
+    assert err.startswith("error: usage error: audit --name bn_recurrence does not read "
+                          "--depth, --spec-file\n")
+
+
 def test_goursat_command_inline_json(capsys):
     g = json.dumps({"version": 1, "kind": "cyclic", "n": 4})
     h = json.dumps({"version": 1, "kind": "cyclic", "n": 2})

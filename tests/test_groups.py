@@ -1,5 +1,6 @@
 """Group-core tests against the independent subset-closure oracle."""
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +49,8 @@ from subgroup_atlas.groups import (
     quotient,
     trivial_subgroup,
 )
-from subgroup_atlas.towers import direct_product_tower, make_heisenberg, make_zp
+from subgroup_atlas.towers import (direct_product_tower, make_dihedral2, make_heisenberg,
+                                   make_pirim, make_wilson, make_zp, make_zpn)
 
 
 def heis3():
@@ -760,3 +762,68 @@ def test_solubility_test_skipped_for_abelian_and_prime_power_groups(monkeypatch)
 def test_hom_image_out_of_range(bad):
     with pytest.raises(OutOfRange):
         Homomorphism(cyclic(4), cyclic(2), [0, 1, 0, bad])
+
+
+# -- oracles that scale: Frobenius's congruence, and relabeled literals ------------
+
+@pytest.mark.parametrize("build", [lambda: make_dihedral2(10), lambda: make_zpn(2, 2, 6),
+                                   lambda: make_wilson(4), lambda: make_pirim(2)],
+                         ids=["dihedral2(10)", "zpn(2,2,6)", "wilson(4)", "pirim(2)"])
+def test_prime_power_subgroup_counts_are_one_mod_p(build):
+    # Frobenius: for p^a dividing |G| the subgroups of order p^a number 1 mod p;
+    # at the full p-part (Sylow) their number also divides |G| / p^a
+    for G in build().levels:
+        counts = Counter(H.order for H in all_subgroups(G))
+        for p in G.primes:
+            a = 0
+            while G.order % p ** (a + 1) == 0:
+                a += 1
+            for b in range(a + 1):
+                assert counts[p**b] % p == 1
+            assert (G.order // p**a) % counts[p**a] == 0
+
+
+LITERALS = {"D4": lambda: dihedral(4), "Q8": quaternion8, "S4": s4, "A4": a4, "Heis3": heis3}
+# products whose insoluble-path enumeration takes well under a second
+LITERAL_PRODUCTS = [("D4", "D4"), ("D4", "Q8"), ("D4", "A4"), ("Q8", "Q8"), ("Q8", "A4"),
+                    ("Q8", "Heis3"), ("A4", "A4"), ("A4", "D4")]
+
+
+@lru_cache(maxsize=None)
+def _literal(names: tuple[str, ...]) -> FiniteGroup:
+    G = LITERALS[names[0]]()
+    for name in names[1:]:
+        G = direct_product(G, LITERALS[name]())
+    return G
+
+
+@lru_cache(maxsize=None)
+def _generic_subgroups(names: tuple[str, ...]) -> list[list[int]]:
+    G = _literal(names)
+    return [H.indices().tolist() for H in groups._subgroups_generic(G).values()]
+
+
+@pytest.mark.parametrize("name", LITERALS)
+def test_cyclic_extension_matches_oracles_on_literals(name):
+    # every subgroup of these five groups is generated by two elements
+    G = _literal((name,))
+    found = {H.bits for H in groups._subgroups_cyclic_extension(G)}
+    assert found == oracle_bits_set(G, oracle_subgroups(G, gen_bound=2))
+    assert found == set(groups._subgroups_generic(G))
+
+
+@given(names=st.sampled_from([(n,) for n in LITERALS] + LITERAL_PRODUCTS), rnd=st.randoms())
+@settings(max_examples=30, deadline=None)
+def test_cyclic_extension_matches_generic_on_relabeled_literals(names, rnd):
+    # the group with element a renamed image[a]: its subgroups are the renamed ones
+    G = _literal(names)
+    image = list(range(G.order))
+    rnd.shuffle(image)
+    image = np.array(image)
+    table = np.empty_like(G.table)
+    table[np.ix_(image, image)] = image[G.table]
+    R = FiniteGroup(table)
+    found = groups._subgroups_cyclic_extension(R)
+    expected = {sum(1 << int(x) for x in image[members]) for members in _generic_subgroups(names)}
+    assert {H.bits for H in found} == expected
+    assert [(H.order, H.bits) for H in found] == sorted((H.order, H.bits) for H in found)

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from conftest import (
     oracle_children,
     oracle_density_counterexamples,
     oracle_fiber,
+    oracle_links,
     oracle_survivors,
     valid_products,
 )
-from subgroup_atlas.errors import OutOfRange
+from subgroup_atlas import lattice as lattice_mod
+from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.filtration import cb_filtration
-from subgroup_atlas.groups import all_subgroups, closure, product_set
+from subgroup_atlas.groups import BLOCK_CELLS, all_subgroups, closure, product_set
 from subgroup_atlas.lattice import (
     basic_open_fiber,
     build_lattice_tower,
@@ -30,6 +33,7 @@ from subgroup_atlas.lattice import (
 )
 from subgroup_atlas.towers import (
     direct_product_tower,
+    make_dihedral2,
     make_product,
     make_zp,
     make_zpn,
@@ -83,6 +87,45 @@ def test_full_preimage_unchanged(name):
     doc = [[int(x) for x in fp] for fp in lt.full_preimage]
     digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
     assert digest[:16] == FULL_PREIMAGE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_links_match_per_node_oracle(name):
+    t = cached_tower(name)
+    lt = build_lattice_tower(t)
+    parents, full_preimage = oracle_links(t)
+    assert [p.tolist() for p in lt.parents] == parents
+    assert [fp.tolist() for fp in lt.full_preimage] == full_preimage
+
+
+def _tau_plus_sigma(n: int) -> int:
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors) + sum(divisors)
+
+
+def test_closed_form_node_counts():
+    # D_n of order 2n has tau(n) + sigma(n) subgroups, and Z/p^k has k + 1
+    lt = build_lattice_tower(make_dihedral2(10))
+    assert lt.counts_per_level() == [_tau_plus_sigma(lt.level_orders[k] // 2) for k in range(10)]
+    for p, depth in ((2, 11), (3, 6), (5, 4)):
+        lt = build_lattice_tower(make_zp(p, depth))
+        assert lt.counts_per_level() == list(range(2, depth + 2))
+
+
+def test_top_level_enumeration_and_links_stay_within_blocks():
+    # the membership matrices are read in blocks, so the peak is a few blocks'
+    # worth of bytes; a (rows x n x generators) index array would be megabytes
+    t = make_dihedral2(8)
+    for G in t.levels[:-1]:
+        all_subgroups(G)
+    tracemalloc.start()
+    try:
+        all_subgroups(t.levels[-1])
+        build_lattice_tower(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * BLOCK_CELLS
 
 
 def test_node_counts():
@@ -142,6 +185,36 @@ def test_fiber_matches_kn_criterion():
             for i in range(lt.node_count(k)):
                 for j in range(1, min(2, lt.depth - k) + 1):
                     basic_open_fiber(lt, k, i, j)
+
+
+def test_fiber_checks_the_kernel_once(monkeypatch):
+    calls = []
+    real = lattice_mod.is_normal
+
+    def counting(G, H):
+        calls.append(H.order)
+        return real(G, H)
+
+    monkeypatch.setattr(lattice_mod, "is_normal", counting)
+    lt = build_lattice_tower(cached_tower("wilson(3)"))
+    made = 0
+    for k, j in ((1, 1), (1, 2), (2, 1)):
+        for i in range(lt.node_count(k)):
+            basic_open_fiber(lt, k, i, j)
+            made += 1
+            assert len(calls) == made
+    basic_open_fiber(lt, 2, 0, 0)  # no kernel to check
+    assert len(calls) == made
+
+
+def test_fiber_criterion_sees_a_wrong_parent():
+    lt = build_lattice_tower(cached_tower("zpn(3,2,3)"))
+    broken = copy.deepcopy(lt)
+    par = broken.parents[1]
+    moved = int(np.flatnonzero(par != par[0])[0])
+    par[0], par[moved] = par[moved], par[0]
+    with pytest.raises(WrongShape, match="K\\*ker"):
+        basic_open_fiber(broken, 2, int(par[0]), 1)
 
 
 def test_fiber_out_of_range():
