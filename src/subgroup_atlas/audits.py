@@ -108,8 +108,9 @@ def wilson_commutator_audit(t: Tower) -> AuditResult:
         info = t.meta.extra["x_gens"][k - 1]
         a_gens = [info["a1"], info["a2"], info["a3"]]
         for nm in max_names:
-            M = closure(G, [info[nm]] + a_gens)
-            Mp = _commutator_of(G, M)
+            M_gens = [info[nm]] + a_gens
+            M = closure(G, M_gens)
+            Mp = _commutator_of(G, M_gens)[0]
             per_max[nm].append(M.order // Mp.order)
             if nm == "x1":
                 expect = closure(

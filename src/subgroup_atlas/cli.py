@@ -20,8 +20,8 @@ from .groups import load_group_json
 from .lattice import build_lattice_tower, to_dot
 from .report import (analysis_report, audit_results_to_json, audit_results_to_table,
                      report_to_dot, report_to_json, report_to_table, verdict_to_json)
-from .towers import (build_tower, make_dihedral2, make_pirim, make_wilson, make_zp, make_zpn,
-                     parse_tower_spec)
+from .towers import (FAMILIES, build_tower, make_dihedral2, make_pirim, make_wilson, make_zp,
+                     make_zpn, parse_tower_spec)
 
 
 class _MalformedJSON(AtlasError):
@@ -38,8 +38,8 @@ def _json_document(text: str):
 def _family_spec_from_args(args, family: str | None = None) -> dict:
     """The parsed spec of --spec-file or of --family and its parameters; a
     given `family` replaces --family.  Options that a run would ignore are
-    usage errors: the tower options beside --spec-file, and --spec-file
-    where `family` is given."""
+    usage errors: the tower options beside --spec-file, --spec-file where
+    `family` is given, and --p or --n for a family without that parameter."""
     if args.spec_file:
         if family is not None:
             raise _usage_error(f"--spec-file does not apply: this audit builds a {family} tower")
@@ -51,6 +51,10 @@ def _family_spec_from_args(args, family: str | None = None) -> dict:
     if not family:
         raise SpecError("either --family or --spec-file is required", ["/family"])
     given = {k: getattr(args, k) for k in ("p", "n", "depth") if getattr(args, k) is not None}
+    if family in FAMILIES:
+        unread = [f"--{k}" for k in ("p", "n") if k in given and k not in FAMILIES[family].params]
+        if unread:
+            raise _usage_error(f"family {family} does not read {', '.join(unread)}")
     return parse_tower_spec({"family": family, **given})
 
 
@@ -86,6 +90,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.output != "dot":  # only the DOT graph of the analysis reads --max-rank
+        _reject_unread(args, f"lattice --output {args.output}",
+                       tuple(name for name in TOWER_OPTIONS if name != "--max-rank"))
     t = build_tower(_family_spec_from_args(args))
     if args.output == "dot" and t.depth >= 2:
         _emit(report_to_dot(analyze_tower(t, max_rank=args.max_rank)), args.out)
@@ -106,31 +113,40 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-AUDIT_NAMES = ("frattini_stability", "wilson_commutator", "pirim_irreducibility",
-               "bn_recurrence", "solitary_criterion_hxz", "virtually_zp", "goursat_full")
+# the options each audit reads besides --name or --audit-name, --output, --out
+# and --parallel; the family audits build their own family, and
+# _family_spec_from_args refuses --spec-file for them
+TOWER_SPEC = ("--family", "--p", "--n", "--depth", "--spec-file")
+FAMILY_SPEC = ("--p", "--n", "--depth", "--spec-file")
+AUDIT_OPTIONS = {
+    "frattini_stability": TOWER_SPEC,
+    "wilson_commutator": FAMILY_SPEC,
+    "pirim_irreducibility": FAMILY_SPEC,
+    "bn_recurrence": ("--n",),
+    "solitary_criterion_hxz": TOWER_SPEC,
+    "virtually_zp": TOWER_SPEC,
+    "goursat_full": ("--g1", "--g2"),
+}
+AUDIT_COMMON = ("--output", "--out", "--parallel")
 
 
-def _reject_tower_options(args, what: str, read: tuple[str, ...] = ()) -> None:
-    """A usage error naming each tower option given to `what`, which builds no
-    tower from them; the options in `read` are its own parameters."""
-    given = [k for k in ("family", "p", "n", "depth", "spec_file")
-             if k not in read and getattr(args, k) is not None]
-    if given:
-        names = ", ".join(f"--{k.replace('_', '-')}" for k in given)
-        raise _usage_error(f"{what} does not read {names}")
+def _reject_unread(args, what: str, read: tuple[str, ...]) -> None:
+    """A usage error naming each option of the command, in `COMMANDS` order,
+    that is given but not in `read`: the options `what` reads."""
+    _, _, options, _ = COMMANDS[args.command]
+    unread = [name for name, (kind, _) in options.items()
+              if name not in read and getattr(args, _dest(name)) != _default(kind)]
+    if unread:
+        raise _usage_error(f"{what} does not read {', '.join(unread)}")
 
 
 def _run_named_audit(name: str, args) -> list:
     if name == "bn_recurrence":
-        _reject_tower_options(args, "audit --name bn_recurrence", read=("n",))
         return [audits_mod.bn_recurrence_audit(40 if args.n is None else args.n)]
     if name == "goursat_full":
-        _reject_tower_options(args, "audit --name goursat_full")
         if not (args.g1 and args.g2):
             raise SpecError("goursat_full needs --g1 and --g2")
         return [audits_mod.goursat_full_audit(_load_group_arg(args.g1), _load_group_arg(args.g2))]
-    if name not in AUDIT_NAMES:
-        raise SpecError(f"unknown audit {name!r}; known: {', '.join(AUDIT_NAMES)}")
     # the two family audits build their family's tower; the rest read the spec
     family = {"wilson_commutator": "wilson", "pirim_irreducibility": "pirim"}.get(name)
     tower = build_tower(_family_spec_from_args(args, family))
@@ -166,8 +182,13 @@ def _cmd_audit(args) -> int:
     if not (args.all or name):
         raise SpecError("audit needs --name/--audit-name or --all")
     if args.all:
-        _reject_tower_options(args, "audit --all")
-    return _emit_audits(_default_audit_suite() if args.all else _run_named_audit(name, args), args)
+        _reject_unread(args, "audit --all", ("--all", *AUDIT_COMMON))
+        return _emit_audits(_default_audit_suite(), args)
+    if name not in AUDIT_OPTIONS:
+        raise SpecError(f"unknown audit {name!r}; known: {', '.join(AUDIT_OPTIONS)}")
+    alias = "--audit-name" if args.audit_name else "--name"
+    _reject_unread(args, f"audit {alias} {name}", (alias, *AUDIT_OPTIONS[name], *AUDIT_COMMON))
+    return _emit_audits(_run_named_audit(name, args), args)
 
 
 def _cmd_goursat(args) -> int:
@@ -182,10 +203,10 @@ def _cmd_goursat(args) -> int:
 # no value.  Option --max-rank is read as args.max_rank, None if not given.
 TOWER_OPTIONS = {
     "--family": (str, "built-in family name"),
-    "--spec-file": (str, "path to a tower spec JSON document"),
     "--p": (int, "prime for zp/zpn/heisenberg"),
     "--n": (int, "rank for zpn"),
     "--depth": (int, "tower depth override"),
+    "--spec-file": (str, "path to a tower spec JSON document"),
     "--max-rank": (int, "filtration rank override"),
     "--output": (("json", "table", "dot"), "output format"),
     "--out": (str, "output path (stdout when omitted)"),
@@ -222,6 +243,16 @@ def _usage_error(message: str) -> SpecError:
     return SpecError(f"usage error: {message}")
 
 
+def _default(kind):
+    """The value of an option of this kind that is not given."""
+    return False if kind is bool else kind[0] if isinstance(kind, tuple) else None
+
+
+def _dest(name: str) -> str:
+    """The attribute an option is read as: --max-rank as max_rank."""
+    return name[2:].replace("-", "_")
+
+
 def _option(token: str, names: tuple[str, ...]):
     """None for a value: a token that does not start with "-", "-" or a
     negative number.  Else (the option it names or None, the value attached
@@ -247,8 +278,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         raise _usage_error(f"expected a command ({', '.join(COMMANDS)}) or -h, got {command!r}")
     fn, _, options, required = COMMANDS[command]
     names = (*HELP, *options)
-    values = {name: False if kind is bool else kind[0] if isinstance(kind, tuple) else None
-              for name, (kind, _) in options.items()}
+    values = {name: _default(kind) for name, (kind, _) in options.items()}
     tokens = iter(argv[1:])
     for token in tokens:
         name, raw = _option(token, names) or (None, None)
@@ -276,7 +306,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if missing:
         raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=command, fn=fn,
-                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
+                           **{_dest(name): v for name, v in values.items()})
 
 
 def _print_help(args) -> int:
@@ -290,7 +320,7 @@ def _print_help(args) -> int:
         rows = {"-h, --help": "show this help and exit"}
         for name, (kind, text) in options.items():
             arg = ("" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple)
-                   else f" {name[2:].replace('-', '_').upper()}")
+                   else f" {_dest(name).upper()}")
             rows[name + arg] = text + " (required)" * (name in required)
     width = max(map(len, rows))
     sys.stdout.write(head + "".join(f"  {k:<{width}}  {v}\n" for k, v in rows.items()) + tail)

@@ -61,6 +61,11 @@ def _row_blocks(n: int) -> range:
     return range(0, n, max(1, BLOCK_CELLS // n))
 
 
+# Cells of one gather block of table_from_rows: the block and its gathered
+# copy are what the fill holds beside the table.
+FILL_CELLS = BLOCK_CELLS // 8
+
+
 class FiniteGroup:
     """A finite group as an explicit Cayley table.
 
@@ -173,7 +178,7 @@ class FiniteGroup:
             s_row = t[s].astype(np.intp)  # c -> s*c
             for lo in blocks:
                 rows = t[lo:lo + blocks.step]
-                if not np.array_equal(t[rows[:, s]], rows[:, s_row]):
+                if not np.array_equal(t.take(rows[:, s], axis=0), rows.take(s_row, axis=1)):
                     raise WrongShape(f"table is not associative (s={s})")
         return basis
 
@@ -296,21 +301,36 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
 
 
 def _derived_series_reaches_trivial(G: FiniteGroup) -> bool:
-    current = full_subgroup(G)
-    while current.order > 1:  # each step shrinks the order, so the loop ends
-        nxt = _commutator_of(G, current)
-        if nxt.order == current.order:
+    order, gens = G.order, G.basis
+    while order > 1:  # each step shrinks the order, so the loop ends
+        derived, gens = _commutator_of(G, gens)
+        if derived.order == order:
             return False
-        current = nxt
+        order = derived.order
     return True
 
 
-def _commutator_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    idx = H.indices()
-    a = np.repeat(idx, len(idx))
-    b = np.tile(idx, len(idx))
-    comms = G.table[G.table[a, b], G.inv[G.table[b, a]]]
-    return closure(G, np.flatnonzero(np.bincount(comms, minlength=G.order)))
+def _commutator_of(G: FiniteGroup, gens: Sequence[int]) -> tuple[Subgroup, list[int]]:
+    """[H, H] for H = <gens>, with the elements of it that generate it.
+
+    [H, H] is the normal closure in H of the commutators of the generators:
+    that closure lies in [H, H], and modulo it the generators commute, so H
+    over it is abelian.  The commutators are walked in order; one outside
+    the subgroup built so far joins its generators, and its conjugates by
+    the generators are walked after them.  A finite subgroup that conjugation
+    by each generator maps into itself is normal in H.  Each join at least
+    doubles the subgroup, so at most log2 |[H, H]| closures run.
+    """
+    t, inv = G.table, G.inv
+    gens = [int(g) for g in gens]
+    todo = [int(t[t[a, b], inv[t[b, a]]]) for i, a in enumerate(gens) for b in gens[i + 1:]]
+    derived, joined = trivial_subgroup(G), []
+    for c in todo:  # grows while it is walked
+        if not derived.contains(c):
+            joined.append(c)
+            derived = closure(G, joined)
+            todo += [int(t[t[inv[s], c], s]) for s in gens]
+    return derived, joined
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -583,9 +603,7 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    if G.is_abelian():
-        return trivial_subgroup(G)
-    return _commutator_of(G, full_subgroup(G))
+    return _commutator_of(G, G.basis)[0]
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -848,32 +866,52 @@ def goursat_reconstruct(
 def table_from_rows(rows: np.ndarray, gens: Sequence[int], identity: int) -> np.ndarray:
     """The Cayley table with row rows[i] for element gens[i], read-only.
 
-    Row a of a table is left multiplication by a.  Starting from the
-    identity's row, a BFS over right multiplication fills the rest: y = x*g
-    is read from row x, and row y is row x gathered at row g, because
-    (x*g)*b = x*(g*b).  Each step writes one row in the level's dtype.
-    Raises WrongShape when the generators do not reach every element.
+    Row a of a table is left multiplication by a, and (x*y)*b = x*(y*b), so
+    row x*y is row x gathered at row y: once the rows of a set F and of y
+    are filled, one gather fills the rows of F*y.  F starts as the identity
+    and the generators.  Each generator g is applied as y = g, g^2, g^4, ...,
+    each power read from the row of the one before while that row is
+    filled, so along a cyclic subgroup F doubles at each step.  Passes over
+    the generators repeat until one fills nothing, when F is closed under
+    right multiplication by the generators, or every row is filled.  Each
+    gather runs over blocks of FILL_CELLS cells in the table's dtype.
+    Raises OutOfRange for a row entry outside the group, and WrongShape when
+    the rows do not reach every element, or when a row given for the
+    identity, or twice for one element, differs from the other.
     """
     rows = np.asarray(rows)
     n = rows.shape[1]
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise OutOfRange(f"generator row entry outside group of order {n}")
+    gens = np.asarray(gens, dtype=np.intp)
     t = np.empty((n, n), dtype=_table_dtype(n))
+    t[gens] = rows
     t[identity] = np.arange(n)
-    gen_rows = list(zip(gens, rows.astype(t.dtype)))
-    filled = [False] * n
-    filled[identity] = True
-    order = [identity]
-    for x in order:  # grows while it is walked
-        tx = t[x]
-        for g, row in gen_rows:
-            y = int(tx[g])
-            if not filled[y]:
-                filled[y] = True
-                t[y] = tx[row]
-                order.append(y)
-    if len(order) != n:
-        raise WrongShape(f"generator rows reach {len(order)} of {n} elements")
+    if not (t[gens] == rows).all():
+        raise WrongShape("two rows are given for one element")
+    filled = np.zeros(n, dtype=bool)
+    filled[gens] = filled[identity] = True
+    step = max(1, FILL_CELLS // n)
+    reached = int(np.count_nonzero(filled))
+    while True:
+        before = reached
+        for y in gens.tolist():
+            while reached < n:  # fill the empty rows of F*y from F
+                z = t[:, y][filled].astype(np.intp)  # x*y for each x in F, in index order
+                new = ~filled[z]
+                z = z[new]
+                x, row_y = filled.nonzero()[0][new], t[y].astype(np.intp)
+                for lo in range(0, len(z), step):
+                    t[z[lo:lo + step]] = t.take(x[lo:lo + step], axis=0).take(row_y, axis=1)
+                filled[z] = True
+                previous, reached = reached, int(np.count_nonzero(filled))
+                y = int(t[y, y])
+                if reached == previous or not filled[y]:
+                    break
+        if reached in (before, n):
+            break
+    if reached != n:
+        raise WrongShape(f"generator rows reach {reached} of {n} elements")
     t.setflags(write=False)
     return t
 

@@ -149,6 +149,34 @@ def oracle_homomorphisms(source, target) -> list[list[int]]:
     return out
 
 
+def oracle_table_from_rows(rows, gens, identity) -> list[list[int]] | None:
+    """The Cayley table whose row gens[i] is rows[i], or None when the rows
+    are not a group's left multiplications with that identity.
+
+    Element a is the permutation of the group the rows generate under
+    composition that sends the identity to a: a walk multiplies each found
+    permutation by every generator row, one pure-Python composition each.
+    The rows are a group's left multiplications exactly when every element
+    is reached by one permutation only and each generator's row is its own.
+    """
+    rows = [tuple(int(v) for v in row) for row in rows]
+    n = len(rows[0]) if rows else 1
+    perms = {identity: tuple(range(n))}
+    order = [identity]
+    for x in order:  # grows while it is walked
+        for row in rows:
+            q = tuple(perms[x][b] for b in row)  # (x*g)*b = x*(g*b)
+            y = q[identity]
+            if y not in perms:
+                perms[y] = q
+                order.append(y)
+            elif perms[y] != q:
+                return None
+    if len(perms) != n or any(perms[g] != row for g, row in zip(gens, rows)):
+        return None
+    return [list(perms[a]) for a in range(n)]
+
+
 def subgroup_bits_set(subs) -> set[int]:
     return {s.bits for s in subs}
 

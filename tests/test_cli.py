@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subgroup_atlas.cli as cli_mod
@@ -316,6 +316,62 @@ def test_towerless_audit_rejection_names_every_ignored_option(capsys):
     assert code == 1
     assert err.startswith("error: usage error: audit --name bn_recurrence does not read "
                           "--depth, --spec-file\n")
+
+
+def _audit_option_args(name: str) -> list[str]:
+    """The tokens that give audit option `name` a value other than its default."""
+    kind = COMMANDS["audit"][2][name][0]
+    return [name] if kind is bool else [name, "table" if isinstance(kind, tuple) else "3"]
+
+
+AUDIT_ROUTES = {"audit --all": ["audit", "--all"],
+                **{f"audit --name {name}": ["audit", "--name", name]
+                   for name in cli_mod.AUDIT_OPTIONS}}
+READ = {"audit --all": ("--all",),
+        **{f"audit --name {name}": ("--name", *read) for name, read in cli_mod.AUDIT_OPTIONS.items()}}
+
+
+@pytest.mark.parametrize("what,option", [
+    (what, option) for what in AUDIT_ROUTES for option in COMMANDS["audit"][2]
+    # --all selects its own route, and --name or --audit-name another audit
+    if option not in (*READ[what], *cli_mod.AUDIT_COMMON, "--all", "--name", "--audit-name")
+])
+def test_every_audit_rejects_each_option_it_does_not_read(what, option, capsys):
+    code, out, err = run_cli([*AUDIT_ROUTES[what], *_audit_option_args(option)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage error: {what} does not read {option}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["audit", "--all", "--max-rank", "3"], "audit --all does not read --max-rank"),
+    (["audit", "--all", "--name", "bn_recurrence"], "audit --all does not read --name"),
+    (["audit", "--name", "frattini_stability", "--family", "zp", "--p", "2", "--depth", "3",
+      "--g1", C2_LITERAL], "audit --name frattini_stability does not read --g1"),
+    (["audit", "--audit-name", "bn_recurrence", "--name", "bn_recurrence"],
+     "audit --audit-name bn_recurrence does not read --name"),
+    (["audit", "--name", "wilson_commutator", "--family", "zp"],
+     "audit --name wilson_commutator does not read --family"),
+    (["audit", "--name", "pirim_irreducibility", "--p", "3"], "family pirim does not read --p"),
+    (["analyze", "--family", "zp", "--p", "2", "--n", "2"], "family zp does not read --n"),
+    (["classify", "--family", "dihedral2", "--p", "2", "--n", "2"],
+     "family dihedral2 does not read --p, --n"),
+    (["lattice", "--family", "zp", "--p", "2", "--max-rank", "2"],
+     "lattice --output json does not read --max-rank"),
+    (["lattice", "--family", "zp", "--p", "2", "--max-rank", "2", "--output", "table"],
+     "lattice --output table does not read --max-rank"),
+], ids=["all-max-rank", "all-name", "g1", "both-aliases", "family-audit-family",
+        "family-audit-p", "zp-n", "dihedral2-p-n", "lattice-json", "lattice-table"])
+def test_options_a_run_does_not_read_are_usage_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage error: {message}\n")
+
+
+def test_lattice_dot_reads_max_rank(capsys):
+    argv = ["lattice", "--family", "zp", "--p", "2", "--depth", "3", "--output", "dot"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli([*argv, "--max-rank", "2"], capsys)[0] == 0
 
 
 def test_goursat_command_inline_json(capsys):
@@ -787,7 +843,10 @@ WELL_FORMED_ARGV = st.one_of(*(_argv_of(command, noise=False) for command in COM
 
 def _accepted(parse, argv):
     """The options `parse` reads from argv, or None for a usage error or a
-    help request (argparse prints help and exits)."""
+    help request (argparse prints help and exits).  argparse reads a value
+    "--" attached by "=" as an empty list, which is no value of an int or
+    choice option: that counts as a rejection, and for a str option as the
+    value "--"."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             ns = parse(argv)
@@ -795,11 +854,21 @@ def _accepted(parse, argv):
         return None
     if getattr(ns, "fn", None) is cli_mod._print_help:
         return None
-    return {key: value for key, value in vars(ns).items() if key != "fn"}
+    values = {key: value for key, value in vars(ns).items() if key != "fn"}
+    for key, value in values.items():
+        if isinstance(value, list):
+            action = REFERENCE_OPTIONS[ns.command]["--" + key.replace("_", "-")]
+            if action.type is int or action.choices:
+                return None
+            values[key] = "--"
+    return values
 
 
 @settings(max_examples=800, deadline=None)
 @given(ARGV)
+@example(["analyze", "--depth", "0", "--depth", "3", "--depth=--"])
+@example(["analyze", "--family=--"])
+@example(["audit", "--output=--"])
 def test_parser_agrees_with_the_argparse_grammar(argv):
     assert _accepted(parse_args, argv) == _accepted(REFERENCE.parse_args, argv)
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BUILTIN_NAMES,
+    cached_tower,
     oracle_bits_set,
     oracle_center,
     oracle_centralizer,
@@ -137,6 +139,65 @@ def test_frattini_p_group_identity(factory, p):
     powers = [int(G.power_map(p)[g]) for g in range(G.order)]
     generated = closure(G, list(comm.indices()) + powers)
     assert generated.bits == frattini(G).bits
+
+
+def _all_pairs_commutator(G, members) -> frozenset[int]:
+    """The subgroup generated by [a, b] = ab(ba)^-1 over all |H|^2 pairs of
+    members of H, closed by the pure-Python fixed point."""
+    t, inv = G.table, [int(x) for x in G.inv]
+    a, b = np.repeat(members, len(members)), np.tile(members, len(members))
+    comms = set(t[t[a, b], np.asarray(inv)[t[b, a]]].tolist())
+    return oracle_closure(t.tolist(), G.identity, inv, comms)
+
+
+def _some_generators(G, H) -> list[int]:
+    """An irredundant generating set of H, its members taken in index order."""
+    gens, span = [], trivial_subgroup(G)
+    for h in H.indices().tolist():
+        if not span.contains(h):
+            gens.append(h)
+            span = closure(G, gens)
+    return gens
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_commutator_subgroup_of_every_tower_level_matches_all_pairs(name):
+    for G in cached_tower(name).levels:
+        expected = _all_pairs_commutator(G, np.arange(G.order))
+        assert oracle_bits_set(G, [expected]) == {commutator_subgroup(G).bits}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dihedral(4), lambda: dihedral(6), quaternion8, heis3,
+    lambda: direct_product(dihedral(3), cyclic(4)), lambda: s4(), lambda: a4(), lambda: a5(),
+    lambda: s5(), lambda: load_group_json({"version": 1, "kind": "matrix", "modulus": 3,
+                                           "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}),
+], ids=["D4", "D6", "Q8", "Heis3", "S3xC4", "S4", "A4", "A5", "S5", "SL(2,3)"])
+def test_commutator_of_every_subgroup_matches_all_pairs(build):
+    # the normal closure is taken in H, not in G: H's generators conjugate
+    G = build()
+    for H in all_subgroups(G):
+        derived, gens = groups._commutator_of(G, _some_generators(G, H))
+        expected = _all_pairs_commutator(G, H.indices())
+        assert oracle_bits_set(G, [expected]) == {derived.bits}
+        assert closure(G, gens).bits == derived.bits
+        assert len(gens) <= max(0, derived.order.bit_length() - 1)
+
+
+@pytest.mark.parametrize("build,soluble", [
+    (lambda: s4(), True), (lambda: a4(), True), (lambda: direct_product(dihedral(3), cyclic(4)),
+                                                True),
+    (lambda: a5(), False), (lambda: s5(), False), (lambda: direct_product(a5(), cyclic(2)), False),
+], ids=["S4", "A4", "S3xC4", "A5", "S5", "A5xC2"])
+def test_derived_series_matches_all_pairs_series(build, soluble):
+    G = build()
+    members = np.arange(G.order)
+    while True:
+        nxt = np.array(sorted(_all_pairs_commutator(G, members)))
+        if len(nxt) == len(members):
+            break
+        members = nxt
+    assert (len(members) == 1) == soluble == groups._derived_series_reaches_trivial(G)
 
 
 def test_center_q8():

@@ -1,5 +1,6 @@
 """Cayley tables built from generator rows: pinned digests, pure-Python
-renderings of each family's formula, rejections and a memory bound."""
+renderings of each family's formula, the fill against a pure-Python walk
+and all-pairs products, rejections and memory bounds."""
 
 from __future__ import annotations
 
@@ -9,11 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BUILTIN_NAMES, cached_tower
+from conftest import BUILTIN_NAMES, cached_tower, oracle_table_from_rows
 from subgroup_atlas import groups
 from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.groups import (
+    FiniteGroup,
     all_subgroups,
     cyclic,
     dihedral,
@@ -197,6 +201,158 @@ def test_table_literal_keeps_its_labels():
     assert [G.element_label(a) for a in range(2)] == ["e", "s"]
 
 
+# -- the fill against a pure-Python walk and all-pairs products ------------------------
+
+def _fill_oracle(G) -> list[list[int]] | None:
+    return oracle_table_from_rows(G.table[G.generators], G.generators, G.identity)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_tower_level_is_the_table_its_generator_rows_generate(name):
+    for G in cached_tower(name).levels:
+        assert _table(G) == _fill_oracle(G)
+        rows = G.table[G.generators]
+        assert np.array_equal(groups.table_from_rows(rows, G.generators, G.identity), G.table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product(cyclic(4), load_group_json(S3_DOC)),
+    lambda: direct_product(quaternion8(), cyclic(3)),
+    quaternion8,
+], ids=["C4xS3", "Q8xC3", "Q8"])
+def test_products_and_q8_are_the_tables_their_rows_generate(build):
+    G = build()
+    assert _table(G) == _fill_oracle(G)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dihedral(6),
+    lambda: direct_product(cyclic(4), load_group_json(S3_DOC)),
+], ids=["D6", "C4xS3"])
+def test_every_quotient_is_the_table_its_rows_generate(build):
+    G = build()
+    for N in all_subgroups(G):
+        if is_normal(G, N):
+            Q = quotient(G, N)[0]
+            assert _table(Q) == _fill_oracle(Q)
+
+
+def _pmul(a, b):  # apply a then b, as permutation literals compose
+    return tuple(b[i] for i in a)
+
+
+def _mat_mul(modulus):
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % modulus
+                           for j in range(len(b))) for i in range(len(a)))
+    return mul
+
+
+def _perm_literal(*gens):
+    return {"version": 1, "kind": "permutation", "degree": len(gens[0]),
+            "generators": [list(g) for g in gens]}
+
+
+def _mat_literal(modulus, *gens):
+    return {"version": 1, "kind": "matrix", "modulus": modulus, "generators": list(gens)}
+
+
+LITERALS = {
+    "S3": S3_DOC,
+    "S4": _perm_literal([1, 2, 3, 0], [1, 0, 2, 3]),
+    "A4": _perm_literal([1, 2, 0, 3], [0, 2, 3, 1]),
+    "A5": _perm_literal([1, 2, 3, 4, 0], [1, 2, 0, 3, 4]),
+    "D5": _perm_literal([1, 2, 3, 4, 0], [0, 4, 3, 2, 1]),
+    "Heis(Z3)": _mat_literal(3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                             [[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+    "SL(2,3)": _mat_literal(3, [[1, 1], [0, 1]], [[1, 0], [1, 1]]),
+    "C8 in GL(2,3)": _mat_literal(3, [[0, 1], [1, 2]]),
+    "GL(2,2)": _mat_literal(2, [[1, 1], [0, 1]], [[0, 1], [1, 0]]),
+}
+
+
+def _literal_elements(doc):
+    """The literal's group and its element values in index order, through
+    generate_from with the literal's own product."""
+    if doc["kind"] == "permutation":
+        seeds = [tuple(g) for g in doc["generators"]]
+        return generate_from(seeds, _pmul, tuple(range(doc["degree"])))
+    seeds = [tuple(tuple(v % doc["modulus"] for v in r) for r in g) for g in doc["generators"]]
+    dim = len(seeds[0])
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return generate_from(seeds, _mat_mul(doc["modulus"]), ident)
+
+
+@pytest.mark.parametrize("name", list(LITERALS))
+def test_literals_match_all_pairs_products(name):
+    doc = LITERALS[name]
+    G, elements = _literal_elements(doc)
+    mul = _pmul if doc["kind"] == "permutation" else _mat_mul(doc["modulus"])
+    index = {e: i for i, e in enumerate(elements)}
+    expected = [[index[mul(x, y)] for y in elements] for x in elements]
+    assert _table(G) == expected == _fill_oracle(G)
+    assert _table(load_group_json(doc)) == expected
+
+
+FILL_POOL = [*map(load_group_json, LITERALS.values()), cyclic(12), dihedral(6), quaternion8(),
+             direct_product(cyclic(2), cyclic(4))]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_relabelled_generator_rows_fill_the_relabelled_table(data):
+    G = data.draw(st.sampled_from(FILL_POOL))
+    pi = np.array(data.draw(st.permutations(range(G.order))))
+    # the stored generators, and now and then extra elements besides them
+    extra = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    gens = np.array(data.draw(st.permutations([*G.generators, *extra])))
+    relabelled = np.empty_like(G.table)  # element a renamed pi[a]
+    relabelled[np.ix_(pi, pi)] = pi[G.table]
+    rows = relabelled[pi[gens]]
+    table = groups.table_from_rows(rows, pi[gens], int(pi[G.identity]))
+    assert np.array_equal(table, relabelled)
+    assert table.tolist() == oracle_table_from_rows(rows, pi[gens].tolist(), int(pi[G.identity]))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rows_that_are_not_left_multiplications_are_rejected(data):
+    # changed rows may still be a group's left multiplications (another
+    # group's); then the fill gives that group's table, else it or the
+    # group checks refuse them
+    G = data.draw(st.sampled_from(FILL_POOL))
+    gens = list(G.generators)
+    rows = G.table[gens].astype(np.int64)
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(gens) - 1))
+        if data.draw(st.booleans()):  # swap two entries of a row
+            a, b = data.draw(st.lists(st.integers(0, G.order - 1), min_size=2, max_size=2,
+                                      unique=True))
+            rows[i, [a, b]] = rows[i, [b, a]]
+        else:  # or give a generator another group element's row
+            rows[i] = G.table[data.draw(st.integers(0, G.order - 1))]
+    if data.draw(st.booleans()):  # a generator named twice, with two rows
+        gens.append(gens[0])
+        rows = np.vstack([rows, G.table[data.draw(st.integers(0, G.order - 1))]])
+    expected = oracle_table_from_rows(rows, gens, G.identity)
+    if expected is not None:
+        table = groups.table_from_rows(rows, gens, G.identity)
+        assert table.tolist() == expected
+        FiniteGroup(table, generators=gens)
+        return
+    with pytest.raises(WrongShape):
+        FiniteGroup(groups.table_from_rows(rows, gens, G.identity), generators=gens)
+
+
+@pytest.mark.parametrize("rows,gens", [
+    ([[1, 2, 3, 0], [3, 0, 1, 2]], [1, 1]),
+    ([[1, 0, 3, 2]], [0]),
+], ids=["one-element-two-rows", "identity-row"])
+def test_two_rows_for_one_element_are_rejected(rows, gens):
+    with pytest.raises(WrongShape, match="two rows are given for one element"):
+        groups.table_from_rows(np.array(rows), gens, 0)
+
+
 # -- rejections ----------------------------------------------------------------------
 
 def test_rows_that_do_not_generate_are_rejected():
@@ -253,3 +409,20 @@ def test_table_checks_allocate_no_n_by_n_temporary(build):
     # groups.BLOCK_CELLS cells, so beyond the table only a fraction of it fits
     assert G.order**2 >= 16 * groups.BLOCK_CELLS
     assert peak <= 1.25 * G.table.itemsize * G.order**2
+
+
+@pytest.mark.parametrize("group", [lambda: cyclic(2048), lambda: dihedral(1024)],
+                         ids=["cyclic(2048)", "dihedral(1024)"])
+def test_fill_memory_beyond_the_table(group):
+    G = group()
+    rows, gens = G.table[G.generators], G.generators
+    tracemalloc.start()
+    try:
+        table = groups.table_from_rows(rows, gens, G.identity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # gather blocks of FILL_CELLS cells and a few index vectors of the order:
+    # about 70 KB at order 2048, where blocks of BLOCK_CELLS cells hold 300 KB
+    assert groups.FILL_CELLS * 8 <= groups.BLOCK_CELLS
+    assert peak - table.nbytes <= 2 * groups.BLOCK_CELLS
