@@ -33,6 +33,7 @@ from .towers import (
     _mat_pow,
     direct_product_tower,
     make_zp,
+    pirim_base_power,
     truncate,
 )
 
@@ -105,17 +106,16 @@ def wilson_commutator_audit(t: Tower) -> AuditResult:
     per_max: dict[str, list[int]] = {nm: [] for nm in max_names}
     for k in range(1, t.depth + 1):
         G = t.level(k)
-        info = t.meta.extra["x_gens"][k - 1]
-        a_gens = [info["a1"], info["a2"], info["a3"]]
-        for nm in max_names:
-            M_gens = [info[nm]] + a_gens
+        x1, x2 = G.generators  # generate_from keeps the seed order
+        x1x2 = G.mul(x1, x2)
+        a_gens = [G.mul(x1, x1), G.mul(x2, x2), G.mul(x1x2, x1x2)]
+        for nm, x in zip(max_names, (x1, x2, x1x2)):
+            M_gens = [x] + a_gens
             M = closure(G, M_gens)
             Mp = _commutator_of(G, M_gens)[0]
             per_max[nm].append(M.order // Mp.order)
             if nm == "x1":
-                expect = closure(
-                    G, [G.power_map(2)[info["a2"]], G.power_map(2)[info["a3"]]]
-                )
+                expect = closure(G, G.power_map(2)[a_gens[1:]].tolist())
                 details["m1_prime_matches"].append(Mp.bits == expect.bits)
     details["maximal_indices"] = per_max
     for nm in max_names:
@@ -160,7 +160,7 @@ def pirim_irreducibility_audit(t: Tower) -> AuditResult:
         raise WrongFamily("pirim_irreducibility_audit needs a pirim tower")
     k = t.depth
     pk = 3**k
-    A1 = tuple(tuple(r) for r in t.meta.extra["A1"])
+    A1 = pirim_base_power()[1]
     effective_r_max = min(3, max(0, k - 2))
     details: dict = {
         "modulus": pk,
@@ -276,9 +276,9 @@ def solitary_criterion_hxz_audit(h_tower: Tower) -> AuditResult:
     matching prime, read from the depth-2 product: the left-factor node is a
     solitary candidate exactly when the commutator index of the H-family
     stabilizes (the finite witness that the commutator subgroup is open)."""
-    if len(h_tower.meta.primes) != 1:
+    if len(h_tower.primes) != 1:
         raise WrongShape("hxz audit needs a single-prime left factor")
-    p = next(iter(h_tower.meta.primes))
+    p = next(iter(h_tower.primes))
     depth = 2
     product = direct_product_tower(truncate(h_tower, depth), make_zp(p, depth))
 
@@ -322,21 +322,25 @@ def virtually_zp_audit(
 ) -> AuditResult:
     """Solitary candidates of a virtually-Z_p tower are exactly the rank-1
     survivors lying inside the centralizer of the distinguished procyclic
-    witness, and their per-level count is the verdict parameter n."""
+    witness, and their per-level count is the verdict parameter n.
+
+    Every virtually-Z_p family lists its procyclic generator first, so the
+    witness at a level is the subgroup its first generator spans.
+    """
     if not t.meta.flags.virtually_zp:
         raise WrongFamily("virtually_zp_audit needs the virtuallyZp flag")
-    if t.meta.extra.get("z_witness") is None:
-        raise WrongFamily("tower lacks a procyclic witness")
     lt = lt or build_lattice_tower(t)
-    report = report or cb_filtration(
-        lt, default_max_rank(t.depth, len(t.meta.primes))
-    )
+    report = report or cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
+    if t.depth >= 3 and report.max_rank < 2:  # the solitary sets need rank 2
+        raise OutOfRange(
+            f"virtually_zp audit needs maxRank >= 2 at depth {t.depth}, got {report.max_rank}"
+        )
     # Finite-level centralizers only shrink with depth; the image of the
     # deepest one is the tightest available shadow of the limit centralizer
     # (shallow levels can be degenerately abelian).  It is stepped down one
     # connecting map at a time: the image of an image is the composite image.
     top = t.depth
-    images = [centralizer(t.level(top), t.meta.extra["z_witness"][top - 1])]
+    images = [centralizer(t.level(top), t.level(top).generators[:1])]
     for k in range(top - 1, 0, -1):
         images.append(t.map_down(k).image_subgroup(images[-1]))
     details: dict = {"per_level": [], "counts": []}
@@ -407,7 +411,7 @@ def pirim_h_node_certificates(t: Tower, lt: LatticeTower) -> dict[tuple[int, int
     """
     out: dict[tuple[int, int], list[str]] = {}
     for k in range(2, t.depth + 1):
-        t_order = t.meta.extra["t_orders"][k - 1]
+        t_order = t.level(k).order // 9**k
         # element (v0*3^k + v1)*|t| + j is (v0, v1; t^j): the translations
         # (1, 0) and (0, 1) generate the module
         H = closure(t.level(k), [3**k * t_order, t_order])

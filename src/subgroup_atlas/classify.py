@@ -312,7 +312,7 @@ def analyze_tower(
         raise OutOfRange("analysis needs depth >= 2")
     lt = build_lattice_tower(t) if lattice is None else lattice
     if max_rank is None:
-        max_rank = default_max_rank(t.depth, len(t.meta.primes))
+        max_rank = default_max_rank(t.depth, len(t.primes))
     else:
         max_rank = min(max_rank, t.depth - 1)
     report = cb_filtration(lt, max_rank)

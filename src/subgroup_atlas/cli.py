@@ -106,7 +106,7 @@ def _cmd_lattice(args) -> int:
         lines = [f"{k}: {c}" for k, c in enumerate(counts, start=1)]
         _emit("level: node count\n" + "\n".join(lines) + "\n", args.out)
         return 0
-    tower = {"family": t.meta.family_name, "primes": sorted(t.meta.primes), "depth": t.depth,
+    tower = {"family": t.meta.family_name, "primes": sorted(t.primes), "depth": t.depth,
              "orders": [int(o) for o in lt.level_orders]}
     _emit(report_to_json({"version": 1, "tower": tower, "lattice": {"countsPerLevel": counts}}),
           args.out)
@@ -215,7 +215,8 @@ TOWER_OPTIONS = {
 # command: (handler, summary, options, required options)
 COMMANDS = {
     "analyze": (_cmd_analyze, "the full report of a tower", TOWER_OPTIONS, ()),
-    "classify": (_cmd_classify, "the verdict of a tower", TOWER_OPTIONS, ()),
+    "classify": (_cmd_classify, "the verdict of a tower", {
+        **TOWER_OPTIONS, "--output": (("json", "table"), "output format")}, ()),
     "lattice": (_cmd_lattice, "the subgroup lattice of each level", TOWER_OPTIONS, ()),
     "audit": (_cmd_audit, "one named audit, or the default suite", {
         **TOWER_OPTIONS,

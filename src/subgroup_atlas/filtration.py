@@ -221,7 +221,7 @@ def conjugation_audit(lt: LatticeTower, report: CBReport) -> bool:
 def height_bound_audit(t: Tower, report: CBReport) -> bool:
     """Scattered-height bound: apparent height <= #primes + 1, or the horizon
     was exhausted before the bound could be contradicted."""
-    bound = len(t.meta.primes) + 1
+    bound = len(t.primes) + 1
     h = report.apparent_height
     if h.bounded:
         return h.value <= bound

@@ -22,7 +22,7 @@ def analysis_report(a: Analysis) -> dict:
         "version": REPORT_SCHEMA_VERSION,
         "tower": {
             "family": t.meta.family_name,
-            "primes": sorted(t.meta.primes),
+            "primes": sorted(t.primes),
             "depth": t.depth,
             "orders": [int(o) for o in lt.level_orders],
             "flags": t.meta.flags.as_dict(),

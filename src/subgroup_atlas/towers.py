@@ -2,14 +2,15 @@
 
 A tower is a list of levels G_1, ..., G_D with verified surjective
 connecting homomorphisms G_{k+1} -> G_k.  Constructors for the built-in
-families record the metadata the classifier consumes.
+families record the metadata the levels cannot give: the family, its flags
+and its dimension estimate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .groups import (
 TOWER_SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerFlags:
     abelian: bool = False
     nilpotent: bool = False
@@ -56,14 +57,11 @@ class TowerFlags:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerMeta:
     family_name: str
-    primes: frozenset[int]
     flags: TowerFlags
-    depth: int
     dim_estimate: Optional[int] = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -77,7 +75,12 @@ class Tower:
 
     @property
     def depth(self) -> int:
-        return self.meta.depth
+        return self.factors[0].depth if self.factors is not None else len(self.levels)
+
+    @property
+    def primes(self) -> frozenset[int]:
+        parts = self.factors if self.factors is not None else self.levels
+        return frozenset().union(*(part.primes for part in parts))
 
     def level(self, k: int) -> FiniteGroup:
         """1-based level access; coprime product towers have no level groups."""
@@ -113,11 +116,7 @@ def validate(t: Tower) -> ValidationReport:
     out: list[Violation] = []
     if t.factors is not None:
         for f in t.factors:
-            sub = validate(f)
-            out.extend(sub.violations)
-        primes_union = frozenset().union(*(f.meta.primes for f in t.factors))
-        if t.meta.primes != primes_union:
-            out.append(Violation("PrimeMetaMismatch", 0))
+            out.extend(validate(f).violations)
         return ValidationReport(out)
 
     for k in range(1, t.depth):
@@ -133,11 +132,8 @@ def validate(t: Tower) -> ValidationReport:
             out.append(Violation("SurjectivityViolation", k))
         if t.level(k + 1).order % t.level(k).order != 0:
             out.append(Violation("OrderDivisibilityViolation", k))
-    union = frozenset().union(*(g.primes for g in t.levels))
-    if t.meta.primes != union:
-        out.append(Violation("PrimeMetaMismatch", 0))
-    if t.meta.dim_estimate is not None and len(t.meta.primes) == 1:
-        p = next(iter(t.meta.primes))
+    if t.meta.dim_estimate is not None and len(t.primes) == 1:
+        p = next(iter(t.primes))
         exps = [round(np.emath.logn(p, g.order)) for g in t.levels]
         for k in range(2, t.depth + 1):
             if exps[k - 1] - exps[k - 2] != t.meta.dim_estimate:
@@ -149,24 +145,8 @@ def truncate(t: Tower, depth: int) -> Tower:
     """Tower restricted to its first `depth` levels (shares level objects)."""
     if not (1 <= depth <= t.depth):
         raise WrongShape(f"cannot truncate depth-{t.depth} tower to {depth}")
-    factors = None
-    if t.factors is not None:
-        factors = [truncate(f, depth) for f in t.factors]
-        primes = frozenset().union(*(f.meta.primes for f in factors))
-    else:
-        primes = frozenset().union(*(g.primes for g in t.levels[:depth]))
-    meta = TowerMeta(
-        family_name=t.meta.family_name,
-        primes=primes,
-        flags=t.meta.flags,
-        depth=depth,
-        dim_estimate=t.meta.dim_estimate,
-        extra=dict(t.meta.extra),
-    )
-    for key in ("z_witness", "x_gens", "t_orders"):
-        if key in meta.extra:
-            meta.extra[key] = meta.extra[key][:depth]
-    return Tower(t.levels[:depth], t.maps[: depth - 1], meta, factors=factors)
+    factors = None if t.factors is None else [truncate(f, depth) for f in t.factors]
+    return Tower(t.levels[:depth], t.maps[: depth - 1], t.meta, factors=factors)
 
 
 # -- families ------------------------------------------------------------------
@@ -191,18 +171,8 @@ def make_zp(p: int, depth: int) -> Tower:
     _check_order({"family": "zp", "p": p, "depth": depth})
     levels = [cyclic(p**k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) for k in range(1, depth + 1)])
-    meta = TowerMeta(
-        family_name="zp",
-        primes=frozenset([p]),
-        flags=TowerFlags(
-            abelian=True, nilpotent=True, virtually_zp=True, finitely_generated=True
-        ),
-        depth=depth,
-        dim_estimate=1,
-        # z_witness: per level, generators of the procyclic open subgroup
-        extra={"z_witness": [[1] for _ in range(depth)]},
-    )
-    return Tower(levels, maps, meta)
+    flags = TowerFlags(abelian=True, nilpotent=True, virtually_zp=True, finitely_generated=True)
+    return Tower(levels, maps, TowerMeta("zp", flags, dim_estimate=1))
 
 
 def _abelian_power_group(p: int, k: int, n: int) -> FiniteGroup:
@@ -219,21 +189,10 @@ def make_zpn(p: int, n: int, depth: int) -> Tower:
     _check_order({"family": "zpn", "p": p, "n": n, "depth": depth})
     levels = [_abelian_power_group(p, k, n) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) * n for k in range(1, depth + 1)])
-    meta = TowerMeta(
-        family_name="zpn",
-        primes=frozenset([p]),
-        flags=TowerFlags(
-            abelian=True,
-            nilpotent=True,
-            virtually_zp=(n == 1),
-            finitely_generated=True,
-        ),
-        depth=depth,
-        dim_estimate=n,
+    flags = TowerFlags(
+        abelian=True, nilpotent=True, virtually_zp=(n == 1), finitely_generated=True
     )
-    if n == 1:
-        meta.extra["z_witness"] = [[1] for _ in range(depth)]
-    return Tower(levels, maps, meta)
+    return Tower(levels, maps, TowerMeta("zpn", flags, dim_estimate=n))
 
 
 def _heisenberg_group(p: int, k: int) -> FiniteGroup:
@@ -257,14 +216,8 @@ def make_heisenberg(p: int, depth: int) -> Tower:
     _check_order({"family": "heisenberg", "p": p, "depth": depth})
     levels = [_heisenberg_group(p, k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) * 3 for k in range(1, depth + 1)])
-    meta = TowerMeta(
-        family_name="heisenberg",
-        primes=frozenset([p]),
-        flags=TowerFlags(nilpotent=True, finitely_generated=True),
-        depth=depth,
-        dim_estimate=3,
-    )
-    return Tower(levels, maps, meta)
+    flags = TowerFlags(nilpotent=True, finitely_generated=True)
+    return Tower(levels, maps, TowerMeta("heisenberg", flags, dim_estimate=3))
 
 
 def make_dihedral2(depth: int) -> Tower:
@@ -273,17 +226,8 @@ def make_dihedral2(depth: int) -> Tower:
     levels = [dihedral(2**k) for k in range(1, depth + 1)]
     # element f * 2^k + r of D(2^k) is s^f r^r
     maps = _reduction_maps(levels, [(2, 2**k) for k in range(1, depth + 1)])
-    meta = TowerMeta(
-        family_name="dihedral2",
-        primes=frozenset([2]),
-        flags=TowerFlags(
-            virtually_zp=True, finitely_generated=True, center_trivial_expected=True
-        ),
-        depth=depth,
-        dim_estimate=1,
-        extra={"z_witness": [[1] for _ in range(depth)]},
-    )
-    return Tower(levels, maps, meta)
+    flags = TowerFlags(virtually_zp=True, finitely_generated=True, center_trivial_expected=True)
+    return Tower(levels, maps, TowerMeta("dihedral2", flags, dim_estimate=1))
 
 
 # -- the poly-procyclic family driven by the matrix A = [[0,1],[4,2]] ---------
@@ -355,26 +299,19 @@ def make_pirim(depth: int) -> Tower:
     """Poly-procyclic pro-3 tower (Z/3^k)^2 x| <t>, t acting by a fixed power
     of the matrix A = [[0,1],[4,2]] chosen inside the first congruence subgroup."""
     _check_order({"family": "pirim", "depth": depth})
-    m, A1 = pirim_base_power()
+    _, A1 = pirim_base_power()
     if _mat_pow(A1, 1, 3) != ((1, 0), (0, 1)):
         raise RelationCheckFailed("A1 is not in the first congruence subgroup")
     det = PIRIM_A[0][0] * PIRIM_A[1][1] - PIRIM_A[0][1] * PIRIM_A[1][0]
     if det != -4:
         raise RelationCheckFailed(f"det(A) = {det}, expected -4")
     levels = [_pirim_group(k, A1) for k in range(1, depth + 1)]
-    t_orders = [lvl.order // 9 ** (k + 1) for k, lvl in enumerate(levels)]
+    # level k is (Z/3^k)^2 x| <t>, so |t| = |G_k| / 9^k
     maps = _reduction_maps(
-        levels, [(3**k, 3**k, t) for k, t in enumerate(t_orders, start=1)]
+        levels, [(3**k, 3**k, G.order // 9**k) for k, G in enumerate(levels, start=1)]
     )
-    meta = TowerMeta(
-        family_name="pirim",
-        primes=frozenset([3]),
-        flags=TowerFlags(finitely_generated=True),
-        depth=depth,
-        dim_estimate=3,
-        extra={"power_exponent": m, "A1": [list(r) for r in A1], "t_orders": t_orders},
-    )
-    return Tower(levels, maps, meta)
+    flags = TowerFlags(finitely_generated=True)
+    return Tower(levels, maps, TowerMeta("pirim", flags, dim_estimate=3))
 
 
 # -- the Wilson pro-2 example ---------------------------------------------------
@@ -395,9 +332,10 @@ _WILSON_MUL = {
 }
 
 
-def _wilson_level(k: int) -> tuple[FiniteGroup, dict, list]:
-    """Level k of the Wilson tower, generated inside (Z/2^k)^3 x| V; also
-    returns the element list, in generate_from's BFS order."""
+def _wilson_level(k: int) -> tuple[FiniteGroup, list]:
+    """Level k of the Wilson tower, generated inside (Z/2^k)^3 x| V with
+    generators [x1, x2]; also returns the element list, in generate_from's
+    BFS order."""
     mod = 2**k
 
     def mul(x, y):
@@ -418,7 +356,6 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, dict, list]:
         raise RelationCheckFailed(
             f"wilson level {k} has order {len(elements)}, expected {2**(3*k-1)}"
         )
-    index = {e: i for i, e in enumerate(elements)}
 
     def inv(e):
         v, s = e
@@ -428,16 +365,15 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, dict, list]:
     def conj(a, b):  # a^b = b^-1 a b
         return mul(mul(inv(b), a), b)
 
-    x1e, x2e = x1, x2
-    a1 = mul(x1e, x1e)
-    a2 = mul(x2e, x2e)
-    x1x2 = mul(x1e, x2e)
+    a1 = mul(x1, x1)
+    a2 = mul(x2, x2)
+    x1x2 = mul(x1, x2)
     a3 = mul(x1x2, x1x2)
     # presentation relations, checked at every level
     for name, (sq, other) in {
-        "(x1^2)^x2 = x1^-2": (a1, x2e),
-        "(x2^2)^x1 = x2^-2": (a2, x1e),
-        "((x1 x2)^2)^x1 = (x1 x2)^-2": (a3, x1e),
+        "(x1^2)^x2 = x1^-2": (a1, x2),
+        "(x2^2)^x1 = x2^-2": (a2, x1),
+        "((x1 x2)^2)^x1 = (x1 x2)^-2": (a3, x1),
     }.items():
         if conj(sq, other) != inv(sq):
             raise RelationCheckFailed(f"wilson relation failed at level {k}: {name}")
@@ -445,16 +381,7 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, dict, list]:
         expected = tuple(2 % mod if j == i else 0 for j in range(3))
         if a != (expected, "1"):
             raise RelationCheckFailed(f"a{i+1} != 2e{i+1} at level {k}")
-
-    gen_info = {
-        "x1": index[x1e],
-        "x2": index[x2e],
-        "a1": index[a1],
-        "a2": index[a2],
-        "a3": index[a3],
-        "x1x2": index[x1x2],
-    }
-    return G, gen_info, elements
+    return G, elements
 
 
 def make_wilson(depth: int) -> Tower:
@@ -463,12 +390,10 @@ def make_wilson(depth: int) -> Tower:
     defining relations are re-verified at every level."""
     _check_order({"family": "wilson", "depth": depth})
     levels = []
-    gen_infos = []
     elements_per_level = []
     for k in range(1, depth + 1):
-        G, info, elements = _wilson_level(k)
+        G, elements = _wilson_level(k)
         levels.append(G)
-        gen_infos.append(info)
         elements_per_level.append(elements)
     maps = []
     for k in range(1, depth):
@@ -478,15 +403,8 @@ def make_wilson(depth: int) -> Tower:
             lo_index[(tuple(c % lo for c in v), s)] for (v, s) in elements_per_level[k]
         ]
         maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
-    meta = TowerMeta(
-        family_name="wilson",
-        primes=frozenset([2]),
-        flags=TowerFlags(finitely_generated=True),
-        depth=depth,
-        dim_estimate=3,
-        extra={"x_gens": gen_infos},
-    )
-    return Tower(levels, maps, meta)
+    flags = TowerFlags(finitely_generated=True)
+    return Tower(levels, maps, TowerMeta("wilson", flags, dim_estimate=3))
 
 
 # -- products -------------------------------------------------------------------
@@ -510,9 +428,9 @@ def make_product(towers: Sequence[Tower]) -> Tower:
             )
     seen: set[int] = set()
     for t in towers:
-        if seen & t.meta.primes:
-            raise PrimeOverlap(f"shared primes {sorted(seen & t.meta.primes)}")
-        seen |= t.meta.primes
+        if seen & t.primes:
+            raise PrimeOverlap(f"shared primes {sorted(seen & t.primes)}")
+        seen |= t.primes
 
     flags = TowerFlags(
         abelian=all(t.meta.flags.abelian for t in towers),
@@ -520,14 +438,7 @@ def make_product(towers: Sequence[Tower]) -> Tower:
         virtually_zp=False,
         finitely_generated=all(t.meta.flags.finitely_generated for t in towers),
     )
-    meta = TowerMeta(
-        family_name="product",
-        primes=frozenset(seen),
-        flags=flags,
-        depth=depth,
-        dim_estimate=None,
-    )
-    return Tower([], [], meta, factors=towers)
+    return Tower([], [], TowerMeta("product", flags), factors=towers)
 
 
 def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
@@ -551,19 +462,13 @@ def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
         Homomorphism(levels[k], levels[k - 1], _product_map([t1, t2], k))
         for k in range(1, t1.depth)
     ]
-    meta = TowerMeta(
-        family_name="directprod",
-        primes=t1.meta.primes | t2.meta.primes,
-        flags=TowerFlags(
-            abelian=t1.meta.flags.abelian and t2.meta.flags.abelian,
-            nilpotent=t1.meta.flags.nilpotent and t2.meta.flags.nilpotent,
-            finitely_generated=t1.meta.flags.finitely_generated
-            and t2.meta.flags.finitely_generated,
-        ),
-        depth=t1.depth,
-        dim_estimate=None,
+    flags = TowerFlags(
+        abelian=t1.meta.flags.abelian and t2.meta.flags.abelian,
+        nilpotent=t1.meta.flags.nilpotent and t2.meta.flags.nilpotent,
+        finitely_generated=t1.meta.flags.finitely_generated
+        and t2.meta.flags.finitely_generated,
     )
-    return Tower(levels, maps, meta)
+    return Tower(levels, maps, TowerMeta("directprod", flags))
 
 
 def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> Tower:
@@ -576,15 +481,7 @@ def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> To
         if not hom.surjective:
             raise WrongShape(f"connecting map {k + 1} is not surjective")
         homs.append(hom)
-    primes = frozenset().union(*(g.primes for g in levels)) if levels else frozenset()
-    meta = TowerMeta(
-        family_name="custom",
-        primes=primes,
-        flags=TowerFlags(),
-        depth=len(levels),
-        dim_estimate=None,
-    )
-    return Tower(levels, homs, meta)
+    return Tower(levels, homs, TowerMeta("custom", TowerFlags()))
 
 
 # -- the built-in families -------------------------------------------------------

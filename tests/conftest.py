@@ -278,6 +278,14 @@ def oracle_links(t) -> tuple[list[list[int]], list[list[int]]]:
     return parents, full_preimage
 
 
+def wilson_a_gens(G) -> list[int]:
+    """a1 = x1^2, a2 = x2^2 and a3 = (x1 x2)^2 of a Wilson level, whose
+    generators are [x1, x2]."""
+    x1, x2 = G.generators
+    x1x2 = G.mul(x1, x2)
+    return [G.mul(x1, x1), G.mul(x2, x2), G.mul(x1x2, x1x2)]
+
+
 # -- cached towers (groups memoize their own subgroup lists) ----------------------
 
 @lru_cache(maxsize=None)
@@ -332,10 +340,10 @@ def valid_products(max_factors: int = 3) -> list[tuple[str, Tower]]:
             primes: set[int] = set()
             ok = True
             for t in towers:
-                if primes & t.meta.primes:
+                if primes & t.primes:
                     ok = False
                     break
-                primes |= t.meta.primes
+                primes |= t.primes
             if not ok:
                 continue
             depth = min(t.depth for t in towers)

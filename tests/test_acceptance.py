@@ -16,6 +16,7 @@ from conftest import (
     oracle_subgroups,
     subgroup_bits_set,
     valid_products,
+    wilson_a_gens,
 )
 from subgroup_atlas.audits import (
     bn_recurrence_audit,
@@ -163,12 +164,12 @@ def test_criterion_7_height_bound():
     checked = 0
     for name, t in builtin_towers():
         lt = build_lattice_tower(t)
-        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.meta.primes)))
+        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
         assert height_bound_audit(t, rep), name
         checked += 1
     for label, t in valid_products(3):
         lt = build_lattice_tower(t)
-        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.meta.primes)))
+        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
         assert height_bound_audit(t, rep), label
         checked += 1
 
@@ -186,7 +187,7 @@ def test_criterion_7_height_bound():
     ltd = build_lattice_tower(deep)
     repd = cb_filtration(ltd, default_max_rank(5, 3))
     assert repd.apparent_height.bounded
-    assert repd.apparent_height.value == 4 == len(deep.meta.primes) + 1
+    assert repd.apparent_height.value == 4 == len(deep.primes) + 1
     _report(
         7,
         f"{checked} towers/products satisfy the height bound; "
@@ -205,8 +206,7 @@ def test_criterion_8_wilson_audit():
         assert seq[0] < seq[1] < seq[2]
     for k in (2, 3):
         G = t.level(k)
-        info = t.meta.extra["x_gens"][k - 1]
-        A = closure(G, [info["a1"], info["a2"], info["a3"]])
+        A = closure(G, wilson_a_gens(G))
         assert frattini(G).bits == A.bits
         Q, _ = quotient(G, A)
         assert Q.order == 4 and all(Q.mul(g, g) == Q.identity for g in range(4))
@@ -238,7 +238,7 @@ def test_criterion_10_structural_suite():
     towers = builtin_towers()
     for name, t in towers:
         lt = build_lattice_tower(t)
-        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.meta.primes)))
+        rep = cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
 
         # density witness for every node
         assert density_check(lt).ok, name
@@ -262,7 +262,7 @@ def test_criterion_10_structural_suite():
             short = truncate(t, t.depth - 1)
             lt_s = build_lattice_tower(short)
             rep_s = cb_filtration(
-                lt_s, default_max_rank(short.depth, len(short.meta.primes))
+                lt_s, default_max_rank(short.depth, len(short.primes))
             )
             # filtration truncation stability
             shared = min(rep.max_rank, rep_s.max_rank)

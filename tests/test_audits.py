@@ -151,7 +151,8 @@ def test_virtually_zp_audit_matches_composite_formula(make):
     # the former formula: centralize every member of the top witness, then
     # take its image under the composite map to each level
     top = t.depth
-    witness = closure(t.level(top), t.meta.extra["z_witness"][top - 1])
+    assert t.level(top).generators[0] == 1  # the rotation, first of every family's list
+    witness = closure(t.level(top), [1])
     C_top = centralizer(t.level(top), witness.indices())
     per_level, certified = [], []
     for k in range(1, top):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -282,6 +283,32 @@ def test_audit_output_dot_is_a_usage_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: usage error: argument --output: invalid choice: 'dot' "
                           "(choose from json, table)\n")
+
+
+def test_classify_output_dot_is_a_usage_error(capsys):
+    code, out, err = run_cli(["classify", "--family", "zp", "--p", "2", "--output", "dot"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage error: argument --output: invalid choice: 'dot' "
+                          "(choose from json, table)\n")
+
+
+@pytest.mark.parametrize("tower", [["--family", "zp", "--p", "2", "--depth", "3"],
+                                   ["--family", "dihedral2", "--depth", "4"]])
+def test_virtually_zp_analysis_below_rank_two_is_out_of_range(tower, capsys):
+    # the virtually-Z_p audit compares the solitary sets, which rank 2 finds
+    code, out, err = run_cli(["analyze", *tower, "--max-rank", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: virtually_zp audit needs maxRank >= 2 at depth ")
+    assert err.count("\n") == 1
+
+
+def test_rank_one_analysis_without_the_virtually_zp_audit(capsys):
+    # recorded before rank-one virtually-Z_p analyses were refused
+    code, out, err = run_cli(["analyze", "--family", "zpn", "--p", "2", "--n", "2",
+                              "--depth", "3", "--max-rank", "1"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "26e047f847b41718"
 
 
 C2_LITERAL = json.dumps({"version": 1, "kind": "cyclic", "n": 2})
@@ -734,7 +761,7 @@ def _reference_parser():
         def error(self, message):
             raise SpecError(f"usage error: {message}")
 
-    def add_tower_args(p, outputs=("json", "table", "dot")):
+    def add_tower_args(p, outputs):
         p.add_argument("--family")
         p.add_argument("--spec-file")
         p.add_argument("--p", type=int)
@@ -748,8 +775,10 @@ def _reference_parser():
 
     parser = _Parser(prog="subgroup-atlas")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {cmd: add_tower_args(sub.add_parser(cmd)) for cmd in ("analyze", "classify", "lattice")}
-    # audit renders results as JSON or a table only, like goursat
+    # classify and audit render results as JSON or a table only, like goursat
+    commands = {cmd: add_tower_args(sub.add_parser(cmd), outputs) for cmd, outputs in (
+        ("analyze", ("json", "table", "dot")), ("classify", ("json", "table")),
+        ("lattice", ("json", "table", "dot")))}
     p = commands["audit"] = add_tower_args(sub.add_parser("audit"), ("json", "table"))
     p.add_argument("--name")
     p.add_argument("--audit-name")

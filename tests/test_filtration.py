@@ -19,7 +19,7 @@ from subgroup_atlas.towers import make_product, make_zp, truncate
 
 def _analysis(t):
     lt = build_lattice_tower(t)
-    rep = cb_filtration(lt, default_max_rank(t.depth, len(t.meta.primes)))
+    rep = cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
     return lt, rep
 
 
@@ -83,7 +83,7 @@ def test_three_prime_product_depth5_attains_four():
     )
     lt, rep = _analysis(t)
     assert rep.apparent_height.bounded
-    assert rep.apparent_height.value == 4 == len(t.meta.primes) + 1
+    assert rep.apparent_height.value == 4 == len(t.primes) + 1
     assert height_bound_audit(t, rep)
 
 
@@ -144,7 +144,7 @@ def test_height_bound_builtins(name):
     lt, rep = _analysis(t)
     assert height_bound_audit(t, rep)
     if rep.apparent_height.bounded:
-        assert rep.apparent_height.value <= len(t.meta.primes) + 1
+        assert rep.apparent_height.value <= len(t.primes) + 1
 
 
 def test_height_bound_products():

@@ -1,11 +1,12 @@
 """Tower constructor and validation tests."""
 
+import dataclasses
 import math
 import time
 
 import pytest
 
-from conftest import cached_tower
+from conftest import BUILTIN_NAMES, cached_tower, valid_products, wilson_a_gens
 from subgroup_atlas.errors import (
     CapExceeded,
     DepthMismatch,
@@ -14,7 +15,9 @@ from subgroup_atlas.errors import (
     WrongShape,
 )
 from subgroup_atlas.groups import all_subgroups, closure, cyclic, frattini, quotient
+from subgroup_atlas.classify import analyze_tower
 from subgroup_atlas.lattice import build_lattice_tower
+from subgroup_atlas.report import analysis_report
 from subgroup_atlas.towers import (
     FAMILIES,
     PRIME_TEST_BOUND,
@@ -136,7 +139,7 @@ def test_family_table_matches_constructors(family):
         spec = parse_tower_spec({"family": family, "depth": depth, **FAMILY_DOCS.get(family, {})})
         base, _ = row.order(*row.args(spec))
         t = build_tower(spec)
-        assert t.meta.primes == {base}
+        assert t.primes == {base}
         for k in range(1, depth + 1):
             assert t.level(k).order == base ** row.order(*row.args({**spec, "depth": k}))[1]
 
@@ -171,7 +174,8 @@ def test_dihedral2_basics():
     assert validate(t).ok
     # rotation thread has constant index 2
     for k in range(1, 5):
-        Z = closure(t.level(k), t.meta.extra["z_witness"][k - 1])
+        assert t.level(k).generators[0] == 1  # the rotation comes first
+        Z = closure(t.level(k), t.level(k).generators[:1])
         assert t.level(k).order // Z.order == 2
 
 
@@ -182,16 +186,16 @@ def test_wilson_orders_and_relations():
     # a3 = (x1 x2)^2 = (0, 0, 2) at every level with nontrivial coordinates
     for k in (2, 3):
         G = t.level(k)
-        info = t.meta.extra["x_gens"][k - 1]
-        assert G.element_label(info["a3"]) == "(0,0,2;1)"
+        x1, x2 = G.generators
+        assert (G.element_label(x1), G.element_label(x2)) == ("(1,0,1;s1)", "(0,1,0;s2)")
+        assert G.element_label(wilson_a_gens(G)[2]) == "(0,0,2;1)"
 
 
 def test_wilson_frattini_equals_a_image():
     t = cached_tower("wilson(3)")
     for k in (2, 3):
         G = t.level(k)
-        info = t.meta.extra["x_gens"][k - 1]
-        A = closure(G, [info["a1"], info["a2"], info["a3"]])
+        A = closure(G, wilson_a_gens(G))
         assert frattini(G).bits == A.bits
         Q, _ = quotient(G, A)
         assert Q.order == 4
@@ -212,8 +216,8 @@ def test_pirim_power_choice():
 def test_pirim_tower():
     t = cached_tower("pirim(2)")
     assert [g.order for g in t.levels] == [9, 243]
-    assert t.meta.extra["power_exponent"] == 8
-    assert t.meta.extra["t_orders"] == [1, 3]
+    assert pirim_base_power()[0] == 8
+    assert [G.order // 9**k for k, G in enumerate(t.levels, start=1)] == [1, 3]  # |t|
     assert validate(t).ok
     assert t.level(1).is_abelian()
 
@@ -222,7 +226,7 @@ def test_product_basics():
     t = make_product([make_zp(2, 3), make_zp(3, 3)])
     lt = build_lattice_tower(t)
     assert lt.level_orders == [6, 36, 216]
-    assert t.meta.primes == frozenset({2, 3})
+    assert t.primes == frozenset({2, 3})
     assert validate(t).ok
     assert lt.node_count(1) == 4  # coprime splitting 2*2
     with pytest.raises(CapExceeded):
@@ -298,6 +302,34 @@ def test_truncate_valid():
     assert t3.depth == 3
     assert validate(t3).ok
     assert t3.level(3) is t.level(3)  # shares level objects
+
+
+def _fresh(name: str, depth: int):
+    """The tower a BUILTIN_NAMES name, or a product of them joined by "x",
+    names, built anew at `depth`."""
+    if "x" in name:
+        return make_product([_fresh(part, depth) for part in name.split("x")])
+    family, params = name.rstrip(")").split("(")
+    return FAMILIES[family].make(*map(int, params.split(",")[:-1]), depth)
+
+
+TRUNCATED = [(n, cached_tower(n)) for n in BUILTIN_NAMES] + valid_products()
+
+
+@pytest.mark.parametrize("name,t", TRUNCATED, ids=[n for n, _ in TRUNCATED])
+def test_truncation_reports_as_a_fresh_build(name, t):
+    for d in range(2, t.depth):
+        truncated = analysis_report(analyze_tower(truncate(t, d)))
+        assert truncated == analysis_report(analyze_tower(_fresh(name, d)))
+
+
+def test_tower_metadata_is_frozen():
+    t = make_zp(2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.meta.dim_estimate = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.meta.flags.abelian = False
+    assert truncate(t, 1).meta is t.meta
 
 
 def test_single_prime_exponent_growth():
