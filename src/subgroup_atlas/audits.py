@@ -35,6 +35,7 @@ from .towers import (
     make_zp,
     pirim_base_power,
     truncate,
+    wilson_elements,
 )
 
 
@@ -106,10 +107,8 @@ def wilson_commutator_audit(t: Tower) -> AuditResult:
     per_max: dict[str, list[int]] = {nm: [] for nm in max_names}
     for k in range(1, t.depth + 1):
         G = t.level(k)
-        x1, x2 = G.generators  # generate_from keeps the seed order
-        x1x2 = G.mul(x1, x2)
-        a_gens = [G.mul(x1, x1), G.mul(x2, x2), G.mul(x1x2, x1x2)]
-        for nm, x in zip(max_names, (x1, x2, x1x2)):
+        xs, a_gens = wilson_elements(G)
+        for nm, x in zip(max_names, xs):
             M_gens = [x] + a_gens
             M = closure(G, M_gens)
             Mp = _commutator_of(G, M_gens)[0]

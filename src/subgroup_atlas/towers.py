@@ -172,7 +172,7 @@ def make_zp(p: int, depth: int) -> Tower:
     levels = [cyclic(p**k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) for k in range(1, depth + 1)])
     flags = TowerFlags(abelian=True, nilpotent=True, virtually_zp=True, finitely_generated=True)
-    return Tower(levels, maps, TowerMeta("zp", flags, dim_estimate=1))
+    return Tower(levels, maps, TowerMeta(family_name="zp", flags=flags, dim_estimate=1))
 
 
 def _abelian_power_group(p: int, k: int, n: int) -> FiniteGroup:
@@ -192,7 +192,7 @@ def make_zpn(p: int, n: int, depth: int) -> Tower:
     flags = TowerFlags(
         abelian=True, nilpotent=True, virtually_zp=(n == 1), finitely_generated=True
     )
-    return Tower(levels, maps, TowerMeta("zpn", flags, dim_estimate=n))
+    return Tower(levels, maps, TowerMeta(family_name="zpn", flags=flags, dim_estimate=n))
 
 
 def _heisenberg_group(p: int, k: int) -> FiniteGroup:
@@ -217,7 +217,7 @@ def make_heisenberg(p: int, depth: int) -> Tower:
     levels = [_heisenberg_group(p, k) for k in range(1, depth + 1)]
     maps = _reduction_maps(levels, [(p**k,) * 3 for k in range(1, depth + 1)])
     flags = TowerFlags(nilpotent=True, finitely_generated=True)
-    return Tower(levels, maps, TowerMeta("heisenberg", flags, dim_estimate=3))
+    return Tower(levels, maps, TowerMeta(family_name="heisenberg", flags=flags, dim_estimate=3))
 
 
 def make_dihedral2(depth: int) -> Tower:
@@ -227,7 +227,7 @@ def make_dihedral2(depth: int) -> Tower:
     # element f * 2^k + r of D(2^k) is s^f r^r
     maps = _reduction_maps(levels, [(2, 2**k) for k in range(1, depth + 1)])
     flags = TowerFlags(virtually_zp=True, finitely_generated=True, center_trivial_expected=True)
-    return Tower(levels, maps, TowerMeta("dihedral2", flags, dim_estimate=1))
+    return Tower(levels, maps, TowerMeta(family_name="dihedral2", flags=flags, dim_estimate=1))
 
 
 # -- the poly-procyclic family driven by the matrix A = [[0,1],[4,2]] ---------
@@ -311,7 +311,7 @@ def make_pirim(depth: int) -> Tower:
         levels, [(3**k, 3**k, G.order // 9**k) for k, G in enumerate(levels, start=1)]
     )
     flags = TowerFlags(finitely_generated=True)
-    return Tower(levels, maps, TowerMeta("pirim", flags, dim_estimate=3))
+    return Tower(levels, maps, TowerMeta(family_name="pirim", flags=flags, dim_estimate=3))
 
 
 # -- the Wilson pro-2 example ---------------------------------------------------
@@ -384,6 +384,14 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, list]:
     return G, elements
 
 
+def wilson_elements(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """The elements [x1, x2, x1 x2] of a Wilson level, whose generators are
+    [x1, x2] in generate_from's seed order, and their squares [a1, a2, a3]."""
+    x1, x2 = G.generators
+    xs = [x1, x2, G.mul(x1, x2)]
+    return xs, [G.mul(x, x) for x in xs]
+
+
 def make_wilson(depth: int) -> Tower:
     """Pro-2 tower of the two-generator group with abelianized squares;
     levels are built by explicit embedding into (Z/2^k)^3 x| V and the
@@ -404,7 +412,7 @@ def make_wilson(depth: int) -> Tower:
         ]
         maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
     flags = TowerFlags(finitely_generated=True)
-    return Tower(levels, maps, TowerMeta("wilson", flags, dim_estimate=3))
+    return Tower(levels, maps, TowerMeta(family_name="wilson", flags=flags, dim_estimate=3))
 
 
 # -- products -------------------------------------------------------------------
@@ -438,7 +446,7 @@ def make_product(towers: Sequence[Tower]) -> Tower:
         virtually_zp=False,
         finitely_generated=all(t.meta.flags.finitely_generated for t in towers),
     )
-    return Tower([], [], TowerMeta("product", flags), factors=towers)
+    return Tower([], [], TowerMeta(family_name="product", flags=flags), factors=towers)
 
 
 def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
@@ -468,7 +476,7 @@ def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
         finitely_generated=t1.meta.flags.finitely_generated
         and t2.meta.flags.finitely_generated,
     )
-    return Tower(levels, maps, TowerMeta("directprod", flags))
+    return Tower(levels, maps, TowerMeta(family_name="directprod", flags=flags))
 
 
 def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> Tower:
@@ -481,7 +489,7 @@ def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> To
         if not hom.surjective:
             raise WrongShape(f"connecting map {k + 1} is not surjective")
         homs.append(hom)
-    return Tower(levels, homs, TowerMeta("custom", TowerFlags()))
+    return Tower(levels, homs, TowerMeta(family_name="custom", flags=TowerFlags()))
 
 
 # -- the built-in families -------------------------------------------------------

@@ -278,14 +278,6 @@ def oracle_links(t) -> tuple[list[list[int]], list[list[int]]]:
     return parents, full_preimage
 
 
-def wilson_a_gens(G) -> list[int]:
-    """a1 = x1^2, a2 = x2^2 and a3 = (x1 x2)^2 of a Wilson level, whose
-    generators are [x1, x2]."""
-    x1, x2 = G.generators
-    x1x2 = G.mul(x1, x2)
-    return [G.mul(x1, x1), G.mul(x2, x2), G.mul(x1x2, x1x2)]
-
-
 # -- cached towers (groups memoize their own subgroup lists) ----------------------
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ from conftest import (
     oracle_subgroups,
     subgroup_bits_set,
     valid_products,
-    wilson_a_gens,
 )
 from subgroup_atlas.audits import (
     bn_recurrence_audit,
@@ -49,7 +48,7 @@ from subgroup_atlas.groups import (
     quotient,
 )
 from subgroup_atlas.lattice import build_lattice_tower, density_check, isolated_nodes
-from subgroup_atlas.towers import make_heisenberg, make_product, make_zp, truncate
+from subgroup_atlas.towers import make_heisenberg, make_product, make_zp, truncate, wilson_elements
 
 
 def _report(num: int, text: str) -> None:
@@ -206,7 +205,7 @@ def test_criterion_8_wilson_audit():
         assert seq[0] < seq[1] < seq[2]
     for k in (2, 3):
         G = t.level(k)
-        A = closure(G, wilson_a_gens(G))
+        A = closure(G, wilson_elements(G)[1])
         assert frattini(G).bits == A.bits
         Q, _ = quotient(G, A)
         assert Q.order == 4 and all(Q.mul(g, g) == Q.identity for g in range(4))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import BUILTIN_NAMES, cached_tower, valid_products, wilson_a_gens
+from conftest import BUILTIN_NAMES, cached_tower, valid_products
 from subgroup_atlas.errors import (
     CapExceeded,
     DepthMismatch,
@@ -35,6 +35,7 @@ from subgroup_atlas.towers import (
     pirim_base_power,
     truncate,
     validate,
+    wilson_elements,
     _mat_pow,
     _not_prime,
     PIRIM_A,
@@ -186,16 +187,16 @@ def test_wilson_orders_and_relations():
     # a3 = (x1 x2)^2 = (0, 0, 2) at every level with nontrivial coordinates
     for k in (2, 3):
         G = t.level(k)
-        x1, x2 = G.generators
+        (x1, x2, _), (_, _, a3) = wilson_elements(G)
         assert (G.element_label(x1), G.element_label(x2)) == ("(1,0,1;s1)", "(0,1,0;s2)")
-        assert G.element_label(wilson_a_gens(G)[2]) == "(0,0,2;1)"
+        assert G.element_label(a3) == "(0,0,2;1)"
 
 
 def test_wilson_frattini_equals_a_image():
     t = cached_tower("wilson(3)")
     for k in (2, 3):
         G = t.level(k)
-        A = closure(G, wilson_a_gens(G))
+        A = closure(G, wilson_elements(G)[1])
         assert frattini(G).bits == A.bits
         Q, _ = quotient(G, A)
         assert Q.order == 4
