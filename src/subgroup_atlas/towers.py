@@ -59,6 +59,8 @@ class TowerFlags:
 
 @dataclass(frozen=True)
 class TowerMeta:
+    """What a tower's levels cannot give; `truncate` shares it, so it is frozen."""
+
     family_name: str
     flags: TowerFlags
     dim_estimate: Optional[int] = None
