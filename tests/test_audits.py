@@ -151,7 +151,7 @@ def test_virtually_zp_audit_matches_composite_formula(make):
     # the former formula: centralize every member of the top witness, then
     # take its image under the composite map to each level
     top = t.depth
-    assert t.level(top).generators[0] == 1  # the rotation, first of every family's list
+    assert t.level(top).generators[0] == 1  # the procyclic generator comes first
     witness = closure(t.level(top), [1])
     C_top = centralizer(t.level(top), witness.indices())
     per_level, certified = [], []
