@@ -13,7 +13,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from subgroup_atlas.groups import all_subgroups
+from subgroup_atlas.errors import WrongShape
+from subgroup_atlas.groups import GoursatQuintuple, Subgroup, all_subgroups
 from subgroup_atlas.towers import (
     Tower,
     make_dihedral2,
@@ -175,6 +176,48 @@ def oracle_table_from_rows(rows, gens, identity) -> list[list[int]] | None:
     if len(perms) != n or any(perms[g] != row for g, row in zip(gens, rows)):
         return None
     return [list(perms[a]) for a in range(n)]
+
+
+def oracle_quotient(G, N) -> tuple[list[int], list[list[int]]]:
+    """The projection map and the table of G/N, each coset labelled by the
+    rank of its least element: the cosets gN are walked one g at a time."""
+    members = [int(k) for k in N.indices()]
+    rep = [-1] * G.order
+    for g in range(G.order):
+        if rep[g] == -1:
+            coset = [int(G.table[g, k]) for k in members]
+            for c in coset:
+                rep[c] = min(coset)
+    reps = sorted(set(rep))
+    label = {r: i for i, r in enumerate(reps)}
+    proj = [label[r] for r in rep]
+    return proj, [[proj[int(G.table[a, b])] for b in reps] for a in reps]
+
+
+def _oracle_subgroup(G, members) -> Subgroup:
+    return Subgroup(G, sum(1 << a for a in set(members)), len(set(members)))
+
+
+def oracle_goursat(G1, G2, H) -> GoursatQuintuple:
+    """The Goursat quintuple of a subgroup H of direct_product(G1, G2), one
+    member at a time: each coset representative is the least element of aK,
+    read from the table one product at a time."""
+    n2 = G2.order
+    members = [(int(m) // n2, int(m) % n2) for m in H.indices()]
+    ker_left = [a for a, b in members if b == G2.identity]
+    ker_right = [b for a, b in members if a == G1.identity]
+
+    def rep(G, K, a):
+        return min(int(G.table[a, k]) for k in K)
+
+    iso: dict[int, int] = {}
+    for a, b in members:
+        ra, rb = rep(G1, ker_left, a), rep(G2, ker_right, b)
+        if iso.setdefault(ra, rb) != rb:
+            raise WrongShape("goursat witness is not well defined")
+    return GoursatQuintuple(
+        _oracle_subgroup(G1, [a for a, _ in members]), _oracle_subgroup(G1, ker_left),
+        _oracle_subgroup(G2, [b for _, b in members]), _oracle_subgroup(G2, ker_right), iso)
 
 
 def subgroup_bits_set(subs) -> set[int]:

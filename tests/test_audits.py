@@ -80,6 +80,23 @@ def test_pirim_irreducibility():
     assert "incomparable" not in a.details
 
 
+@pytest.mark.parametrize("pk", [3, 9, 27])
+def test_line_of_a_primitive_vector_is_where_the_determinant_vanishes(pk):
+    """The pirim audit's closed form: w lies on the line of a primitive v mod
+    3^k exactly when det(v, w) = 0, checked against the multiples a*v, a < 3^k,
+    for every primitive v and every w."""
+    mismatches = 0
+    for x in range(pk):
+        for y in range(pk):
+            if x % 3 == 0 and y % 3 == 0:
+                continue
+            line = {((a * x) % pk, (a * y) % pk) for a in range(pk)}
+            for bx in range(pk):
+                for by in range(pk):
+                    mismatches += ((x * by - y * bx) % pk == 0) != ((bx, by) in line)
+    assert mismatches == 0
+
+
 def test_bn_recurrence():
     a = bn_recurrence_audit(40)
     assert a.passed

@@ -1,6 +1,7 @@
 """Group-core tests against the independent subset-closure oracle."""
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -16,11 +17,13 @@ from conftest import (
     oracle_centralizer,
     oracle_closure,
     oracle_core,
+    oracle_goursat,
     oracle_homomorphisms,
     oracle_is_abelian,
     oracle_is_associative,
     oracle_is_hom,
     oracle_normalizes,
+    oracle_quotient,
     oracle_subgroups,
     subgroup_bits_set,
 )
@@ -40,6 +43,7 @@ from subgroup_atlas.groups import (
     dihedral,
     direct_product,
     frattini,
+    full_subgroup,
     goursat,
     goursat_reconstruct,
     is_normal,
@@ -52,7 +56,7 @@ from subgroup_atlas.groups import (
     trivial_subgroup,
 )
 from subgroup_atlas.towers import (direct_product_tower, make_dihedral2, make_heisenberg,
-                                   make_pirim, make_wilson, make_zp, make_zpn)
+                                   make_pirim, make_wilson, make_zp, make_zpn, wilson_elements)
 
 
 def heis3():
@@ -295,8 +299,6 @@ def test_quotient_d4_center_is_klein():
 
 def test_quotient_by_whole_group():
     D4 = dihedral(4)
-    from subgroup_atlas.groups import full_subgroup
-
     Q, proj = quotient(D4, full_subgroup(D4))
     assert Q.order == 1
     assert proj.surjective
@@ -306,6 +308,34 @@ def test_quotient_requires_normal():
     D4 = dihedral(4)
     with pytest.raises(NotNormal):
         quotient(D4, closure(D4, [4]))
+
+
+def _klein_in_s4():
+    G = s4()
+    return G, next(H for H in all_subgroups(G) if H.order == 4 and is_normal(G, H))
+
+
+def _wilson_top_over_squares():
+    G = cached_tower("wilson(3)").level(3)
+    return G, closure(G, wilson_elements(G)[1])
+
+
+QUOTIENT_CASES = {
+    "Z8/<4>": lambda: (lambda G: (G, closure(G, [4])))(cyclic(8)),
+    "D4/Z(D4)": lambda: (lambda G: (G, center(G)))(dihedral(4)),
+    "D4/D4": lambda: (lambda G: (G, full_subgroup(G)))(dihedral(4)),
+    "S4/V4": _klein_in_s4,
+    "wilson(3)/A": _wilson_top_over_squares,
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_CASES))
+def test_quotient_matches_coset_walk(name):
+    G, N = QUOTIENT_CASES[name]()
+    Q, proj = quotient(G, N)
+    proj_map, table = oracle_quotient(G, N)
+    assert proj.map.tolist() == proj_map
+    assert Q.table.tolist() == table
 
 
 def test_direct_product_layout_and_counts():
@@ -377,6 +407,105 @@ def test_goursat_roundtrip_order_64():
     for H in all_subgroups(P):
         q = goursat(G1, G2, H)
         assert q.proj_left.order * q.ker_right.order == q.proj_right.order * q.ker_left.order
+
+
+GOURSAT_PAIRS = {  # the pairs of acceptance criterion 2, and S3 x C4
+    "C2xC2": (lambda: cyclic(2), lambda: cyclic(2)),
+    "C4xC2": (lambda: cyclic(4), lambda: cyclic(2)),
+    "C8xC8": (lambda: cyclic(8), lambda: cyclic(8)),
+    "D4xC3": (lambda: dihedral(4), lambda: cyclic(3)),
+    "Q8xC2": (quaternion8, lambda: cyclic(2)),
+    "D4xD4": (lambda: dihedral(4), lambda: dihedral(4)),
+    "S3xC4": (lambda: _perm_group([1, 2, 0], [1, 0, 2]), lambda: cyclic(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(GOURSAT_PAIRS))
+def test_goursat_matches_per_element_oracle(name):
+    G1, G2 = (factory() for factory in GOURSAT_PAIRS[name])
+    for H in all_subgroups(direct_product(G1, G2)):
+        q, expected = goursat(G1, G2, H), oracle_goursat(G1, G2, H)
+        for part in ("proj_left", "ker_left", "proj_right", "ker_right"):
+            got, want = getattr(q, part), getattr(expected, part)
+            assert (got.bits, got.order) == (want.bits, want.order), part
+        assert list(q.iso_witness.items()) == list(expected.iso_witness.items())
+
+
+def _quintuple(G1, G2, gens):
+    """The subgroup of G1 x G2 generated by the given product elements, with
+    its verified quintuple."""
+    H = closure(direct_product(G1, G2), gens)
+    return H, goursat(G1, G2, H)
+
+
+def _kernel_not_normal():
+    G1 = dihedral(4)
+    H, q = _quintuple(G1, cyclic(2), [g * 2 for g in G1.generators])  # D4 x 1
+    return G1, H, replace(q, ker_left=closure(G1, [4]))  # <s> is not normal in D4
+
+
+def _orders_differ():
+    G2 = cyclic(2)
+    H, q = _quintuple(cyclic(2), G2, [2, 1])  # C2 x C2
+    return H.parent._product_of[0], H, replace(q, ker_right=trivial_subgroup(G2))
+
+
+def _tampered_witness(G1, G2, gens, witness):
+    H, q = _quintuple(G1, G2, gens)
+    return G1, H, replace(q, iso_witness=witness)
+
+
+GOURSAT_FAULTS = {
+    "kernel not normal": (_kernel_not_normal, "goursat kernel not normal in projection"),
+    "orders differ": (_orders_differ, "goursat quotients have different orders"),
+    # the diagonal of C2 x C2 has the witness {0: 0, 1: 1}
+    "domain size": (lambda: _tampered_witness(cyclic(2), cyclic(2), [3], {0: 0}),
+                    "goursat witness has wrong domain size"),
+    "not injective": (lambda: _tampered_witness(cyclic(2), cyclic(2), [3], {0: 0, 1: 0}),
+                      "goursat witness not injective"),
+    # a bijection of the diagonal's C4 that is not an automorphism
+    "not a homomorphism": (
+        lambda: _tampered_witness(cyclic(4), cyclic(4), [5], {0: 0, 1: 2, 2: 1, 3: 3}),
+        "goursat witness not a homomorphism"),
+    # <(1, 1)> in C4 x C2 has ker_left {0, 2} and the witness {0: 0, 1: 1}; 2 is
+    # not the least element of its coset
+    "non-representative key": (
+        lambda: _tampered_witness(cyclic(4), cyclic(2), [3], {2: 0, 1: 1}),
+        "goursat witness not a homomorphism"),
+    # inversion is an automorphism of C3, so only the round trip tells
+    "round trip": (
+        lambda: _tampered_witness(cyclic(3), cyclic(3), [4], {0: 0, 1: 2, 2: 1}),
+        "goursat round-trip failed"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOURSAT_FAULTS))
+def test_verify_goursat_rejects_tampered_quintuple(name):
+    build, message = GOURSAT_FAULTS[name]
+    G1, H, q = build()
+    G2 = H.parent._product_of[1]
+    with pytest.raises(WrongShape) as excinfo:
+        groups._verify_goursat(G1, G2, H, q)
+    assert str(excinfo.value) == message
+
+
+def test_goursat_rejects_a_witness_that_is_not_well_defined():
+    G1, G2 = cyclic(2), cyclic(2)
+    # {(0, 0), (1, 0), (1, 1)} is no subgroup: 1 has both 0 and 1 as images
+    H = groups.Subgroup(direct_product(G1, G2), 0b1101, 3)
+    for decompose in (goursat, oracle_goursat):
+        with pytest.raises(WrongShape) as excinfo:
+            decompose(G1, G2, H)
+        assert str(excinfo.value) == "goursat witness is not well defined"
+
+
+@pytest.mark.parametrize("witness", [{0: 0}, {2: 0, 1: 1}], ids=["missing", "non-representative"])
+def test_goursat_reconstruct_rejects_a_coset_without_witness(witness):
+    G1, G2 = cyclic(4), cyclic(2)
+    H, q = _quintuple(G1, G2, [3])
+    assert goursat_reconstruct(G1, G2, H.parent, q).bits == H.bits
+    with pytest.raises(WrongShape):
+        goursat_reconstruct(G1, G2, H.parent, replace(q, iso_witness=witness))
 
 
 def test_cap_exceeded(monkeypatch):

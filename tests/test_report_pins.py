@@ -1,6 +1,7 @@
 """Byte pins of the reports: sha256 prefixes of the stdout of `analyze` for
 every built-in tower and for the product and custom-literal specs in
-data/cli_mix_specs.json, and of `audit --all`.  A change that only moves
+data/cli_mix_specs.json, of `audit --all`, and of `goursat` on S3 x C4 (the
+cli-mix literals) and on D4 x D4.  A change that only moves
 code must leave every report byte where it was."""
 
 from __future__ import annotations
@@ -44,7 +45,18 @@ REPORT_DIGESTS = {
     "sign-s4": "15f5b96922784e96",
     "a5": "eed15f900ae4df65",
     "audit --all": "8c057e399c819899",
+    # recorded before Goursat quintuples were found on index arrays
+    "goursat S3xC4": "054d0fc0bc4e7844",
+    "goursat D4xD4": "c158b48c2b7dffda",
 }
+
+S3_LITERAL = {"version": 1, "kind": "permutation", "degree": 3,
+              "generators": [[1, 2, 0], [1, 0, 2]]}
+C4_LITERAL = {"version": 1, "kind": "cyclic", "n": 4}
+D4_LITERAL = {"version": 1, "kind": "permutation", "degree": 4,
+              "generators": [[1, 2, 3, 0], [3, 2, 1, 0]]}
+GOURSAT_PAIRS = {"goursat S3xC4": (S3_LITERAL, C4_LITERAL),
+                 "goursat D4xD4": (D4_LITERAL, D4_LITERAL)}
 
 
 def _stdout_digest(argv, capsys) -> str:
@@ -70,3 +82,10 @@ def test_spec_file_report_bytes(name, tmp_path, capsys):
 
 def test_audit_all_bytes(capsys):
     assert _stdout_digest(["audit", "--all"], capsys) == REPORT_DIGESTS["audit --all"]
+
+
+@pytest.mark.parametrize("name", list(GOURSAT_PAIRS))
+def test_goursat_bytes(name, capsys):
+    g1, g2 = GOURSAT_PAIRS[name]
+    argv = ["goursat", "--g1", json.dumps(g1), "--g2", json.dumps(g2)]
+    assert _stdout_digest(argv, capsys) == REPORT_DIGESTS[name]
