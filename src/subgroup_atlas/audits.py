@@ -177,7 +177,9 @@ def pirim_irreducibility_audit(t: Tower) -> AuditResult:
         for (x, y) in classes:
             bx = (B[0][0] * x + B[0][1] * y) % pk
             by = (B[1][0] * x + B[1][1] * y) % pk
-            if _in_cyclic_span(bx, by, x, y, pk):
+            # (x, y) is primitive, so it extends to a basis, and B(x, y) lies
+            # on its line exactly when their determinant vanishes
+            if (x * by - y * bx) % pk == 0:
                 bad.append((x, y))
         details["invariant_lines"][r] = bad
         if bad:
@@ -207,14 +209,6 @@ def pirim_irreducibility_audit(t: Tower) -> AuditResult:
                 passed = False
                 details.setdefault("incomparable", []).append(H.order)
     return AuditResult("pirim_irreducibility", passed, (k, k), details)
-
-
-def _in_cyclic_span(bx: int, by: int, x: int, y: int, pk: int) -> bool:
-    """Is (bx, by) a multiple of the primitive vector (x, y) mod pk?"""
-    for a in range(pk):
-        if (a * x) % pk == bx and (a * y) % pk == by:
-            return True
-    return False
 
 
 def _scaled_module_bits(pk: int, j: int) -> int:
@@ -385,13 +379,9 @@ def goursat_full_audit(G1: FiniteGroup, G2: FiniteGroup) -> AuditResult:
         if H.order != q.ker_left.order * q.ker_right.order * section:
             passed = False
         # kernel of H -> projL/kerL is exactly kerL x kerR
-        count = 0
-        kl, kr = q.ker_left, q.ker_right
-        for m in H.indices():
-            a, b = int(m) // n2, int(m) % n2
-            if kl.contains(a) and kr.contains(b):
-                count += 1
-        if count != kl.order * kr.order:
+        left, right = np.divmod(H.indices(), n2)
+        count = np.count_nonzero(q.ker_left.mask()[left] & q.ker_right.mask()[right])
+        if count != q.ker_left.order * q.ker_right.order:
             passed = False
         if section == 1:
             details["factorizing"] += 1

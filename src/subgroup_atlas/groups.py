@@ -264,6 +264,24 @@ def _subgroup_from_mask(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
     return Subgroup(G, _rows_to_bits(mask[None])[0], int(mask.sum()))
 
 
+def _subgroup_of(G: FiniteGroup, elements) -> Subgroup:
+    """The subgroup whose members are the given element indices."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[elements] = True
+    return _subgroup_from_mask(G, mask)
+
+
+def _coset_minima(G: FiniteGroup, K: Subgroup) -> np.ndarray:
+    """For every g, the least element of the coset gK, read from row blocks
+    of G's table of BLOCK_CELLS cells at most."""
+    k = K.indices()
+    out = np.empty(G.order, dtype=np.intp)
+    step = max(1, BLOCK_CELLS // len(k))
+    for lo in range(0, G.order, step):
+        np.min(G.table[lo:lo + step].take(k, axis=1), axis=1, out=out[lo:lo + step])
+    return out
+
+
 def _cells(M: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """M[r, c] for index arrays (broadcast together), read from the flat M."""
     return M.ravel().take(np.multiply(r, M.shape[1], dtype=np.intp) + c)
@@ -339,9 +357,7 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    mask = np.zeros(G.order, dtype=bool)
-    mask[G.identity] = True
-    return _subgroup_from_mask(G, mask)
+    return _subgroup_of(G, G.identity)
 
 
 def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarray:
@@ -627,11 +643,7 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     """The conjugate subgroup H^g = g^-1 H g."""
-    idx = H.indices()
-    conj = G.table[G.table[G.inv[g], idx], g]
-    mask = np.zeros(G.order, dtype=bool)
-    mask[conj] = True
-    return _subgroup_from_mask(G, mask)
+    return _subgroup_of(G, G.table[G.table[G.inv[g], H.indices()], g])
 
 
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -659,11 +671,7 @@ def product_set(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Subgroup:
     """The subgroup HN for N normal in G."""
     if not is_normal(G, N):
         raise NotNormal("product_set requires a normal second factor")
-    hi = H.indices()
-    ni = N.indices()
-    mask = np.zeros(G.order, dtype=bool)
-    mask[G.table[np.ix_(hi, ni)].ravel()] = True
-    return _subgroup_from_mask(G, mask)
+    return _subgroup_of(G, G.table[np.ix_(H.indices(), N.indices())].ravel())
 
 
 class Homomorphism:
@@ -695,9 +703,7 @@ class Homomorphism:
         return int(self.map[a])
 
     def image_subgroup(self, H: Subgroup) -> Subgroup:
-        mask = np.zeros(self.target.order, dtype=bool)
-        mask[self.map[H.indices()]] = True
-        return _subgroup_from_mask(self.target, mask)
+        return _subgroup_of(self.target, self.map[H.indices()])
 
     def preimage_subgroup(self, H: Subgroup) -> Subgroup:
         in_H = H.mask()
@@ -716,19 +722,13 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """
     if not is_normal(G, N):
         raise NotNormal("quotient requires a normal subgroup")
-    n = G.order
-    ni = N.indices()
-    rep = np.full(n, -1, dtype=np.int64)
-    for g in range(n):
-        if rep[g] == -1:
-            coset = G.table[g, ni]
-            rep[coset] = int(coset.min())
-    reps = np.flatnonzero(rep == np.arange(n))  # each coset's minimum is its own rep
+    rep = _coset_minima(G, N)
+    reps = np.flatnonzero(rep == np.arange(G.order))  # each coset's minimum is its own rep
     proj_map = np.searchsorted(reps, rep)
     # the coset of a sends the coset of r to the coset of a*r
-    row_gens = sorted({int(proj_map[g]) for g in G.basis})
+    row_gens = sorted(set(proj_map[G.basis].tolist()))
     rows = proj_map[G.table[np.ix_(reps[row_gens], reps)]]
-    gens = sorted({int(proj_map[g]) for g in G.generators})
+    gens = sorted(set(proj_map[G.generators].tolist()))
     Q = FiniteGroup(
         table_from_rows(rows, row_gens, int(proj_map[G.identity])), generators=gens,
         labels=lambda i: f"{G.element_label(int(reps[i]))}N", name=f"{G.name}/N{N.order}",
@@ -774,50 +774,37 @@ class GoursatQuintuple:
     iso_witness: dict[int, int]  # coset rep in G1 -> coset rep in G2
 
 
-def _coset_rep(G: FiniteGroup, K: Subgroup, a: int) -> int:
-    return int(G.table[a, K.indices()].min())
-
-
 def goursat(G1: FiniteGroup, G2: FiniteGroup, H: Subgroup) -> GoursatQuintuple:
     """Decompose a subgroup of G1 x G2 into its Goursat quintuple.
 
-    The witness is verified: it is a well-defined bijective homomorphism of
-    the two section quotients, and reconstructing H from the quintuple gives
-    back exactly H.
+    The witness is the set of pairs of coset representatives (least
+    elements) of H's members, one pair per left representative.  It is
+    verified: it is a well-defined bijective homomorphism of the two section
+    quotients, and reconstructing H from the quintuple gives back exactly H.
     """
     P = H.parent
     if P._product_of is None or P._product_of[0] is not G1 or P._product_of[1] is not G2:
         raise WrongShape("goursat needs a subgroup of direct_product(G1, G2)")
     n2 = G2.order
-    members = H.indices()
-    left = members // n2
-    right = members % n2
-
-    pl_mask = np.zeros(G1.order, dtype=bool)
-    pl_mask[left] = True
-    proj_left = _subgroup_from_mask(G1, pl_mask)
-    pr_mask = np.zeros(G2.order, dtype=bool)
-    pr_mask[right] = True
-    proj_right = _subgroup_from_mask(G2, pr_mask)
-
-    kl_mask = np.zeros(G1.order, dtype=bool)
-    kl_mask[left[right == G2.identity]] = True
-    ker_left = _subgroup_from_mask(G1, kl_mask)
-    kr_mask = np.zeros(G2.order, dtype=bool)
-    kr_mask[right[left == G1.identity]] = True
-    ker_right = _subgroup_from_mask(G2, kr_mask)
-
-    iso: dict[int, int] = {}
-    for a, b in zip(left, right):
-        ra = _coset_rep(G1, ker_left, int(a))
-        rb = _coset_rep(G2, ker_right, int(b))
-        if ra in iso and iso[ra] != rb:
-            raise WrongShape("goursat witness is not well defined")
-        iso[ra] = rb
-
-    quint = GoursatQuintuple(proj_left, ker_left, proj_right, ker_right, iso)
+    left, right = np.divmod(H.indices(), n2)
+    ker_left = _subgroup_of(G1, left[right == G2.identity])
+    ker_right = _subgroup_of(G2, right[left == G1.identity])
+    pairs = np.zeros(P.order, dtype=bool)  # (rep a, rep b) for each member (a, b)
+    pairs[_coset_minima(G1, ker_left)[left] * n2 + _coset_minima(G2, ker_right)[right]] = True
+    reps, images = np.divmod(pairs.nonzero()[0], n2)
+    if (reps[1:] == reps[:-1]).any():  # pairs are sorted, so one rep's pairs are adjacent
+        raise WrongShape("goursat witness is not well defined")
+    quint = GoursatQuintuple(_subgroup_of(G1, left), ker_left, _subgroup_of(G2, right), ker_right,
+                             dict(zip(reps.tolist(), images.tolist())))
     _verify_goursat(G1, G2, H, quint)
     return quint
+
+
+def _witness_map(G1: FiniteGroup, q: GoursatQuintuple) -> np.ndarray:
+    """The witness as an array over G1, -1 where it has no entry."""
+    w = np.full(G1.order, -1, dtype=np.intp)
+    w[list(q.iso_witness)] = list(q.iso_witness.values())
+    return w
 
 
 def _verify_goursat(
@@ -834,14 +821,14 @@ def _verify_goursat(
     # witness is a bijection
     if len(set(q.iso_witness.values())) != len(q.iso_witness):
         raise WrongShape("goursat witness not injective")
-    # witness is a homomorphism on coset reps
-    reps = sorted(q.iso_witness)
-    for a in reps:
-        for b in reps:
-            ab = _coset_rep(G1, q.ker_left, G1.mul(a, b))
-            im = _coset_rep(G2, q.ker_right, G2.mul(q.iso_witness[a], q.iso_witness[b]))
-            if q.iso_witness[ab] != im:
-                raise WrongShape("goursat witness not a homomorphism")
+    # witness is a homomorphism on coset reps: w(rep(ab)) == rep(w(a) w(b)), which
+    # fails at a key that is not a rep, since rep(ab) then misses the witness
+    w = _witness_map(G1, q)
+    a = np.fromiter(q.iso_witness, dtype=np.intp)
+    b = w.take(a)
+    if not np.array_equal(w.take(_coset_minima(G1, q.ker_left).take(G1.table[np.ix_(a, a)])),
+                          _coset_minima(G2, q.ker_right).take(G2.table[np.ix_(b, b)])):
+        raise WrongShape("goursat witness not a homomorphism")
     # round trip
     if goursat_reconstruct(G1, G2, H.parent, q).bits != H.bits:
         raise WrongShape("goursat round-trip failed")
@@ -850,15 +837,14 @@ def _verify_goursat(
 def goursat_reconstruct(
     G1: FiniteGroup, G2: FiniteGroup, P: FiniteGroup, q: GoursatQuintuple
 ) -> Subgroup:
-    """Rebuild the subgroup of G1 x G2 described by a quintuple."""
-    n2 = G2.order
-    mask = np.zeros(P.order, dtype=bool)
-    for a in q.proj_left.indices():
-        ra = _coset_rep(G1, q.ker_left, int(a))
-        rb = q.iso_witness[ra]
-        for b in G2.table[rb, q.ker_right.indices()]:
-            mask[int(a) * n2 + int(b)] = True
-    return _subgroup_from_mask(P, mask)
+    """Rebuild the subgroup of G1 x G2 described by a quintuple: each a in
+    proj_left pairs with the coset w(rep(a)) ker_right."""
+    a = q.proj_left.indices()
+    images = _witness_map(G1, q).take(_coset_minima(G1, q.ker_left).take(a))
+    if (images < 0).any():
+        raise WrongShape("goursat witness has no entry for a coset of the left projection")
+    b = G2.table[np.ix_(images, q.ker_right.indices())]
+    return _subgroup_of(P, a[:, None] * G2.order + b)
 
 
 # -- building tables -----------------------------------------------------------

@@ -318,20 +318,10 @@ def make_pirim(depth: int) -> Tower:
 
 # -- the Wilson pro-2 example ---------------------------------------------------
 
-_WILSON_SIGMAS = {
-    "1": (1, 1, 1),
-    "s1": (1, -1, -1),
-    "s2": (-1, 1, -1),
-    "s3": (-1, -1, 1),
-}
-_WILSON_MUL = {
-    ("1", "1"): "1", ("1", "s1"): "s1", ("1", "s2"): "s2", ("1", "s3"): "s3",
-    ("s1", "1"): "s1", ("s2", "1"): "s2", ("s3", "1"): "s3",
-    ("s1", "s1"): "1", ("s2", "s2"): "1", ("s3", "s3"): "1",
-    ("s1", "s2"): "s3", ("s2", "s1"): "s3",
-    ("s1", "s3"): "s2", ("s3", "s1"): "s2",
-    ("s2", "s3"): "s1", ("s3", "s2"): "s1",
-}
+# V = {1, s1, s2, s3} is the Klein four group, element i of it written as i
+# with XOR as the product; s_i negates every coordinate but the i-th
+_WILSON_V_NAMES = ("1", "s1", "s2", "s3")
+_WILSON_SIGMAS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 def _wilson_level(k: int) -> tuple[FiniteGroup, list]:
@@ -344,14 +334,14 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, list]:
         (v, s), (w, t) = x, y
         sv = _WILSON_SIGMAS[s]
         moved = tuple((v[i] + sv[i] * w[i]) % mod for i in range(3))
-        return (moved, _WILSON_MUL[(s, t)])
+        return (moved, s ^ t)
 
-    ident = ((0, 0, 0), "1")
-    x1 = ((1, 0, 1), "s1")
-    x2 = ((0, 1, 0), "s2")
+    ident = ((0, 0, 0), 0)
+    x1 = ((1, 0, 1), 1)
+    x2 = ((0, 1, 0), 2)
     G, elements = generate_from(
         [x1, x2], mul, ident,
-        label=lambda e: f"({e[0][0]},{e[0][1]},{e[0][2]};{e[1]})",
+        label=lambda e: f"({e[0][0]},{e[0][1]},{e[0][2]};{_WILSON_V_NAMES[e[1]]})",
         name=f"W(2^{k})",
     )
     if len(elements) != 2 ** (3 * k - 1):
@@ -381,7 +371,7 @@ def _wilson_level(k: int) -> tuple[FiniteGroup, list]:
             raise RelationCheckFailed(f"wilson relation failed at level {k}: {name}")
     for i, a in enumerate((a1, a2, a3)):
         expected = tuple(2 % mod if j == i else 0 for j in range(3))
-        if a != (expected, "1"):
+        if a != (expected, 0):
             raise RelationCheckFailed(f"a{i+1} != 2e{i+1} at level {k}")
     return G, elements
 
