@@ -1,5 +1,6 @@
 """Group-core tests against the independent subset-closure oracle."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -310,32 +311,39 @@ def test_quotient_requires_normal():
         quotient(D4, closure(D4, [4]))
 
 
-def _klein_in_s4():
-    G = s4()
-    return G, next(H for H in all_subgroups(G) if H.order == 4 and is_normal(G, H))
-
-
-def _wilson_top_over_squares():
-    G = cached_tower("wilson(3)").level(3)
-    return G, closure(G, wilson_elements(G)[1])
-
-
-QUOTIENT_CASES = {
-    "Z8/<4>": lambda: (lambda G: (G, closure(G, [4])))(cyclic(8)),
-    "D4/Z(D4)": lambda: (lambda G: (G, center(G)))(dihedral(4)),
-    "D4/D4": lambda: (lambda G: (G, full_subgroup(G)))(dihedral(4)),
-    "S4/V4": _klein_in_s4,
-    "wilson(3)/A": _wilson_top_over_squares,
+QUOTIENT_CASES = {  # a group, and its normal subgroup
+    "Z8/<4>": (lambda: cyclic(8), lambda G: closure(G, [4])),
+    "D4/Z(D4)": (lambda: dihedral(4), center),
+    "D4/D4": (lambda: dihedral(4), full_subgroup),
+    "S4/V4": (lambda: s4(),
+              lambda G: next(H for H in all_subgroups(G) if H.order == 4 and is_normal(G, H))),
+    "wilson(3)/A": (lambda: cached_tower("wilson(3)").level(3),
+                    lambda G: closure(G, wilson_elements(G)[1])),
 }
 
 
 @pytest.mark.parametrize("name", list(QUOTIENT_CASES))
 def test_quotient_matches_coset_walk(name):
-    G, N = QUOTIENT_CASES[name]()
+    group, normal = QUOTIENT_CASES[name]
+    G = group()
+    N = normal(G)
     Q, proj = quotient(G, N)
     proj_map, table = oracle_quotient(G, N)
     assert proj.map.tolist() == proj_map
     assert Q.table.tolist() == table
+
+
+def test_coset_minima_reads_the_table_in_blocks():
+    G = cyclic(2048)
+    K = closure(G, [2])  # |K| = 1024: an n x |K| gather would be 2^21 cells
+    tracemalloc.start()
+    try:
+        minima = groups._coset_minima(G, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert minima.tolist() == [g % 2 for g in range(G.order)]
+    assert peak <= minima.nbytes + 4 * groups.BLOCK_CELLS
 
 
 def test_direct_product_layout_and_counts():
@@ -431,50 +439,43 @@ def test_goursat_matches_per_element_oracle(name):
         assert list(q.iso_witness.items()) == list(expected.iso_witness.items())
 
 
-def _quintuple(G1, G2, gens):
-    """The subgroup of G1 x G2 generated by the given product elements, with
-    its verified quintuple."""
+def _tampered(G1, G2, gens, **changes):
+    """G1, G2, the subgroup H of G1 x G2 generated by the given product
+    elements, and H's quintuple with the given parts replaced."""
     H = closure(direct_product(G1, G2), gens)
-    return H, goursat(G1, G2, H)
+    return G1, G2, H, replace(goursat(G1, G2, H), **changes)
 
 
 def _kernel_not_normal():
-    G1 = dihedral(4)
-    H, q = _quintuple(G1, cyclic(2), [g * 2 for g in G1.generators])  # D4 x 1
-    return G1, H, replace(q, ker_left=closure(G1, [4]))  # <s> is not normal in D4
+    G1 = dihedral(4)  # D4 x 1, with <s>, not normal in D4, as its left kernel
+    return _tampered(G1, cyclic(2), [g * 2 for g in G1.generators], ker_left=closure(G1, [4]))
 
 
 def _orders_differ():
-    G2 = cyclic(2)
-    H, q = _quintuple(cyclic(2), G2, [2, 1])  # C2 x C2
-    return H.parent._product_of[0], H, replace(q, ker_right=trivial_subgroup(G2))
-
-
-def _tampered_witness(G1, G2, gens, witness):
-    H, q = _quintuple(G1, G2, gens)
-    return G1, H, replace(q, iso_witness=witness)
+    G2 = cyclic(2)  # C2 x C2, with a trivial right kernel
+    return _tampered(cyclic(2), G2, [2, 1], ker_right=trivial_subgroup(G2))
 
 
 GOURSAT_FAULTS = {
     "kernel not normal": (_kernel_not_normal, "goursat kernel not normal in projection"),
     "orders differ": (_orders_differ, "goursat quotients have different orders"),
     # the diagonal of C2 x C2 has the witness {0: 0, 1: 1}
-    "domain size": (lambda: _tampered_witness(cyclic(2), cyclic(2), [3], {0: 0}),
+    "domain size": (lambda: _tampered(cyclic(2), cyclic(2), [3], iso_witness={0: 0}),
                     "goursat witness has wrong domain size"),
-    "not injective": (lambda: _tampered_witness(cyclic(2), cyclic(2), [3], {0: 0, 1: 0}),
+    "not injective": (lambda: _tampered(cyclic(2), cyclic(2), [3], iso_witness={0: 0, 1: 0}),
                       "goursat witness not injective"),
     # a bijection of the diagonal's C4 that is not an automorphism
     "not a homomorphism": (
-        lambda: _tampered_witness(cyclic(4), cyclic(4), [5], {0: 0, 1: 2, 2: 1, 3: 3}),
+        lambda: _tampered(cyclic(4), cyclic(4), [5], iso_witness={0: 0, 1: 2, 2: 1, 3: 3}),
         "goursat witness not a homomorphism"),
     # <(1, 1)> in C4 x C2 has ker_left {0, 2} and the witness {0: 0, 1: 1}; 2 is
     # not the least element of its coset
     "non-representative key": (
-        lambda: _tampered_witness(cyclic(4), cyclic(2), [3], {2: 0, 1: 1}),
+        lambda: _tampered(cyclic(4), cyclic(2), [3], iso_witness={2: 0, 1: 1}),
         "goursat witness not a homomorphism"),
     # inversion is an automorphism of C3, so only the round trip tells
     "round trip": (
-        lambda: _tampered_witness(cyclic(3), cyclic(3), [4], {0: 0, 1: 2, 2: 1}),
+        lambda: _tampered(cyclic(3), cyclic(3), [4], iso_witness={0: 0, 1: 2, 2: 1}),
         "goursat round-trip failed"),
 }
 
@@ -482,8 +483,7 @@ GOURSAT_FAULTS = {
 @pytest.mark.parametrize("name", list(GOURSAT_FAULTS))
 def test_verify_goursat_rejects_tampered_quintuple(name):
     build, message = GOURSAT_FAULTS[name]
-    G1, H, q = build()
-    G2 = H.parent._product_of[1]
+    G1, G2, H, q = build()
     with pytest.raises(WrongShape) as excinfo:
         groups._verify_goursat(G1, G2, H, q)
     assert str(excinfo.value) == message
@@ -501,11 +501,10 @@ def test_goursat_rejects_a_witness_that_is_not_well_defined():
 
 @pytest.mark.parametrize("witness", [{0: 0}, {2: 0, 1: 1}], ids=["missing", "non-representative"])
 def test_goursat_reconstruct_rejects_a_coset_without_witness(witness):
-    G1, G2 = cyclic(4), cyclic(2)
-    H, q = _quintuple(G1, G2, [3])
-    assert goursat_reconstruct(G1, G2, H.parent, q).bits == H.bits
+    # <(1, 1)> in C4 x C2: the coset {0, 2} of ker_left has no witness entry
+    G1, G2, H, q = _tampered(cyclic(4), cyclic(2), [3], iso_witness=witness)
     with pytest.raises(WrongShape):
-        goursat_reconstruct(G1, G2, H.parent, replace(q, iso_witness=witness))
+        goursat_reconstruct(G1, G2, H.parent, q)
 
 
 def test_cap_exceeded(monkeypatch):
