@@ -821,8 +821,8 @@ def _verify_goursat(
     # witness is a bijection
     if len(set(q.iso_witness.values())) != len(q.iso_witness):
         raise WrongShape("goursat witness not injective")
-    # witness is a homomorphism on coset reps: w(rep(ab)) == rep(w(a) w(b)), which
-    # fails at a key that is not a rep, since rep(ab) then misses the witness
+    # witness is a homomorphism on coset reps: w(rep(ab)) == rep(w(a) w(b)); w
+    # reads -1 at a rep without an entry, as when a key is not a rep
     w = _witness_map(G1, q)
     a = np.fromiter(q.iso_witness, dtype=np.intp)
     b = w.take(a)
