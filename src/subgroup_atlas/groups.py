@@ -184,14 +184,17 @@ class FiniteGroup:
 
     # -- basic queries ------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def mul(self, a, b) -> np.ndarray:
+        """a*b for element indices or integer index arrays, broadcast together, as
+        intp: how every product outside the construction checks is read."""
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        return _cells(self.table, a, b).astype(np.intp)
 
     def is_abelian(self) -> bool:
         """Whether the basis elements commute pairwise: exact, since the
         basis generates the group, which is verified associative."""
         if self._abelian is None:
-            on_basis = self.table[np.ix_(self.basis, self.basis)]
+            on_basis = self.mul(*np.ix_(self.basis, self.basis))
             self._abelian = bool(np.array_equal(on_basis, on_basis.T))
         return self._abelian
 
@@ -202,7 +205,7 @@ class FiniteGroup:
             out = np.full(n, self.identity, dtype=np.int64)
             base = np.arange(n)
             for _ in range(e):
-                out = self.table[out, base].astype(np.int64)
+                out = self.mul(out, base)
             out.setflags(write=False)
             self._power_maps[e] = out
         return self._power_maps[e]
@@ -272,13 +275,14 @@ def _subgroup_of(G: FiniteGroup, elements) -> Subgroup:
 
 
 def _coset_minima(G: FiniteGroup, K: Subgroup) -> np.ndarray:
-    """For every g, the least element of the coset gK, read from row blocks
-    of G's table of BLOCK_CELLS cells at most."""
+    """For every g, the least element of the coset gK, from blocks of at most
+    BLOCK_CELLS // 8 products, as mul allocates up to 20 bytes a product."""
     k = K.indices()
     out = np.empty(G.order, dtype=np.intp)
-    step = max(1, BLOCK_CELLS // len(k))
+    step = max(1, BLOCK_CELLS // 8 // len(k))
     for lo in range(0, G.order, step):
-        np.min(G.table[lo:lo + step].take(k, axis=1), axis=1, out=out[lo:lo + step])
+        rows = np.arange(lo, min(lo + step, G.order))
+        np.min(G.mul(rows[:, None], k), axis=1, out=out[lo:lo + step])
     return out
 
 
@@ -309,8 +313,8 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
         members = np.nonzero(mask)[0]
         new_mask = np.zeros(n, dtype=bool)
         f = np.asarray(frontier)
-        new_mask[G.table[np.ix_(f, members)].ravel()] = True
-        new_mask[G.table[np.ix_(members, f)].ravel()] = True
+        new_mask[G.mul(f[:, None], members)] = True
+        new_mask[G.mul(members[:, None], f)] = True
         new_mask[G.inv[f]] = True
         new_mask &= ~mask
         frontier = list(np.nonzero(new_mask)[0])
@@ -339,15 +343,15 @@ def _commutator_of(G: FiniteGroup, gens: Sequence[int]) -> tuple[Subgroup, list[
     by each generator maps into itself is normal in H.  Each join at least
     doubles the subgroup, so at most log2 |[H, H]| closures run.
     """
-    t, inv = G.table, G.inv
-    gens = [int(g) for g in gens]
-    todo = [int(t[t[a, b], inv[t[b, a]]]) for i, a in enumerate(gens) for b in gens[i + 1:]]
+    gens = np.asarray(gens, dtype=np.intp)
+    a, b = gens.take(np.triu_indices(len(gens), 1))  # each pair once, in order
+    todo = G.mul(G.mul(a, b), G.inv.take(G.mul(b, a))).tolist()
     derived, joined = trivial_subgroup(G), []
     for c in todo:  # grows while it is walked
         if not derived.contains(c):
             joined.append(c)
             derived = closure(G, joined)
-            todo += [int(t[t[inv[s], c], s]) for s in gens]
+            todo += G.mul(G.mul(G.inv.take(gens), c), gens).tolist()
     return derived, joined
 
 
@@ -367,9 +371,9 @@ def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarr
     H will do).  g^-1 H g is a subgroup of order |H|, so it equals H as soon
     as it contains g^-1 h g for every generator h.
     """
-    t, hs = G.table, np.asarray(gens, dtype=np.int64)
+    hs = np.asarray(gens, dtype=np.int64)
     cs = np.asarray(candidates, dtype=np.int64)[:, None]
-    return in_H[t[t[G.inv[cs], hs], cs]].all(axis=1)
+    return in_H[G.mul(G.mul(G.inv[cs], hs), cs)].all(axis=1)
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -455,7 +459,6 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
       remains of its candidates, so that round builds no cosets.
     A gathered cell costs about GATHER_CELL_COST cells of a pass.
     """
-    t = G.table
     primes = sorted(G.primes)
     cand = H.take(G.power_map(primes[0]), axis=1)
     for p in primes[1:]:
@@ -465,7 +468,7 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
         # c normalizes H when c^-1 h c lies in H for each extension element h
         r, c = cand.nonzero()
         for j in range(gens.shape[1]):
-            ok = _cells(H, r, _cells(t, _cells(t, G.inv.take(c), gens[:, j].take(r)), c))
+            ok = _cells(H, r, G.mul(G.mul(G.inv.take(c), gens[:, j].take(r)), c))
             r, c = r[ok], c[ok]
         cand[:] = False
         cand[r, c] = True
@@ -483,11 +486,11 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
         members = np.full((len(H), int(orders.max())), G.identity)
         starts = np.fromiter(accumulate(orders.tolist(), initial=0), np.intp, len(orders) + 1)
         members[at, np.arange(len(at)) - starts[at]] = elements
-        keep = _least_in_class(t, members, r, c, q)
+        keep = _least_in_class(G, members, r, c, q)
         r, c, q = r[keep], c[keep], q[keep]
-        step = max(1, _block_cells(len(t)) // len(t))
+        step = max(1, _block_cells(G.order) // G.order)
         K = [b for lo in range(0, len(r), step)
-             for b in _written_cosets(t, H, members, r[lo:lo + step], c[lo:lo + step],
+             for b in _written_cosets(G, H, members, r[lo:lo + step], c[lo:lo + step],
                                       q[lo:lo + step])]
     else:
         picks, K = [], []
@@ -519,34 +522,34 @@ def _least_prime(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
     return q
 
 
-def _least_in_class(t: np.ndarray, members: np.ndarray, r: np.ndarray, c: np.ndarray,
+def _least_in_class(G: FiniteGroup, members: np.ndarray, r: np.ndarray, c: np.ndarray,
                     q: np.ndarray) -> np.ndarray:
     """Whether each candidate c of row r is the least element of the union of
     the cosets c^i H_r, 0 < i < q, with H_r's elements (padded with repeats)
     row r of `members`, a block of candidates at a time."""
     keep = np.empty(len(c), dtype=bool)
-    step = max(1, _block_cells(len(t)) // members.shape[1])
+    step = max(1, _block_cells(G.order) // members.shape[1])
     for lo in range(0, len(c), step):
         cs, qs = c[lo:lo + step], q[lo:lo + step]
         elements = members.take(r[lo:lo + step], axis=0)
-        least, x = np.full(len(cs), len(t)), cs
+        least, x = np.full(len(cs), G.order), cs
         for i in range(1, int(qs.max())):
-            coset_min = _cells(t, x[:, None], elements).min(axis=1)
+            coset_min = G.mul(x[:, None], elements).min(axis=1)
             least = np.where(qs > i, np.minimum(least, coset_min), least)
-            x = _cells(t, x, cs)
+            x = G.mul(x, cs)
         keep[lo:lo + step] = least == cs
     return keep
 
 
-def _written_cosets(t: np.ndarray, H: np.ndarray, members: np.ndarray, r: np.ndarray,
+def _written_cosets(G: FiniteGroup, H: np.ndarray, members: np.ndarray, r: np.ndarray,
                     c: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The bitsets of the unions of the cosets c_j^i H_{r_j}, i < q_j, each
     coset written element by element from H's elements, row r_j of `members`."""
     K, rows, x = H.take(r, axis=0), np.arange(len(r))[:, None], c
     elements = members.take(r, axis=0)
     for _ in range(1, int(q.max())):
-        K[rows, _cells(t, x[:, None], elements)] = True
-        x = _cells(t, x, c)
+        K[rows, G.mul(x[:, None], elements)] = True
+        x = G.mul(x, c)
     return _rows_to_bits(K)
 
 
@@ -559,9 +562,10 @@ def _coset_unions(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
     top = int(q.max())
     step = y = G.inv.take(c)
     for i in range(1, top):
-        K |= _cells(H, r[:, None], G.table[y])  # g lies in c^i H when c^-i g lies in H
+        # g lies in c^i H when c^-i g lies in H
+        K |= _cells(H, r[:, None], G.mul(y[:, None], np.arange(G.order)))
         if i + 1 < top:
-            y = _cells(G.table, y, step)
+            y = G.mul(y, step)
     return K
 
 
@@ -570,7 +574,6 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
     elements g outside it, once per class of elements giving the same
     subgroup.  <H, g> = <H, h g^k h'> for h, h' in H and k prime to the
     order of g, so those elements are marked covered and skipped."""
-    t = G.table
     triv = trivial_subgroup(G)
     found: dict[int, Subgroup] = {triv.bits: triv}
     # each queued subgroup travels with the elements that generated it
@@ -589,9 +592,9 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
             powers, x, k = [], g, 1
             while x != G.identity:
                 powers.append(x)
-                x, k = int(t[x, g]), k + 1
+                x, k = int(G.mul(x, g)), k + 1
             coprime = [y for j, y in enumerate(powers, 1) if math.gcd(j, k) == 1]
-            covered[t[t[idx, coprime].reshape(-1, 1), idx.T]] = True
+            covered[G.mul(G.mul(idx, coprime).reshape(-1, 1), idx.T)] = True
     return found
 
 
@@ -633,7 +636,7 @@ def centralizer(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for s in gens:
         if not 0 <= s < G.order:
             raise OutOfRange(f"generator {s} outside group of order {G.order}")
-        mask &= G.table[:, s] == G.table[s, :]
+        mask &= G.mul(np.arange(G.order), s) == G.mul(s, np.arange(G.order))
     return _subgroup_from_mask(G, mask)
 
 
@@ -643,7 +646,7 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     """The conjugate subgroup H^g = g^-1 H g."""
-    return _subgroup_of(G, G.table[G.table[G.inv[g], H.indices()], g])
+    return _subgroup_of(G, G.mul(G.mul(G.inv[g], H.indices()), g))
 
 
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -671,7 +674,7 @@ def product_set(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Subgroup:
     """The subgroup HN for N normal in G."""
     if not is_normal(G, N):
         raise NotNormal("product_set requires a normal second factor")
-    return _subgroup_of(G, G.table[np.ix_(H.indices(), N.indices())].ravel())
+    return _subgroup_of(G, G.mul(H.indices()[:, None], N.indices()))
 
 
 class Homomorphism:
@@ -696,7 +699,8 @@ class Homomorphism:
         the product and the basis generates the source, so this is exact."""
         src, m = self.source, self.map
         s = np.array([src.identity, *src.basis])
-        if not np.array_equal(m[src.table[:, s]], self.target.table[m[:, None], m[s][None, :]]):
+        every = np.arange(src.order)[:, None]
+        if not np.array_equal(m[src.mul(every, s)], self.target.mul(m[:, None], m[s])):
             raise WrongShape("map is not a homomorphism")
 
     def apply(self, a: int) -> int:
@@ -727,7 +731,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     proj_map = np.searchsorted(reps, rep)
     # the coset of a sends the coset of r to the coset of a*r
     row_gens = sorted(set(proj_map[G.basis].tolist()))
-    rows = proj_map[G.table[np.ix_(reps[row_gens], reps)]]
+    rows = proj_map[G.mul(reps[row_gens][:, None], reps)]
     gens = sorted(set(proj_map[G.generators].tolist()))
     Q = FiniteGroup(
         table_from_rows(rows, row_gens, int(proj_map[G.identity])), generators=gens,
@@ -744,8 +748,8 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
         raise CapExceeded(f"product order {n1 * n2} above cap {order_cap()}")
     a1, a2 = np.unravel_index(np.arange(n1 * n2), (n1, n2))
     # (g, 1)(b1, b2) = (g*b1, b2) and (1, h)(b1, b2) = (b1, h*b2)
-    rows = [G1.table[g, a1].astype(np.int64) * n2 + a2 for g in G1.basis]
-    rows += [a1 * n2 + G2.table[h, a2] for h in G2.basis]
+    rows = [G1.mul(g, a1) * n2 + a2 for g in G1.basis]
+    rows += [a1 * n2 + G2.mul(h, a2) for h in G2.basis]
     row_gens = [g * n2 + G2.identity for g in G1.basis]
     row_gens += [G1.identity * n2 + h for h in G2.basis]
     table = table_from_rows(np.array(rows).reshape(len(rows), n1 * n2), row_gens,
@@ -826,8 +830,8 @@ def _verify_goursat(
     w = _witness_map(G1, q)
     a = np.fromiter(q.iso_witness, dtype=np.intp)
     b = w.take(a)
-    if not np.array_equal(w.take(_coset_minima(G1, q.ker_left).take(G1.table[np.ix_(a, a)])),
-                          _coset_minima(G2, q.ker_right).take(G2.table[np.ix_(b, b)])):
+    if not np.array_equal(w.take(_coset_minima(G1, q.ker_left).take(G1.mul(a[:, None], a))),
+                          _coset_minima(G2, q.ker_right).take(G2.mul(b[:, None], b))):
         raise WrongShape("goursat witness not a homomorphism")
     # round trip
     if goursat_reconstruct(G1, G2, H.parent, q).bits != H.bits:
@@ -843,7 +847,7 @@ def goursat_reconstruct(
     images = _witness_map(G1, q).take(_coset_minima(G1, q.ker_left).take(a))
     if (images < 0).any():
         raise WrongShape("goursat witness has no entry for a coset of the left projection")
-    b = G2.table[np.ix_(images, q.ker_right.indices())]
+    b = G2.mul(images[:, None], q.ker_right.indices())
     return _subgroup_of(P, a[:, None] * G2.order + b)
 
 

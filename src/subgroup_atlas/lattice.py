@@ -55,13 +55,21 @@ class LatticeTower:
         return len(self.node_orders)
 
     def node_count(self, k: int) -> int:
+        if not 1 <= k <= self.depth:
+            raise OutOfRange(f"level {k} outside 1..{self.depth}")
         return len(self.node_orders[k - 1])
+
+    def _check_node(self, k: int, i: int) -> None:
+        """Raise OutOfRange unless level k has a node i."""
+        if not 0 <= i < self.node_count(k):
+            raise OutOfRange(f"node {i} outside 0..{self.node_count(k) - 1} at level {k}")
 
     def counts_per_level(self) -> list[int]:
         return [self.node_count(k) for k in range(1, self.depth + 1)]
 
     def node_index_in_group(self, k: int, i: int) -> int:
         """Group-theoretic index [G_k : H] of node i at level k."""
+        self._check_node(k, i)
         return self.level_orders[k - 1] // self.node_orders[k - 1][i]
 
     def subgroup(self, k: int, i: int) -> Subgroup:
@@ -69,11 +77,15 @@ class LatticeTower:
             raise CapExceeded(
                 f"level {k} nodes are structural; explicit subgroups unavailable"
             )
+        self._check_node(k, i)
         order = self.node_orders[k - 1][i]
         return Subgroup(self.tower.level(k), self.node_bits[k - 1][i], order)
 
     def parent_of(self, k: int, i: int) -> int:
         """Parent node index (at level k-1) of node i at level k >= 2."""
+        if k < 2:
+            raise OutOfRange(f"level {k} has no parent level")
+        self._check_node(k, i)
         return int(self.parents[k - 2][i])
 
     def thread_from(self, k: int, i: int) -> Thread:
@@ -137,7 +149,7 @@ def _links(hom: Homomorphism, upper: list[int], lower: list[int], lower_index: d
     lift = np.empty(n_lo, dtype=np.intp)
     lift[hom.map] = np.arange(n_hi)
     kernel = (hom.map == hom.target.identity).nonzero()[0]
-    by_image = hom.source.table[lift[None, :], kernel[:, None]].ravel()
+    by_image = hom.source.mul(lift[None, :], kernel[:, None]).ravel()
     images: list[int] = []
     for lo in range(0, len(upper), step):
         rows = _bits_to_rows(upper[lo:lo + step], n_hi).take(by_image, axis=1)

@@ -19,6 +19,7 @@ from .config import order_cap
 from .errors import (
     CapExceeded,
     DepthMismatch,
+    OutOfRange,
     PrimeOverlap,
     RelationCheckFailed,
     SpecError,
@@ -68,12 +69,27 @@ class TowerMeta:
 
 @dataclass
 class Tower:
-    """Levels plus connecting maps; maps[k] sends levels[k+1] onto levels[k]."""
+    """Levels plus connecting maps; maps[k] sends levels[k+1] onto levels[k].
+
+    An explicit tower refuses, at construction, maps that are too few or too
+    many, that do not run between adjacent levels or that are not onto.
+    """
 
     levels: list[FiniteGroup]
     maps: list[Homomorphism]
     meta: TowerMeta
     factors: Optional[list["Tower"]] = None  # set for coprime product towers
+
+    def __post_init__(self):
+        if self.factors is not None:
+            return
+        if len(self.maps) != len(self.levels) - 1:
+            raise WrongShape("need exactly depth-1 connecting maps")
+        for k, hom in enumerate(self.maps, 1):
+            if hom.source is not self.levels[k] or hom.target is not self.levels[k - 1]:
+                raise WrongShape(f"connecting map {k} does not send level {k + 1} to level {k}")
+            if not hom.surjective:
+                raise WrongShape(f"connecting map {k} is not surjective")
 
     @property
     def depth(self) -> int:
@@ -90,10 +106,14 @@ class Tower:
             raise CapExceeded(
                 "tower is structural; explicit level groups were not materialized"
             )
+        if not 1 <= k <= len(self.levels):
+            raise OutOfRange(f"level {k} outside 1..{len(self.levels)}")
         return self.levels[k - 1]
 
     def map_down(self, k: int) -> Homomorphism:
         """The connecting map level k+1 -> level k (1-based)."""
+        if not 1 <= k <= len(self.maps):
+            raise OutOfRange(f"connecting map {k} outside 1..{len(self.maps)}")
         return self.maps[k - 1]
 
 
@@ -380,8 +400,8 @@ def wilson_elements(G: FiniteGroup) -> tuple[list[int], list[int]]:
     """The elements [x1, x2, x1 x2] of a Wilson level, whose generators are
     [x1, x2] in generate_from's seed order, and their squares [a1, a2, a3]."""
     x1, x2 = G.generators
-    xs = [x1, x2, G.mul(x1, x2)]
-    return xs, [G.mul(x, x) for x in xs]
+    xs = [x1, x2, int(G.mul(x1, x2))]
+    return xs, [int(G.mul(x, x)) for x in xs]
 
 
 def make_wilson(depth: int) -> Tower:
@@ -475,12 +495,7 @@ def custom_tower(levels: list[FiniteGroup], mappings: list[Sequence[int]]) -> To
     """Build a tower from explicit groups and connecting maps (verified)."""
     if len(mappings) != len(levels) - 1:
         raise WrongShape("need exactly depth-1 connecting maps")
-    homs = []
-    for k, m in enumerate(mappings):
-        hom = Homomorphism(levels[k + 1], levels[k], m)
-        if not hom.surjective:
-            raise WrongShape(f"connecting map {k + 1} is not surjective")
-        homs.append(hom)
+    homs = [Homomorphism(levels[k + 1], levels[k], m) for k, m in enumerate(mappings)]
     return Tower(levels, homs, TowerMeta(family_name="custom", flags=TowerFlags()))
 
 

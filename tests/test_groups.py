@@ -826,6 +826,60 @@ def s5():
     return _perm_group([1, 2, 3, 4, 0], [1, 0, 2, 3, 4])
 
 
+def _assert_mul_is_the_table(G):
+    every = np.arange(G.order)
+    products = G.mul(every[:, None], every)
+    assert products.dtype == np.intp
+    assert products.tolist() == G.table.tolist()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_mul_is_the_table_on_every_tower_level(name):
+    for G in cached_tower(name).levels:
+        _assert_mul_is_the_table(G)
+
+
+MUL_LITERALS = {
+    "S3": lambda: _perm_group([1, 2, 0], [1, 0, 2]),
+    "S4": s4,
+    "A5": a5,
+    "Q8": quaternion8,
+    "Heis(Z/3)": heis3,
+}
+
+
+@pytest.mark.parametrize("name", list(MUL_LITERALS))
+def test_mul_is_the_table_on_literals(name):
+    _assert_mul_is_the_table(MUL_LITERALS[name]())
+
+
+def test_mul_broadcasts_scalars_and_index_arrays():
+    G = s4()
+    t = G.table
+    product = G.mul(5, 17)
+    assert isinstance(product, np.integer) and product == t[5, 17]
+    rows, cols = np.array([0, 3, 23]), [1, 2, 22, 7]
+    assert G.mul(4, cols).tolist() == [int(t[4, c]) for c in cols]
+    assert G.mul(rows, 9).tolist() == [int(t[r, 9]) for r in rows]
+    assert G.mul(rows, rows[::-1]).tolist() == [int(t[r, c]) for r, c in zip(rows, rows[::-1])]
+    assert G.mul(rows[:, None], cols).tolist() == [[int(t[r, c]) for c in cols] for r in rows]
+
+
+EMPTY = np.empty(0, dtype=np.intp)
+
+
+@pytest.mark.parametrize("a,b", [
+    ([], []), ([], 3), (3, []), (np.arange(4)[:, None], []),
+    (EMPTY, EMPTY), (EMPTY, 3), (EMPTY[:, None], np.arange(4)), (np.arange(4)[:, None], EMPTY),
+], ids=["lists", "list-int", "int-list", "column-list",
+        "arrays", "array-int", "empty-column-array", "column-empty-array"])
+def test_mul_of_empty_indices_is_an_empty_index(a, b):
+    G = s4()
+    products = G.mul(a, b)
+    assert products.size == 0 and products.dtype == np.intp
+    assert np.arange(G.order)[products].size == 0
+
+
 def _labels(G, members) -> frozenset[str]:
     return frozenset(G.element_label(int(i)) for i in members)
 

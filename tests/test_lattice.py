@@ -223,6 +223,40 @@ def test_fiber_out_of_range():
         basic_open_fiber(lt, 2, 0, 5)
 
 
+# zp(2,3) has 2, 3 and 4 nodes at levels 1, 2 and 3: each (level, node) lies outside them
+ZP23_NODES_OUTSIDE = [(0, 0), (1, 2), (2, -1), (4, 0)]
+
+
+@pytest.mark.parametrize("k", [0, 4, -1])
+def test_node_count_refuses_a_level_outside_the_lattice(k):
+    with pytest.raises(OutOfRange):
+        build_lattice_tower(make_zp(2, 3)).node_count(k)
+
+
+@pytest.mark.parametrize("k,i", ZP23_NODES_OUTSIDE)
+def test_node_index_in_group_refuses_a_node_outside_the_lattice(k, i):
+    with pytest.raises(OutOfRange):
+        build_lattice_tower(make_zp(2, 3)).node_index_in_group(k, i)
+
+
+@pytest.mark.parametrize("k,i", ZP23_NODES_OUTSIDE)
+def test_subgroup_refuses_a_node_outside_the_lattice(k, i):
+    with pytest.raises(OutOfRange):
+        build_lattice_tower(make_zp(2, 3)).subgroup(k, i)
+
+
+@pytest.mark.parametrize("k,i", [(1, 2), (1, 0), (2, 3), (3, -1), (4, 0)])
+def test_parent_of_refuses_a_node_without_a_parent_in_the_lattice(k, i):
+    with pytest.raises(OutOfRange):
+        build_lattice_tower(make_zp(2, 3)).parent_of(k, i)
+
+
+@pytest.mark.parametrize("k,i", ZP23_NODES_OUTSIDE)
+def test_thread_from_refuses_a_node_outside_the_lattice(k, i):
+    with pytest.raises(OutOfRange):
+        build_lattice_tower(make_zp(2, 3)).thread_from(k, i)
+
+
 def test_isolated_nodes_examples():
     lt = build_lattice_tower(cached_tower("zp(2,4)"))
     for k in range(1, 4):

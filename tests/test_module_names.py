@@ -12,7 +12,11 @@ names outside its own definition is dead code too; the third scan finds
 those.  A parameter that its function's body never reads is an argument every
 caller computes for nothing; the fourth scan finds those.  A parameter with
 a default that no call in the program passes only ever takes that one value,
-so it is a constant dressed up as a knob; the fifth scan finds those.
+so it is a constant dressed up as a knob; the fifth scan finds those.  A
+Cayley table is read by its owner alone: the constructor that fills it,
+``FiniteGroup``'s construction checks and ``FiniteGroup.mul``, through which
+every other product goes, so the table's layout is known in one place; the
+sixth scan finds a read of an attribute named ``table`` anywhere else.
 """
 
 from __future__ import annotations
@@ -262,6 +266,65 @@ def test_scan_flags_an_unread_parameter():
     )
     assert unread_parameters(source) == [
         ("<lambda>", "_"), ("build", "n"), ("f", "b"), ("f", "rest"), ("m", "unused"),
+    ]
+
+
+# The functions that may read an attribute named table, by qualified name.
+TABLE_OWNERS = {
+    "table_from_rows",
+    "FiniteGroup.__init__",
+    "FiniteGroup._find_identity",
+    "FiniteGroup._build_inverses",
+    "FiniteGroup._check_group",
+    "FiniteGroup.mul",
+}
+
+
+def table_reads(source: str) -> list[tuple[str, int]]:
+    """(qualified name of the innermost enclosing function or class, line)
+    for each read of an attribute named ``table`` outside TABLE_OWNERS; a
+    read outside every function and class is named ``<module>``."""
+    out = []
+
+    def walk(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "table"
+                    and isinstance(child.ctx, ast.Load) and scope not in TABLE_OWNERS):
+                out.append((scope or "<module>", child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_owner_reads_the_table(path):
+    assert table_reads(path.read_text()) == []
+
+
+def test_scan_flags_a_table_read_outside_its_owner():
+    source = (
+        "class FiniteGroup:\n"
+        "    def __init__(self, table):\n"
+        "        self.table = table\n"
+        "    def mul(self, a, b):\n"
+        "        return self.table[a, b]\n"
+        "    def is_abelian(self):\n"
+        "        return self.table.T\n"
+        "def table_from_rows(G):\n"
+        "    return G.table\n"
+        "def closure(G):\n"
+        "    t = G.table\n"
+        "    def mul(a, b):\n"
+        "        return G.table[a, b]\n"
+        "    return t, mul\n"
+        "SIZE = FiniteGroup([]).table.size\n"
+    )
+    assert table_reads(source) == [
+        ("<module>", 15), ("FiniteGroup.is_abelian", 7), ("closure", 11), ("closure.mul", 13),
     ]
 
 

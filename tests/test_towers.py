@@ -10,17 +10,21 @@ from conftest import BUILTIN_NAMES, cached_tower, valid_products
 from subgroup_atlas.errors import (
     CapExceeded,
     DepthMismatch,
+    OutOfRange,
     PrimeOverlap,
     SpecError,
     WrongShape,
 )
-from subgroup_atlas.groups import all_subgroups, closure, cyclic, frattini, quotient
+from subgroup_atlas.groups import Homomorphism, all_subgroups, closure, cyclic, frattini, quotient
 from subgroup_atlas.classify import analyze_tower
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.report import analysis_report
 from subgroup_atlas.towers import (
     FAMILIES,
     PRIME_TEST_BOUND,
+    Tower,
+    TowerFlags,
+    TowerMeta,
     build_tower,
     custom_tower,
     direct_product_tower,
@@ -416,6 +420,38 @@ def test_custom_tower():
     assert validate(t).ok
     with pytest.raises(WrongShape):
         custom_tower([z2, z4], [[0, 0, 0, 0]])  # not surjective
+
+
+def test_tower_refuses_a_map_that_is_not_onto():
+    c4 = cyclic(4)
+    doubling = Homomorphism(c4, c4, [0, 2, 0, 2])
+    with pytest.raises(WrongShape, match="connecting map 1 is not surjective"):
+        Tower([c4, c4], [doubling], TowerMeta("custom", TowerFlags()))
+
+
+def test_tower_refuses_maps_of_the_wrong_count_or_between_other_levels():
+    c2, c4, meta = cyclic(2), cyclic(4), TowerMeta("custom", TowerFlags())
+    down = Homomorphism(c4, c2, [0, 1, 0, 1])
+    with pytest.raises(WrongShape, match="need exactly depth-1 connecting maps"):
+        Tower([c2, c4, cyclic(8)], [down], meta)
+    with pytest.raises(WrongShape, match="need exactly depth-1 connecting maps"):
+        Tower([c2, c4], [down, down], meta)
+    with pytest.raises(WrongShape, match="connecting map 1 does not send level 2 to level 1"):
+        Tower([c2, cyclic(4)], [down], meta)  # an equal group that is not the level
+    with pytest.raises(WrongShape, match="connecting map 1 does not send level 2 to level 1"):
+        Tower([c4, c2], [down], meta)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_level_refuses_a_level_outside_the_tower(k):
+    with pytest.raises(OutOfRange):
+        make_zp(2, 3).level(k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_map_down_refuses_a_map_outside_the_tower(k):
+    with pytest.raises(OutOfRange):
+        make_zp(2, 3).map_down(k)
 
 
 def test_build_tower_product_spec():
