@@ -9,7 +9,6 @@ contract for everything downstream.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
@@ -399,6 +398,35 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return list(result)
 
 
+def target_subgroups(hom: Homomorphism) -> list[Subgroup]:
+    """Every subgroup of the target of a surjective hom, sorted by (order,
+    bitset), read off the source's lattice and kept as the target's own list,
+    which all_subgroups returns from then on.
+
+    By the correspondence theorem the target's subgroups are exactly the
+    images of the source's subgroups K that contain the kernel.  Such a K is
+    a union of kernel cosets, so its image holds x when K holds any one
+    element over x: its row is K's row gathered at one lift of each target
+    element, in row blocks.  The image has order |K| / |ker|.
+    """
+    if not hom.surjective:
+        raise WrongShape("target_subgroups needs a surjective homomorphism")
+    G, n = hom.target, hom.source.order
+    if G._subgroups is None:
+        ker = hom.kernel()
+        over = [K for K in all_subgroups(hom.source) if K.bits & ker.bits == ker.bits]
+        lift = np.empty(G.order, dtype=np.intp)
+        lift[hom.map] = np.arange(n)
+        step = max(1, _block_cells(n) // n)
+        bits: list[int] = []
+        for lo in range(0, len(over), step):
+            rows = _bits_to_rows([K.bits for K in over[lo:lo + step]], n)
+            bits += _rows_to_bits(rows.take(lift, axis=1))
+        found = sorted(zip([K.order // ker.order for K in over], bits))
+        G._subgroups = [Subgroup(G, b, o) for o, b in found]
+    return list(G._subgroups)
+
+
 def _subgroups_cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of a soluble G, sorted, one breadth-first layer at a time.
 
@@ -573,7 +601,16 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
     """Every subgroup of any G: each found H is extended to <H, g> by the
     elements g outside it, once per class of elements giving the same
     subgroup.  <H, g> = <H, h g^k h'> for h, h' in H and k prime to the
-    order of g, so those elements are marked covered and skipped."""
+    order of g, so those elements are marked covered and skipped.  The
+    powers and orders of all elements come from one walk g, g^2, ... over
+    every g at once, which stops once each element has reached the identity."""
+    n = G.order
+    walk, order, x = [], np.zeros(n, dtype=np.intp), np.arange(n)
+    while not order.all():
+        walk.append(x.astype(_table_dtype(n)))
+        order[(x == G.identity) & (order == 0)] = len(walk)
+        x = G.mul(x, np.arange(n))
+    powers = np.stack(walk, axis=1)  # row g: g, g^2, ..., g^(largest order)
     triv = trivial_subgroup(G)
     found: dict[int, Subgroup] = {triv.bits: triv}
     # each queued subgroup travels with the elements that generated it
@@ -589,11 +626,8 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
             if K.bits not in found:
                 found[K.bits] = K
                 queue.append((K, gens + [g]))
-            powers, x, k = [], g, 1
-            while x != G.identity:
-                powers.append(x)
-                x, k = int(G.mul(x, g)), k + 1
-            coprime = [y for j, y in enumerate(powers, 1) if math.gcd(j, k) == 1]
+            k = order[g]
+            coprime = powers[g, :k - 1][np.gcd(np.arange(1, k), k) == 1]
             covered[G.mul(G.mul(idx, coprime).reshape(-1, 1), idx.T)] = True
     return found
 

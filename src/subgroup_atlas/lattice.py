@@ -25,7 +25,7 @@ import numpy as np
 from .config import PRODUCT_BITSET_LIMIT
 from .errors import CapExceeded, NotNormal, OutOfRange, WrongShape
 from .groups import (Homomorphism, Subgroup, _bits_to_rows, _block_cells, _rows_to_bits,
-                     all_subgroups, is_normal)
+                     all_subgroups, is_normal, target_subgroups)
 from .towers import Tower
 
 
@@ -109,7 +109,11 @@ def build_lattice_tower(t: Tower) -> LatticeTower:
 
 
 def _explicit_lattice(t: Tower) -> LatticeTower:
-    subs_per_level = [all_subgroups(g) for g in t.levels]
+    # only the top level is enumerated; each level below is read off the one
+    # above it through the connecting map
+    subs_per_level = [all_subgroups(t.levels[-1])]
+    for k in range(t.depth - 1, 0, -1):
+        subs_per_level.insert(0, target_subgroups(t.map_down(k)))
 
     node_orders = [[s.order for s in subs] for subs in subs_per_level]
     node_bits = [[s.bits for s in subs] for subs in subs_per_level]

@@ -323,26 +323,28 @@ def oracle_links(t) -> tuple[list[list[int]], list[list[int]]]:
 
 # -- cached towers (groups memoize their own subgroup lists) ----------------------
 
+TOWER_FACTORIES = {
+    "zp(2,4)": lambda: make_zp(2, 4),
+    "zp(2,5)": lambda: make_zp(2, 5),
+    "zp(3,4)": lambda: make_zp(3, 4),
+    "zp(3,5)": lambda: make_zp(3, 5),
+    "zp(5,4)": lambda: make_zp(5, 4),
+    "zp(5,5)": lambda: make_zp(5, 5),
+    "zp(2,3)": lambda: make_zp(2, 3),
+    "zpn(2,2,4)": lambda: make_zpn(2, 2, 4),
+    "zpn(2,2,6)": lambda: make_zpn(2, 2, 6),
+    "zpn(3,2,2)": lambda: make_zpn(3, 2, 2),
+    "zpn(3,2,3)": lambda: make_zpn(3, 2, 3),
+    "heisenberg(3,2)": lambda: make_heisenberg(3, 2),
+    "dihedral2(4)": lambda: make_dihedral2(4),
+    "wilson(3)": lambda: make_wilson(3),
+    "pirim(2)": lambda: make_pirim(2),
+}
+
+
 @lru_cache(maxsize=None)
 def cached_tower(name: str) -> Tower:
-    factories = {
-        "zp(2,4)": lambda: make_zp(2, 4),
-        "zp(2,5)": lambda: make_zp(2, 5),
-        "zp(3,4)": lambda: make_zp(3, 4),
-        "zp(3,5)": lambda: make_zp(3, 5),
-        "zp(5,4)": lambda: make_zp(5, 4),
-        "zp(5,5)": lambda: make_zp(5, 5),
-        "zp(2,3)": lambda: make_zp(2, 3),
-        "zpn(2,2,4)": lambda: make_zpn(2, 2, 4),
-        "zpn(2,2,6)": lambda: make_zpn(2, 2, 6),
-        "zpn(3,2,2)": lambda: make_zpn(3, 2, 2),
-        "zpn(3,2,3)": lambda: make_zpn(3, 2, 3),
-        "heisenberg(3,2)": lambda: make_heisenberg(3, 2),
-        "dihedral2(4)": lambda: make_dihedral2(4),
-        "wilson(3)": lambda: make_wilson(3),
-        "pirim(2)": lambda: make_pirim(2),
-    }
-    return factories[name]()
+    return TOWER_FACTORIES[name]()
 
 
 BUILTIN_NAMES = [

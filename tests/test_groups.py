@@ -54,10 +54,13 @@ from subgroup_atlas.groups import (
     product_set,
     quaternion8,
     quotient,
+    target_subgroups,
     trivial_subgroup,
 )
-from subgroup_atlas.towers import (direct_product_tower, make_dihedral2, make_heisenberg,
-                                   make_pirim, make_wilson, make_zp, make_zpn, wilson_elements)
+from subgroup_atlas.lattice import build_lattice_tower
+from subgroup_atlas.towers import (custom_tower, direct_product_tower, make_dihedral2,
+                                   make_heisenberg, make_pirim, make_wilson, make_zp, make_zpn,
+                                   wilson_elements)
 
 
 def heis3():
@@ -1005,6 +1008,52 @@ def test_solubility_test_skipped_for_abelian_and_prime_power_groups(monkeypatch)
 def test_hom_image_out_of_range(bad):
     with pytest.raises(OutOfRange):
         Homomorphism(cyclic(4), cyclic(2), [0, 1, 0, bad])
+
+
+def test_target_subgroups_refuses_a_map_that_is_not_onto():
+    C4 = cyclic(4)
+    hom = Homomorphism(C4, C4, [0, 2, 0, 2])
+    with pytest.raises(WrongShape, match="surjective"):
+        target_subgroups(hom)
+    all_subgroups(C4)  # refused with the target's list cached too
+    with pytest.raises(WrongShape, match="surjective"):
+        target_subgroups(hom)
+
+
+def test_target_subgroups_reads_the_image_of_each_subgroup_over_the_kernel():
+    # D4 -> D4/<r^2> = V4: the five subgroups of V4 are the images of the
+    # five subgroups of D4 that hold r^2, with orders |K| / 2
+    G = dihedral(4)
+    V, proj = quotient(G, closure(G, [2]))
+    derived = target_subgroups(proj)
+    assert V._subgroups is not None
+    assert [s.order for s in derived] == [1, 2, 2, 2, 4]
+    assert {s.bits for s in derived} == {
+        proj.image_subgroup(K).bits for K in all_subgroups(G) if K.contains(2)}
+    assert [(s.order, s.bits) for s in all_subgroups(V)] == [(s.order, s.bits) for s in derived]
+
+
+def test_target_subgroups_keeps_a_cached_list():
+    # a constant tower's levels are one group: its own list is returned, also
+    # along a map that is an automorphism, not the identity
+    G = dihedral(4)
+    all_subgroups(G)
+    own = G._subgroups
+    conj = G.mul(G.mul(G.inv[4], np.arange(G.order)), 4).tolist()
+    for mapping in (list(range(G.order)), conj):
+        assert target_subgroups(Homomorphism(G, G, mapping)) == own
+        assert G._subgroups is own
+    assert conj != list(range(G.order))
+
+
+def test_constant_tower_keeps_its_group_list():
+    G = dihedral(4)
+    t = custom_tower([G, G, G], [list(range(G.order))] * 2)
+    lt = build_lattice_tower(t)
+    own = G._subgroups
+    assert lt.node_bits == [[s.bits for s in own]] * 3
+    build_lattice_tower(t)
+    assert G._subgroups is own
 
 
 # -- oracles that scale: Frobenius's congruence, and relabeled literals ------------

@@ -4,25 +4,31 @@ import copy
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
     BUILTIN_NAMES,
+    TOWER_FACTORIES,
     cached_tower,
     oracle_chain_nodes,
     oracle_children,
     oracle_density_counterexamples,
     oracle_fiber,
     oracle_links,
+    oracle_subgroups,
     oracle_survivors,
     valid_products,
 )
+from subgroup_atlas import groups
 from subgroup_atlas import lattice as lattice_mod
+from subgroup_atlas.classify import analyze_tower
 from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.filtration import cb_filtration
-from subgroup_atlas.groups import BLOCK_CELLS, all_subgroups, closure, product_set
+from subgroup_atlas.groups import (BLOCK_CELLS, FiniteGroup, all_subgroups, closure, cyclic,
+                                   dihedral, product_set, target_subgroups)
 from subgroup_atlas.lattice import (
     basic_open_fiber,
     build_lattice_tower,
@@ -32,11 +38,15 @@ from subgroup_atlas.lattice import (
     to_dot,
 )
 from subgroup_atlas.towers import (
+    build_tower,
+    custom_tower,
     direct_product_tower,
     make_dihedral2,
     make_product,
     make_zp,
     make_zpn,
+    parse_tower_spec,
+    truncate,
 )
 
 
@@ -359,3 +369,115 @@ def test_dot_export():
     assert "doublecircle" in dot
     assert "style=filled" in dot
     assert dot.count("->") == sum(lt.counts_per_level()[1:])
+
+
+# -- lower levels read off the top by the correspondence theorem -----------------
+
+CLI_MIX_SPECS = json.loads((Path(__file__).parent / "data" / "cli_mix_specs.json").read_text())
+
+
+def _oracle_generator_bound(G) -> int:
+    """Generators that any subgroup of G, a p-group of order p^m, needs at
+    most, read off the table.  An abelian G of rank r (p^r elements x with
+    x^p = 1) has subgroups of rank r at most.  Otherwise only an elementary
+    abelian subgroup of order p^m would need m, and G is not one, so m - 1."""
+    if G.order == 1:
+        return 0
+    p = min(q for q in range(2, G.order + 1) if G.order % q == 0)
+    m = round(np.log(G.order) / np.log(p))
+    rows = G.table.tolist()
+    if any(rows[a][b] != rows[b][a] for a in range(G.order) for b in range(a)):
+        return m - 1
+    killed = 0
+    for x in range(G.order):
+        y = x
+        for _ in range(p - 1):
+            y = rows[y][x]
+        killed += y == G.identity
+    return round(np.log(killed) / np.log(p))
+
+
+_ORACLE_BITS: dict[bytes, set[int]] = {}
+
+
+def _oracle_bits(G) -> set[int]:
+    key = G.table.tobytes()
+    if key not in _ORACLE_BITS:
+        sets = oracle_subgroups(G, gen_bound=_oracle_generator_bound(G))
+        _ORACLE_BITS[key] = {sum(1 << a for a in s) for s in sets}
+    return _ORACLE_BITS[key]
+
+
+def _assert_levels_derive_as_enumerated(t):
+    """Every level below the top of a fresh tower, read off the level above,
+    equals the direct enumeration of a fresh copy of the level, and on levels
+    of order 64 at most the brute-force closure oracle."""
+    derived = {k: target_subgroups(t.map_down(k)) for k in range(t.depth - 1, 0, -1)}
+    for k, subs in derived.items():
+        G = t.level(k)
+        fresh = FiniteGroup(G.table, generators=G.generators)
+        assert [(s.order, s.bits) for s in subs] == [
+            (s.order, s.bits) for s in all_subgroups(fresh)], k
+        if G.order <= 64:
+            assert {s.bits for s in subs} == _oracle_bits(G), k
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_derived_levels_match_enumeration_on_builtins(name):
+    _assert_levels_derive_as_enumerated(TOWER_FACTORIES[name]())
+
+
+def test_derived_levels_match_enumeration_on_product_factors():
+    # the factors are truncated built-ins, so their top may be a lower level
+    cases = {(part, t.depth) for label, t in valid_products() for part in label.split("x")}
+    assert len(cases) > 1
+    for name, depth in sorted(cases):
+        _assert_levels_derive_as_enumerated(truncate(TOWER_FACTORIES[name](), depth))
+
+
+def _literal_towers():
+    D4 = dihedral(4)
+    ident = list(range(8))
+    yield "C2<-C4<-C8", custom_tower([cyclic(2), cyclic(4), cyclic(8)],
+                                     [[0, 1, 0, 1], [0, 1, 2, 3, 0, 1, 2, 3]])
+    yield "constant D4", custom_tower([D4, D4, D4], [ident, ident])
+    for label, spec in CLI_MIX_SPECS.items():
+        if spec["family"] == "custom":
+            yield label, build_tower(parse_tower_spec(spec))
+
+
+def test_derived_levels_match_enumeration_on_literal_towers():
+    for label, t in _literal_towers():
+        try:
+            _assert_levels_derive_as_enumerated(t)
+        except AssertionError as fault:
+            raise AssertionError(label) from fault
+
+
+def _count_enumerations(monkeypatch) -> list:
+    """The groups that either enumeration path runs on, from then on."""
+    seen = []
+    for path in ("_subgroups_cyclic_extension", "_subgroups_generic"):
+        def counting(G, real=getattr(groups, path)):
+            seen.append(G)
+            return real(G)
+
+        monkeypatch.setattr(groups, path, counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
+    # the pirim certificate also enumerates its own module Z/9 x Z/9, which
+    # is not a level
+    seen = _count_enumerations(monkeypatch)
+    t = TOWER_FACTORIES[name]()
+
+    def levels_enumerated():
+        return [k for G in seen for k, level in enumerate(t.levels, 1) if G is level]
+
+    analyze_tower(t)
+    assert levels_enumerated() == [t.depth]
+    # a truncated tower's top was read off the level above it
+    analyze_tower(truncate(t, max(2, t.depth - 1)))
+    assert levels_enumerated() == [t.depth]
