@@ -430,28 +430,28 @@ def test_derived_levels_match_enumeration_on_builtins(name):
 def test_derived_levels_match_enumeration_on_product_factors():
     # the factors are truncated built-ins, so their top may be a lower level
     cases = {(part, t.depth) for label, t in valid_products() for part in label.split("x")}
-    assert len(cases) > 1
+    assert cases
     for name, depth in sorted(cases):
         _assert_levels_derive_as_enumerated(truncate(TOWER_FACTORIES[name](), depth))
 
 
-def _literal_towers():
+def _constant_d4():
     D4 = dihedral(4)
-    ident = list(range(8))
-    yield "C2<-C4<-C8", custom_tower([cyclic(2), cyclic(4), cyclic(8)],
-                                     [[0, 1, 0, 1], [0, 1, 2, 3, 0, 1, 2, 3]])
-    yield "constant D4", custom_tower([D4, D4, D4], [ident, ident])
-    for label, spec in CLI_MIX_SPECS.items():
-        if spec["family"] == "custom":
-            yield label, build_tower(parse_tower_spec(spec))
+    return custom_tower([D4, D4, D4], [list(range(8))] * 2)
 
 
-def test_derived_levels_match_enumeration_on_literal_towers():
-    for label, t in _literal_towers():
-        try:
-            _assert_levels_derive_as_enumerated(t)
-        except AssertionError as fault:
-            raise AssertionError(label) from fault
+LITERAL_TOWERS = {
+    "C2<-C4<-C8": lambda: custom_tower([cyclic(2), cyclic(4), cyclic(8)],
+                                       [[0, 1, 0, 1], [0, 1, 2, 3, 0, 1, 2, 3]]),
+    "constant-D4": _constant_d4,
+    **{label: (lambda spec=spec: build_tower(parse_tower_spec(spec)))
+       for label, spec in CLI_MIX_SPECS.items() if spec["family"] == "custom"},
+}
+
+
+@pytest.mark.parametrize("label", LITERAL_TOWERS)
+def test_derived_levels_match_enumeration_on_literal_towers(label):
+    _assert_levels_derive_as_enumerated(LITERAL_TOWERS[label]())
 
 
 def _count_enumerations(monkeypatch) -> list:
