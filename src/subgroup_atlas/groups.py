@@ -1,9 +1,10 @@
 """Exact finite-group arithmetic on explicit multiplication tables.
 
 Groups are immutable once constructed; elements are integers 0..order-1 and
-subgroups are membership bitsets (python ints).  The canonical order of any
-subgroup collection is (order, bitset value), which is the determinism
-contract for everything downstream.
+subgroups are membership bitsets (python ints).  Every group holds a Cayley
+table except the cyclic groups, whose product a + b mod n is computed.  The
+canonical order of any subgroup collection is (order, bitset value), which
+is the determinism contract for everything downstream.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ FILL_CELLS = BLOCK_CELLS // 8
 
 
 class FiniteGroup:
-    """A finite group as an explicit Cayley table.
+    """A finite group as an explicit Cayley table (a CyclicGroup holds none).
 
     Invariants verified exactly at construction: identity and inverse laws,
     that the stored generators generate the whole group, and associativity.
@@ -214,6 +215,42 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+class CyclicGroup(FiniteGroup):
+    """Z/n with elements 0..n-1 and product a + b mod n, holding no table.
+
+    Addition mod n is a group law by construction, so nothing is checked:
+    the identity is 0, the inverse of a is -a and the basis is [1], or []
+    when n = 1.
+    """
+
+    def __init__(self, n: int):
+        self.order = n
+        self.name = f"Z{n}"
+        self._label = None
+        self.identity = 0
+        self.inv = -np.arange(n, dtype=np.intp) % n
+        self.inv.setflags(write=False)
+        self.primes = frozenset(_prime_factors(n)) if n > 1 else frozenset()
+        self.generators = [1 % n]
+        self.basis = [1] if n > 1 else []
+        self._abelian: Optional[bool] = None
+        self._subgroups: Optional[list[Subgroup]] = None
+        self._power_maps: dict[int, np.ndarray] = {}
+        self._product_of: Optional[tuple[FiniteGroup, FiniteGroup]] = None
+
+    def mul(self, a, b) -> np.ndarray:
+        """(a + b) mod n, broadcast and typed as FiniteGroup.mul."""
+        return (np.asarray(a, dtype=np.intp) + np.asarray(b, dtype=np.intp)) % self.order
+
+    def power_map(self, e: int) -> np.ndarray:
+        """Vector of e*a mod n for every element a."""
+        if e not in self._power_maps:
+            out = np.arange(self.order, dtype=np.int64) * (e % self.order) % self.order
+            out.setflags(write=False)
+            self._power_maps[e] = out
+        return self._power_maps[e]
 
 
 @dataclass(frozen=True)
@@ -941,9 +978,7 @@ def table_from_rows(rows: np.ndarray, gens: Sequence[int], identity: int) -> np.
 
 
 def cyclic(n: int) -> FiniteGroup:
-    gens = [1 % n]
-    table = table_from_rows((np.arange(n)[None, :] + 1) % n, gens, 0)
-    return FiniteGroup(table, generators=gens, name=f"Z{n}")
+    return CyclicGroup(n)
 
 
 def dihedral(n: int) -> FiniteGroup:

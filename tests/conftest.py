@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from subgroup_atlas.errors import WrongShape
-from subgroup_atlas.groups import GoursatQuintuple, Subgroup, all_subgroups
+from subgroup_atlas.groups import (
+    CyclicGroup,
+    FiniteGroup,
+    GoursatQuintuple,
+    Subgroup,
+    all_subgroups,
+    table_from_rows,
+)
 from subgroup_atlas.towers import (
     Tower,
     make_dihedral2,
@@ -29,6 +36,25 @@ from subgroup_atlas.towers import (
 
 
 # -- independent oracles ---------------------------------------------------------
+
+def products(G) -> np.ndarray:
+    """Every product a*b of G as an (order x order) array, read through G.mul,
+    which is how a group without a table (a cyclic one) gives its products."""
+    idx = np.arange(G.order)
+    return G.mul(*np.ix_(idx, idx))
+
+
+def cyclic_with_table(n: int) -> FiniteGroup:
+    """Z/n on the Cayley table that the row of 1, a + 1 mod n, fills: the
+    table-backed twin of cyclic(n), which runs the fill and Light's test."""
+    return FiniteGroup(table_from_rows(((np.arange(n) + 1) % n)[None], [1 % n], 0),
+                       generators=[1 % n], name=f"Z{n}")
+
+
+def tabled(G):
+    """G, or for a cyclic group, which holds no table, its table-backed twin."""
+    return cyclic_with_table(G.order) if isinstance(G, CyclicGroup) else G
+
 
 def oracle_closure(table, identity, inv, seed) -> frozenset[int]:
     """Naive fixed-point closure: repeatedly add products and inverses."""
@@ -68,7 +94,7 @@ def oracle_subgroups(G, gen_bound: int | None = None) -> list[frozenset[int]]:
     """
     n = G.order
     bound = gen_bound if gen_bound is not None else _omega(n)
-    table = [[int(x) for x in row] for row in G.table]
+    table = products(G).tolist()
     inv = [int(x) for x in G.inv]
     found: set[frozenset[int]] = set()
     for size in range(bound + 1):
@@ -121,13 +147,13 @@ def oracle_is_abelian(table) -> bool:
 def oracle_is_hom(source, target, mapping) -> bool:
     """The homomorphism law m(a*b) == m(a)*m(b) over every pair (a, b)."""
     m = np.asarray(mapping)
-    return bool(np.array_equal(m[source.table], target.table[m[:, None], m[None, :]]))
+    return bool(np.array_equal(m[products(source)], products(target)[m[:, None], m[None, :]]))
 
 
 def oracle_homomorphisms(source, target) -> list[list[int]]:
     """Every homomorphism source -> target: each assignment of images to the
     source's generators, extended along words and kept if the law holds."""
-    out = []
+    out, source_table, target_table = [], products(source), products(target)
     for images in product(range(target.order), repeat=len(source.generators)):
         m = {source.identity: target.identity}
         frontier = [source.identity]
@@ -136,7 +162,7 @@ def oracle_homomorphisms(source, target) -> list[list[int]]:
             nxt = []
             for x in frontier:
                 for g, h in zip(source.generators, images):
-                    y, my = int(source.table[x, g]), int(target.table[m[x], h])
+                    y, my = int(source_table[x, g]), int(target_table[m[x], h])
                     if y not in m:
                         m[y] = my
                         nxt.append(y)
@@ -181,17 +207,17 @@ def oracle_table_from_rows(rows, gens, identity) -> list[list[int]] | None:
 def oracle_quotient(G, N) -> tuple[list[int], list[list[int]]]:
     """The projection map and the table of G/N, each coset labelled by the
     rank of its least element: the cosets gN are walked one g at a time."""
-    members = [int(k) for k in N.indices()]
+    members, table = [int(k) for k in N.indices()], products(G)
     rep = [-1] * G.order
     for g in range(G.order):
         if rep[g] == -1:
-            coset = [int(G.table[g, k]) for k in members]
+            coset = [int(table[g, k]) for k in members]
             for c in coset:
                 rep[c] = min(coset)
     reps = sorted(set(rep))
     label = {r: i for i, r in enumerate(reps)}
     proj = [label[r] for r in rep]
-    return proj, [[proj[int(G.table[a, b])] for b in reps] for a in reps]
+    return proj, [[proj[int(table[a, b])] for b in reps] for a in reps]
 
 
 def _oracle_subgroup(G, members) -> Subgroup:
@@ -201,18 +227,19 @@ def _oracle_subgroup(G, members) -> Subgroup:
 def oracle_goursat(G1, G2, H) -> GoursatQuintuple:
     """The Goursat quintuple of a subgroup H of direct_product(G1, G2), one
     member at a time: each coset representative is the least element of aK,
-    read from the table one product at a time."""
+    read from all products one product at a time."""
     n2 = G2.order
     members = [(int(m) // n2, int(m) % n2) for m in H.indices()]
     ker_left = [a for a, b in members if b == G2.identity]
     ker_right = [b for a, b in members if a == G1.identity]
 
-    def rep(G, K, a):
-        return min(int(G.table[a, k]) for k in K)
+    def rep(table, K, a):
+        return min(int(table[a, k]) for k in K)
 
     iso: dict[int, int] = {}
+    t1, t2 = products(G1), products(G2)
     for a, b in members:
-        ra, rb = rep(G1, ker_left, a), rep(G2, ker_right, b)
+        ra, rb = rep(t1, ker_left, a), rep(t2, ker_right, b)
         if iso.setdefault(ra, rb) != rb:
             raise WrongShape("goursat witness is not well defined")
     return GoursatQuintuple(

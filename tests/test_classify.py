@@ -7,7 +7,12 @@ from conftest import cached_tower
 from subgroup_atlas import classify as classify_mod
 from subgroup_atlas.audits import virtually_zp_audit
 from subgroup_atlas.classify import Analysis, analyze_tower, classify
-from subgroup_atlas.filtration import ApparentHeight, cb_filtration, default_max_rank
+from subgroup_atlas.filtration import (
+    ApparentHeight,
+    cb_filtration,
+    default_max_rank,
+    height_bound_audit,
+)
 from subgroup_atlas.groups import cyclic, dihedral, direct_product
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import custom_tower, make_product, make_zp
@@ -85,6 +90,18 @@ def test_three_prime_product_verdict_depth5():
     assert v.tag == "OmegaAlphaN"
     assert v.params == {"alpha": 3, "n": 1}
     assert rep.apparent_height.value == 4
+
+
+def test_four_prime_product_verdict_depth6(monkeypatch):
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "117649")  # the order of zp(7, 6)'s top level
+    t = make_product([make_zp(p, 6) for p in (2, 3, 5, 7)])
+    a = analyze_tower(t)
+    rep, v = a.report, a.verdict
+    assert v.tag == "OmegaAlphaN"
+    assert v.params == {"alpha": 4, "n": 1}
+    assert v.confidence == "Certified"
+    assert rep.apparent_height.value == 5 == len(t.primes) + 1
+    assert height_bound_audit(t, rep)
 
 
 def test_product_of_pelczynski_factors():

@@ -87,6 +87,17 @@ def test_three_prime_product_depth5_attains_four():
     assert height_bound_audit(t, rep)
 
 
+def test_four_prime_product_depth6_attains_five(monkeypatch):
+    # four primes need depth 6, and zp(7, 6) has order 7^6 = 117,649: above
+    # the default cap, and a table-free cyclic level
+    monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "117649")
+    t = make_product([make_zp(p, 6) for p in (2, 3, 5, 7)])
+    lt, rep = _analysis(t)
+    assert rep.apparent_height.bounded
+    assert rep.apparent_height.value == 5 == len(t.primes) + 1
+    assert height_bound_audit(t, rep)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_truncation_stability(name):
     t = cached_tower(name)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     BUILTIN_NAMES,
     cached_tower,
+    cyclic_with_table,
     oracle_bits_set,
     oracle_center,
     oracle_centralizer,
@@ -26,7 +27,9 @@ from conftest import (
     oracle_normalizes,
     oracle_quotient,
     oracle_subgroups,
+    products,
     subgroup_bits_set,
+    tabled,
 )
 from subgroup_atlas import groups
 from subgroup_atlas.errors import CapExceeded, NotNormal, OutOfRange, SpecError, WrongShape
@@ -152,7 +155,7 @@ def test_frattini_p_group_identity(factory, p):
 def _all_pairs_commutator(G, members) -> frozenset[int]:
     """The subgroup generated by [a, b] = ab(ba)^-1 over all |H|^2 pairs of
     members of H, closed by the pure-Python fixed point."""
-    t, inv = G.table, [int(x) for x in G.inv]
+    t, inv = products(G), [int(x) for x in G.inv]
     a, b = np.repeat(members, len(members)), np.tile(members, len(members))
     comms = set(t[t[a, b], np.asarray(inv)[t[b, a]]].tolist())
     return oracle_closure(t.tolist(), G.identity, inv, comms)
@@ -255,7 +258,7 @@ def test_center_and_core_match_oracles(build):
     # center reads one column per basis element and core conjugates by the
     # basis only; the oracles compare every pair and conjugate by every g
     G = build()
-    table = G.table.tolist()
+    table = products(G).tolist()
     inv = [int(x) for x in G.inv]
     assert oracle_bits_set(G, [oracle_center(table)]) == {center(G).bits}
     for H in all_subgroups(G):
@@ -607,7 +610,7 @@ def test_generic_matches_oracle_on_two_generator_permutation_groups(G):
 def test_load_group_json_kinds():
     assert load_group_json({"version": 1, "kind": "cyclic", "n": 6}).order == 6
     Z3 = cyclic(3)
-    doc = {"version": 1, "kind": "table", "mult": [[int(x) for x in row] for row in Z3.table]}
+    doc = {"version": 1, "kind": "table", "mult": products(Z3).tolist()}
     assert load_group_json(doc).order == 3
     s3 = load_group_json(
         {"version": 1, "kind": "permutation", "degree": 3,
@@ -755,7 +758,7 @@ def test_is_abelian_matches_transpose_oracle(data):
 
 def test_stored_generators_must_generate():
     with pytest.raises(WrongShape, match="do not generate"):
-        FiniteGroup(cyclic(4).table, generators=[2])
+        FiniteGroup(cyclic_with_table(4).table, generators=[2])
 
 
 HOM_GROUPS = [cyclic(4), direct_product(cyclic(2), cyclic(2)), dihedral(3), quaternion8()]
@@ -831,9 +834,9 @@ def s5():
 
 def _assert_mul_is_the_table(G):
     every = np.arange(G.order)
-    products = G.mul(every[:, None], every)
-    assert products.dtype == np.intp
-    assert products.tolist() == G.table.tolist()
+    got = G.mul(every[:, None], every)
+    assert got.dtype == np.intp
+    assert got.tolist() == tabled(G).table.tolist()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -854,6 +857,36 @@ MUL_LITERALS = {
 @pytest.mark.parametrize("name", list(MUL_LITERALS))
 def test_mul_is_the_table_on_literals(name):
     _assert_mul_is_the_table(MUL_LITERALS[name]())
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_group_matches_its_table_twin(n):
+    # cyclic(n) holds no table; its twin runs the fill and Light's test on
+    # the table of the same row, a + 1 mod n
+    G, T = cyclic(n), cyclic_with_table(n)
+    assert isinstance(G, groups.CyclicGroup) and not hasattr(G, "table")
+    assert products(G).tolist() == T.table.tolist()
+    assert G.mul(n - 1, 1 % n) == T.mul(n - 1, 1 % n) and isinstance(G.mul(0, 0), np.integer)
+    assert G.inv.dtype == T.inv.dtype and G.inv.tolist() == T.inv.tolist()
+    assert not G.inv.flags.writeable
+    for e in range(n + 2):
+        got, expected = G.power_map(e), T.power_map(e)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), e
+        assert not got.flags.writeable
+    assert G.is_abelian() and T.is_abelian()
+    assert (G.identity, G.generators, G.basis, G.primes, G.name) == (
+        T.identity, T.generators, T.basis, T.primes, T.name)
+    assert G.basis == ([1] if n > 1 else [])
+    assert [G.element_label(a) for a in range(n)] == [T.element_label(a) for a in range(n)]
+    subs = all_subgroups(G)
+    assert [(H.order, H.bits) for H in subs] == [(H.order, H.bits) for H in all_subgroups(T)]
+    assert len(subs) == sum(n % d == 0 for d in range(1, n + 1))
+
+
+def test_cyclic_levels_refuse_a_map_that_is_not_a_homomorphism():
+    assert Homomorphism(cyclic(4), cyclic(2), [0, 1, 0, 1]).surjective
+    with pytest.raises(WrongShape, match="not a homomorphism"):
+        Homomorphism(cyclic(4), cyclic(2), [0, 1, 1, 0])
 
 
 def test_mul_broadcasts_scalars_and_index_arrays():

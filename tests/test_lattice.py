@@ -20,6 +20,7 @@ from conftest import (
     oracle_links,
     oracle_subgroups,
     oracle_survivors,
+    products,
     valid_products,
 )
 from subgroup_atlas import groups
@@ -385,7 +386,7 @@ def _oracle_generator_bound(G) -> int:
         return 0
     p = min(q for q in range(2, G.order + 1) if G.order % q == 0)
     m = round(np.log(G.order) / np.log(p))
-    rows = G.table.tolist()
+    rows = products(G).tolist()
     if any(rows[a][b] != rows[b][a] for a in range(G.order) for b in range(a)):
         return m - 1
     killed = 0
@@ -401,7 +402,7 @@ _ORACLE_BITS: dict[bytes, set[int]] = {}
 
 
 def _oracle_bits(G) -> set[int]:
-    key = G.table.tobytes()
+    key = products(G).tobytes()
     if key not in _ORACLE_BITS:
         sets = oracle_subgroups(G, gen_bound=_oracle_generator_bound(G))
         _ORACLE_BITS[key] = {sum(1 << a for a in s) for s in sets}
@@ -415,7 +416,8 @@ def _assert_levels_derive_as_enumerated(t):
     derived = {k: target_subgroups(t.map_down(k)) for k in range(t.depth - 1, 0, -1)}
     for k, subs in derived.items():
         G = t.level(k)
-        fresh = FiniteGroup(G.table, generators=G.generators)
+        fresh = (cyclic(G.order) if isinstance(G, groups.CyclicGroup)
+                 else FiniteGroup(G.table, generators=G.generators))
         assert [(s.order, s.bits) for s in subs] == [
             (s.order, s.bits) for s in all_subgroups(fresh)], k
         if G.order <= 64:

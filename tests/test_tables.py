@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUILTIN_NAMES, cached_tower, oracle_table_from_rows
+from conftest import (
+    BUILTIN_NAMES,
+    cached_tower,
+    cyclic_with_table,
+    oracle_table_from_rows,
+    products,
+    tabled,
+)
 from subgroup_atlas import groups
 from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.groups import (
@@ -46,10 +53,11 @@ def _sha(data: bytes) -> str:
 
 
 def tower_digest(t) -> str:
-    """sha256 prefix over every level's table, dtype, inverses and basis and
-    every connecting map."""
+    """sha256 prefix over every level's products and table dtype (a cyclic
+    level's is its twin's), inverses and basis and every connecting map."""
     doc = {
-        "tables": [[str(G.table.dtype), _sha(G.table.astype("<u4").tobytes())] for G in t.levels],
+        "tables": [[str(tabled(G).table.dtype), _sha(products(G).astype("<u4").tobytes())]
+                   for G in t.levels],
         "inv": [_sha(np.asarray(G.inv).astype("<i8").tobytes()) for G in t.levels],
         "basis": [[int(s) for s in G.basis] for G in t.levels],
         "maps": [_sha(np.asarray(h.map).astype("<i8").tobytes()) for h in t.maps],
@@ -90,7 +98,7 @@ def test_tower_tables_unchanged(name):
 # -- pure-Python renderings of each family's formula --------------------------------
 
 def _table(G) -> list[list[int]]:
-    return G.table.tolist()
+    return products(G).tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -209,8 +217,9 @@ def _fill_oracle(G) -> list[list[int]] | None:
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_every_tower_level_is_the_table_its_generator_rows_generate(name):
-    for G in cached_tower(name).levels:
-        assert _table(G) == _fill_oracle(G)
+    for level in cached_tower(name).levels:
+        G = tabled(level)
+        assert _table(level) == _table(G) == _fill_oracle(G)
         rows = G.table[G.generators]
         assert np.array_equal(groups.table_from_rows(rows, G.generators, G.identity), G.table)
 
@@ -294,8 +303,8 @@ def test_literals_match_all_pairs_products(name):
     assert _table(load_group_json(doc)) == expected
 
 
-FILL_POOL = [*map(load_group_json, LITERALS.values()), cyclic(12), dihedral(6), quaternion8(),
-             direct_product(cyclic(2), cyclic(4))]
+FILL_POOL = [*map(load_group_json, LITERALS.values()), cyclic_with_table(12), dihedral(6),
+             quaternion8(), direct_product(cyclic(2), cyclic(4))]
 
 
 @given(st.data())
@@ -369,7 +378,7 @@ def test_row_entries_outside_the_group_are_rejected():
 def test_table_is_read_only_and_not_copied():
     table = groups.table_from_rows(np.array([[1, 2, 0]]), [1], 0)
     assert not table.flags.writeable
-    assert cyclic(3).table.dtype == np.uint16
+    assert table.dtype == np.uint16
     G = groups.FiniteGroup(table, generators=[1])
     assert G.table is table
 
@@ -378,7 +387,7 @@ def test_table_is_read_only_and_not_copied():
 
 TABLE_BUILDS = pytest.mark.parametrize(
     "build",
-    [lambda: cyclic(2048), lambda: dihedral(1024),
+    [lambda: cyclic_with_table(2048), lambda: dihedral(1024),
      lambda: direct_product(cyclic(16), cyclic(81))],
     ids=["cyclic(2048)", "dihedral(1024)", "C16xC81"],
 )
@@ -411,7 +420,7 @@ def test_table_checks_allocate_no_n_by_n_temporary(build):
     assert peak <= 1.25 * G.table.itemsize * G.order**2
 
 
-@pytest.mark.parametrize("group", [lambda: cyclic(2048), lambda: dihedral(1024)],
+@pytest.mark.parametrize("group", [lambda: cyclic_with_table(2048), lambda: dihedral(1024)],
                          ids=["cyclic(2048)", "dihedral(1024)"])
 def test_fill_memory_beyond_the_table(group):
     G = group()
