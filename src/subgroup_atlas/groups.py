@@ -142,18 +142,17 @@ class FiniteGroup:
     def _check_group(self) -> list[int]:
         """Verify associativity exactly on an irredundant basis; return it.
 
-        The basis is the stored generators, in order, that right
-        multiplication from the identity does not yet reach, and it must
-        reach every element.  In a group each kept generator at least doubles
-        the subgroup reached, so a longer basis than log2 of the order proves
-        the table is not a group.  Light's test then runs on the basis: the
-        elements s with (a*s)*c == a*(s*c) for all a, c are closed under the
-        product, so passing on a basis proves the whole table associative.
+        The basis is the stored generators, in order, that the generation
+        walk of closure, run on the table's own columns, does not yet reach
+        from the identity, and it must reach every element.  In a group each
+        kept generator at least doubles the subgroup reached, so a longer
+        basis than log2 of the order proves the table is not a group.  Light's
+        test then runs on the basis: the elements s with (a*s)*c == a*(s*c)
+        for all a, c are closed under the product, so passing on a basis
+        proves the whole table associative.
         """
         n, t = self.order, self.table
-        reached = [False] * n
-        reached[self.identity] = True
-        members = [self.identity]
+        reached, members = _walk_start(n, self.identity)
         basis: list[int] = []
         columns: list[list[int]] = []  # column s maps a to a*s
         for g in self.generators:
@@ -165,12 +164,7 @@ class FiniteGroup:
             if 1 << len(basis) > n:
                 raise WrongShape("table is not a group: basis longer than log2 of the order")
             columns.append(t[:, g].tolist())
-            for x in members:  # from the start again; grows while it is walked
-                for col in columns:
-                    y = col[x]
-                    if not reached[y]:
-                        reached[y] = True
-                        members.append(y)
+            _walk(columns, reached, members)
         if len(members) != n:
             raise WrongShape("stored generators do not generate the group")
         blocks = _row_blocks(n)
@@ -199,13 +193,19 @@ class FiniteGroup:
         return self._abelian
 
     def power_map(self, e: int) -> np.ndarray:
-        """Vector of g^e for every element g."""
+        """Vector of g^e for every element g, by square and multiply: the bits
+        of e from the top, each after the first squaring the powers so far and
+        a set bit multiplying them by g, in floor(log2 e) + popcount(e) - 1
+        passes of n products."""
         if e not in self._power_maps:
             n = self.order
-            out = np.full(n, self.identity, dtype=np.int64)
             base = np.arange(n)
-            for _ in range(e):
-                out = self.mul(out, base)
+            out = base if e else np.full(n, self.identity, dtype=np.int64)
+            for bit in bin(e)[3:]:
+                out = self.mul(out, out)
+                if bit == "1":
+                    out = self.mul(out, base)
+            out = out.astype(np.int64, copy=False)
             out.setflags(write=False)
             self._power_maps[e] = out
         return self._power_maps[e]
@@ -329,33 +329,48 @@ def _cells(M: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # -- elementary operations ---------------------------------------------------
 
+def _walk_start(n: int, identity: int) -> tuple[bytearray, list[int]]:
+    """The state of a generation walk that has reached only the identity: a
+    byte per element, 1 where reached, and the members in the order found."""
+    reached = bytearray(n)
+    reached[identity] = 1
+    return reached, [identity]
+
+
+def _walk(columns: list[list[int]], reached: bytearray, members: list[int]) -> None:
+    """Walk members breadth-first from the start, appending each x*s not yet
+    reached for every column s (column s lists a*s for each a), until the
+    members are closed under right multiplication by every column's s."""
+    for x in members:  # grows while it is walked
+        for col in columns:
+            y = col[x]
+            if not reached[y]:
+                reached[y] = 1
+                members.append(y)
+
+
 def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed elements.
 
-    An empty seed yields the trivial subgroup.  Deterministic BFS.
+    A breadth-first walk from the identity along right multiplication by
+    each distinct non-identity seed s, whose column a -> a*s is read once
+    through G.mul: n*|S| products and |K|*|S| lookups for |K| = <S>.  In a
+    finite group the set the walk reaches is closed under the product, as
+    s^-1 is a power of s, so it is <S>.  An empty seed yields the trivial
+    subgroup.  The same walk finds a table's basis in FiniteGroup._check_group.
     """
     n = G.order
-    mask = np.zeros(n, dtype=bool)
-    mask[G.identity] = True
-    frontier = []
+    seeds: dict[int, None] = {}  # the distinct non-identity seeds, in order
     for s in seed:
         s = int(s)
         if s < 0 or s >= n:
             raise OutOfRange(f"seed element {s} outside group of order {n}")
-        if not mask[s]:
-            mask[s] = True
-            frontier.append(s)
-    while frontier:
-        members = np.nonzero(mask)[0]
-        new_mask = np.zeros(n, dtype=bool)
-        f = np.asarray(frontier)
-        new_mask[G.mul(f[:, None], members)] = True
-        new_mask[G.mul(members[:, None], f)] = True
-        new_mask[G.inv[f]] = True
-        new_mask &= ~mask
-        frontier = list(np.nonzero(new_mask)[0])
-        mask |= new_mask
-    return _subgroup_from_mask(G, mask)
+        if s != G.identity:
+            seeds[s] = None
+    reached, members = _walk_start(n, G.identity)
+    every = np.arange(n)
+    _walk([G.mul(every, s).tolist() for s in seeds], reached, members)
+    return Subgroup(G, _rows_to_bits(np.frombuffer(reached, dtype=bool)[None])[0], len(members))
 
 
 def _derived_series_reaches_trivial(G: FiniteGroup) -> bool:
@@ -373,22 +388,36 @@ def _commutator_of(G: FiniteGroup, gens: Sequence[int]) -> tuple[Subgroup, list[
 
     [H, H] is the normal closure in H of the commutators of the generators:
     that closure lies in [H, H], and modulo it the generators commute, so H
-    over it is abelian.  The commutators are walked in order; one outside
-    the subgroup built so far joins its generators, and its conjugates by
-    the generators are walked after them.  A finite subgroup that conjugation
-    by each generator maps into itself is normal in H.  Each join at least
-    doubles the subgroup, so at most log2 |[H, H]| closures run.
+    over it is abelian.
     """
     gens = np.asarray(gens, dtype=np.intp)
+    return _normal_closure(G, _commutators(G, gens), gens)
+
+
+def _commutators(G: FiniteGroup, gens: np.ndarray) -> list[int]:
+    """[a, b] = ab(ba)^-1 for each pair a before b of the generators."""
     a, b = gens.take(np.triu_indices(len(gens), 1))  # each pair once, in order
-    todo = G.mul(G.mul(a, b), G.inv.take(G.mul(b, a))).tolist()
-    derived, joined = trivial_subgroup(G), []
+    return G.mul(G.mul(a, b), G.inv.take(G.mul(b, a))).tolist()
+
+
+def _normal_closure(G: FiniteGroup, todo: list[int],
+                    gens: np.ndarray) -> tuple[Subgroup, list[int]]:
+    """The normal closure in H = <gens> of the elements `todo`, with the
+    elements of it that generate it.
+
+    The elements are walked in order; one outside the subgroup built so far
+    joins its generators, and its conjugates by the generators are walked
+    after them.  A finite subgroup that conjugation by each generator maps
+    into itself is normal in H.  Each join at least doubles the subgroup, so
+    at most log2 of its order closures run.
+    """
+    closed, joined = trivial_subgroup(G), []
     for c in todo:  # grows while it is walked
-        if not derived.contains(c):
+        if not closed.contains(c):
             joined.append(c)
-            derived = closure(G, joined)
+            closed = closure(G, joined)
             todo += G.mul(G.mul(G.inv.take(gens), c), gens).tolist()
-    return derived, joined
+    return closed, joined
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -517,11 +546,12 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
     least of them is kept, by whichever exact rule costs less:
     - c is kept when no coset c^i H, 0 < i < q, has a smaller element:
       (q - 1)|H| table cells gathered a candidate;
-    - rounds take each row's first candidate, build its K and drop the
-      candidates K covers: two passes over the block a round.  A row has at
-      most (its candidates) / ((p - 1)|H|) K, p the least prime, and that
-      many rounds leave each row one K in the last, whose K minus H is what
-      remains of its candidates, so that round builds no cosets.
+    - rounds take each row's first candidate, write its K from H's elements
+      and drop the candidates K covers: two passes over the block a round.
+      A row has at most (its candidates) / ((p - 1)|H|) K, p the least
+      prime, and that many rounds leave each row one K in the last, whose
+      K minus H is what remains of its candidates, so that round builds no
+      cosets.
     A gathered cell costs about GATHER_CELL_COST cells of a pass.
     """
     primes = sorted(G.primes)
@@ -542,21 +572,22 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
     if not rounds:
         none = None if gens is None else np.empty((0, gens.shape[1] + 1), dtype=np.int64)
         return [], none, orders[:0]
-    if rounds > 1 and (GATHER_CELL_COST * int(cand.sum()) * (primes[-1] - 1) * int(orders.max())
-                       <= (rounds - 1) * 2 * H.size):
-        r, c = cand.nonzero()
-        q = _least_prime(G, H, r, c, primes)
+    if rounds > 1:
         # each row's elements, padded with the identity, which every row holds
         at, elements = H.nonzero()
         members = np.full((len(H), int(orders.max())), G.identity)
         starts = np.fromiter(accumulate(orders.tolist(), initial=0), np.intp, len(orders) + 1)
         members[at, np.arange(len(at)) - starts[at]] = elements
+    if rounds > 1 and (GATHER_CELL_COST * int(cand.sum()) * (primes[-1] - 1) * int(orders.max())
+                       <= (rounds - 1) * 2 * H.size):
+        r, c = cand.nonzero()
+        q = _least_prime(G, H, r, c, primes)
         keep = _least_in_class(G, members, r, c, q)
         r, c, q = r[keep], c[keep], q[keep]
         step = max(1, _block_cells(G.order) // G.order)
         K = [b for lo in range(0, len(r), step)
-             for b in _written_cosets(G, H, members, r[lo:lo + step], c[lo:lo + step],
-                                      q[lo:lo + step])]
+             for b in _rows_to_bits(_coset_unions(G, H, members, r[lo:lo + step],
+                                                  c[lo:lo + step], q[lo:lo + step]))]
     else:
         picks, K = [], []
         for i in range(rounds):
@@ -566,7 +597,7 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
             c = cand.argmax(axis=1).take(r)
             q = _least_prime(G, H, r, c, primes)
             if i + 1 < rounds:
-                built = _coset_unions(G, H, r, c, q)
+                built = _coset_unions(G, H, members, r, c, q)
                 cand[r] &= ~built
                 counts = cand.sum(axis=1)
             else:  # a row has one K left, and its candidates are K minus H
@@ -606,31 +637,17 @@ def _least_in_class(G: FiniteGroup, members: np.ndarray, r: np.ndarray, c: np.nd
     return keep
 
 
-def _written_cosets(G: FiniteGroup, H: np.ndarray, members: np.ndarray, r: np.ndarray,
-                    c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The bitsets of the unions of the cosets c_j^i H_{r_j}, i < q_j, each
-    coset written element by element from H's elements, row r_j of `members`."""
+def _coset_unions(G: FiniteGroup, H: np.ndarray, members: np.ndarray, r: np.ndarray,
+                  c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row j: the membership row of the union of the cosets c_j^i H_{r_j},
+    i < q_j, each coset written from H's elements, row r_j of `members`:
+    |H|(q - 1) cells a row.  Powers up to the largest q repeat cosets of the
+    rows with a smaller one, since c_j^q_j lies in H_{r_j}."""
     K, rows, x = H.take(r, axis=0), np.arange(len(r))[:, None], c
     elements = members.take(r, axis=0)
     for _ in range(1, int(q.max())):
         K[rows, G.mul(x[:, None], elements)] = True
         x = G.mul(x, c)
-    return _rows_to_bits(K)
-
-
-def _coset_unions(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
-                  q: np.ndarray) -> np.ndarray:
-    """Row j: the union of the cosets c_j^i H_{r_j}, i < q_j.  Powers up to the
-    largest q repeat cosets of the rows with a smaller one, since c_j^q_j
-    lies in H_{r_j}."""
-    K = H.take(r, axis=0)
-    top = int(q.max())
-    step = y = G.inv.take(c)
-    for i in range(1, top):
-        # g lies in c^i H when c^-i g lies in H
-        K |= _cells(H, r[:, None], G.mul(y[:, None], np.arange(G.order)))
-        if i + 1 < top:
-            y = G.mul(y, step)
     return K
 
 
@@ -640,7 +657,8 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
     subgroup.  <H, g> = <H, h g^k h'> for h, h' in H and k prime to the
     order of g, so those elements are marked covered and skipped.  The
     powers and orders of all elements come from one walk g, g^2, ... over
-    every g at once, which stops once each element has reached the identity."""
+    every g at once, which stops once each element has reached the identity;
+    each element's coprime powers are read off it once."""
     n = G.order
     walk, order, x = [], np.zeros(n, dtype=np.intp), np.arange(n)
     while not order.all():
@@ -648,6 +666,8 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
         order[(x == G.identity) & (order == 0)] = len(walk)
         x = G.mul(x, np.arange(n))
     powers = np.stack(walk, axis=1)  # row g: g, g^2, ..., g^(largest order)
+    prime_to = {k: np.gcd(np.arange(1, k), k) == 1 for k in set(order.tolist())}
+    coprime = [powers[g, :k - 1][prime_to[k]] for g, k in enumerate(order.tolist())]
     triv = trivial_subgroup(G)
     found: dict[int, Subgroup] = {triv.bits: triv}
     # each queued subgroup travels with the elements that generated it
@@ -663,9 +683,7 @@ def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:
             if K.bits not in found:
                 found[K.bits] = K
                 queue.append((K, gens + [g]))
-            k = order[g]
-            coprime = powers[g, :k - 1][np.gcd(np.arange(1, k), k) == 1]
-            covered[G.mul(G.mul(idx, coprime).reshape(-1, 1), idx.T)] = True
+            covered[G.mul(G.mul(idx, coprime[g]).reshape(-1, 1), idx.T)] = True
     return found
 
 
@@ -680,15 +698,23 @@ def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
-    """Intersection of all maximal proper subgroups (trivial group maps to itself)."""
+    """Intersection of all maximal proper subgroups (trivial group maps to itself).
+
+    A G of prime-power order p^k whose lattice has not been enumerated needs
+    none: G/Phi(G) is the largest elementary abelian quotient of G, so
+    Phi(G) is the normal closure of {s^p, [s, t]} over the basis, which the
+    walk _commutator_of runs finds.  Otherwise the maximal subgroups of the
+    lattice are intersected."""
+    if len(G.primes) == 1 and G._subgroups is None:
+        (p,) = G.primes
+        basis = np.asarray(G.basis, dtype=np.intp)
+        todo = G.power_map(p).take(basis).tolist() + _commutators(G, basis)
+        return _normal_closure(G, todo, basis)[0]
     if G.order == 1:
         return trivial_subgroup(G)
-    maxes = maximal_subgroups(G)
-    if not maxes:
-        return trivial_subgroup(G)
-    bits = maxes[0].bits
-    for H in maxes[1:]:
-        bits &= H.bits
+    bits = (1 << G.order) - 1
+    for M in maximal_subgroups(G):
+        bits &= M.bits
     return Subgroup(G, bits, bin(bits).count("1"))
 
 

@@ -27,6 +27,27 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("spec", [
+    ["--family", "zp", "--p", "2", "--depth", "4"],
+    ["--family", "zpn", "--p", "2", "--n", "2", "--depth", "4"],
+    ["--family", "dihedral2", "--depth", "6"],
+    ["--family", "heisenberg", "--p", "2", "--depth", "3"],
+    ["--family", "wilson", "--depth", "4"],
+], ids=["zp", "zpn", "dihedral2", "heisenberg", "wilson"])
+def test_frattini_stability_audit_enumerates_no_level(spec, monkeypatch, capsys):
+    # every level is a p-group, whose Frattini subgroup needs no lattice
+    from subgroup_atlas import groups
+
+    def refuse(G):
+        raise AssertionError(f"enumerated {G.name}")
+
+    monkeypatch.setattr(groups, "_subgroups_cyclic_extension", refuse)
+    monkeypatch.setattr(groups, "_subgroups_generic", refuse)
+    code, out, err = run_cli(["audit", "--name", "frattini_stability", *spec], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["passed"]
+
+
 def test_analyze_zp3_verdict(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BUILTIN_NAMES,
+    TOWER_FACTORIES,
     cached_tower,
     cyclic_with_table,
     oracle_bits_set,
@@ -125,6 +126,130 @@ def test_closure_d4_klein():
     )
 
 
+CLOSURE_LITERALS = {
+    "S3": lambda: _perm_group([1, 2, 0], [1, 0, 2]),
+    "A4": lambda: a4(),
+    "S4": lambda: s4(),
+    "A5": lambda: a5(),
+    "C8 in GL(2,3)": lambda: load_group_json(
+        {"version": 1, "kind": "matrix", "modulus": 3, "generators": [[[0, 1], [1, 2]]]}),
+    "SL(2,3)": lambda: load_group_json(
+        {"version": 1, "kind": "matrix", "modulus": 3,
+         "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}),
+    "Heis(Z/3) matrices": lambda: load_group_json(
+        {"version": 1, "kind": "matrix", "modulus": 3,
+         "generators": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]}),
+}
+# The pair-by-pair fixed point of oracle_closure reads |K|^2 products a pass
+# from an n x n table of Python ints; above this order the levels are
+# checked against the frontier closure below instead.
+ORACLE_CLOSURE_ORDER = 729
+
+
+@lru_cache(maxsize=None)
+def _closure_groups() -> tuple:
+    levels = [G for name in TOWER_FACTORIES for G in cached_tower(name).levels]
+    return tuple(levels + [build() for build in CLOSURE_LITERALS.values()])
+
+
+@lru_cache(maxsize=None)
+def _oracle_table(G) -> tuple[list[list[int]], list[int]]:
+    return products(G).tolist(), [int(x) for x in G.inv]
+
+
+def _frontier_closure(G, seed) -> frozenset[int]:
+    """<seed> by rounds that multiply the new elements by every member found
+    so far on both sides and add their inverses, until a round adds nothing;
+    256 new elements at a time."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.identity] = True
+    mask[list(seed)] = True
+    frontier = np.flatnonzero(mask)
+    while len(frontier):
+        members = np.flatnonzero(mask)
+        new = np.zeros(G.order, dtype=bool)
+        for lo in range(0, len(frontier), 256):
+            f = frontier[lo:lo + 256]
+            new[G.mul(f[:, None], members)] = True
+            new[G.mul(members[:, None], f)] = True
+        new[G.inv[frontier]] = True
+        new &= ~mask
+        frontier = np.flatnonzero(new)
+        mask |= new
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_closure_matches_oracle_on_tower_levels_and_literals(data):
+    G = data.draw(st.sampled_from(_closure_groups()), label="group")
+    # 0-3 seeds that may repeat, or be the identity
+    seed = data.draw(st.lists(st.one_of(st.integers(0, G.order - 1), st.just(G.identity)),
+                              max_size=3), label="seed")
+    H = closure(G, seed)
+    if G.order <= ORACLE_CLOSURE_ORDER:
+        table, inv = _oracle_table(G)
+        expected = oracle_closure(table, G.identity, inv, seed)
+    else:
+        expected = _frontier_closure(G, seed)
+    assert frozenset(H.indices().tolist()) == expected
+    assert H.order == len(expected)
+
+
+@pytest.mark.parametrize("name", ["zp(2,4)", "dihedral2(4)", "A5"])
+@pytest.mark.parametrize("bad", [-1, "order"])
+def test_closure_refuses_a_seed_outside_the_group(name, bad):
+    G = CLOSURE_LITERALS[name]() if name in CLOSURE_LITERALS else cached_tower(name).levels[-1]
+    with pytest.raises(OutOfRange, match="seed element"):
+        closure(G, [1, G.order if bad == "order" else bad])
+
+
+@pytest.mark.parametrize("build,seed,columns", [
+    (lambda: cyclic(64), [], 0),
+    (lambda: cyclic(64), [0, 0], 0),
+    (lambda: cyclic(64), [8, 0, 8, 8], 1),
+    (lambda: cyclic(64), [8, 12, 8], 2),
+    (lambda: dihedral(16), [1, 16, 1, 0, 16], 2),
+    (lambda: dihedral(16), [2, 17, 18], 3),
+    (lambda: s4(), [1, 2, 3], 3),
+], ids=["Z64-empty", "Z64-identity", "Z64-repeats", "Z64-two", "D16-repeats", "D16-three",
+        "S4-three"])
+def test_closure_reads_one_column_per_distinct_non_identity_seed(build, seed, columns):
+    G = build()
+    real, products_read = G.mul, []
+
+    def counting(a, b):
+        out = real(a, b)
+        products_read.append(out.size)
+        return out
+
+    G.mul = counting
+    H = closure(G, seed)
+    assert sum(products_read) == columns * G.order
+    del G.mul
+    table, inv = _oracle_table(G)
+    assert frozenset(H.indices().tolist()) == oracle_closure(table, G.identity, inv, seed)
+
+
+@pytest.mark.parametrize("tower,seed", [
+    ("zpn(2,2,6)", "basis"), ("zpn(2,2,6)", [65, 2]), ("zp(5,5)", [5]),
+    ("heisenberg(3,2)", "basis"),
+])
+def test_closure_allocates_no_order_squared_temporary(tower, seed):
+    G = cached_tower(tower).levels[-1]
+    seed = G.basis if seed == "basis" else seed
+    closure(G, seed)  # warm up the caches numpy keeps on a first call
+    tracemalloc.start()
+    try:
+        H = closure(G, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the walk holds n-element columns and masks; an n x n mask takes n^2
+    # bytes and the |K| x |K| products of K = G take 8n^2
+    assert peak <= 64 * G.order * (len(seed) + 1) < G.order ** 2
+
+
 def test_frattini_values():
     Z8 = cyclic(8)
     assert sorted(frattini(Z8).indices()) == [0, 2, 4, 6]
@@ -150,6 +275,64 @@ def test_frattini_p_group_identity(factory, p):
     powers = [int(G.power_map(p)[g]) for g in range(G.order)]
     generated = closure(G, list(comm.indices()) + powers)
     assert generated.bits == frattini(G).bits
+
+
+def _frattini_by_scan(G) -> int:
+    """The intersection of the maximal subgroups in G's lattice, as a bitset."""
+    bits = (1 << G.order) - 1
+    for M in maximal_subgroups(G):
+        bits &= M.bits
+    return bits
+
+
+@pytest.mark.parametrize("name", list(TOWER_FACTORIES))
+def test_frattini_of_a_p_group_level_is_the_maximal_subgroup_scan(name):
+    # a fresh tower: its levels have no lattice, so frattini walks
+    for G in TOWER_FACTORIES[name]().levels:
+        assert len(G.primes) == 1
+        walked = frattini(G)
+        assert G._subgroups is None  # the walk enumerated nothing
+        expected = _frattini_by_scan(G)
+        assert walked.bits == expected
+        assert walked.order == bin(expected).count("1")
+        assert frattini(G).bits == expected  # read off the lattice now cached
+
+
+@pytest.mark.parametrize("name", list(TOWER_FACTORIES))
+def test_power_map_matches_the_e_fold_product_on_table_levels(name):
+    # every table level up to order 1024: above it the n + 2 cached maps of
+    # a level would hold 8n(n + 2) bytes
+    levels = [G for G in cached_tower(name).levels
+              if not isinstance(G, groups.CyclicGroup) and G.order <= 1024]
+    for G in levels:
+        # a copy, so the level's own cache keeps only the maps the library asks for
+        H = FiniteGroup(G.table, generators=G.generators)
+        table, every = products(H), np.arange(H.order)
+        fold = np.full(H.order, H.identity)
+        for e in range(H.order + 2):
+            got = H.power_map(e)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == fold.tolist()
+            assert H.power_map(e) is got
+            fold = table[fold, every]
+
+
+def test_power_map_squares_and_multiplies():
+    G = direct_product(cyclic(2039), cyclic(2))
+    real, passes = G.mul, []
+
+    def counting(a, b):
+        passes.append(np.broadcast(a, b).size)
+        return real(a, b)
+
+    G.mul = counting
+    first, second = np.divmod(np.arange(G.order), 2)
+    for e in [0, 1, 2, 3, 5, 8, 255, 2039, 4096]:
+        passes.clear()
+        got = G.power_map(e)
+        assert len(passes) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+        assert set(passes) <= {G.order}
+        assert got.tolist() == ((first * e % 2039) * 2 + second * e % 2).tolist()
 
 
 def _all_pairs_commutator(G, members) -> frozenset[int]:
@@ -350,6 +533,49 @@ def test_coset_minima_reads_the_table_in_blocks():
         tracemalloc.stop()
     assert minima.tolist() == [g % 2 for g in range(G.order)]
     assert peak <= minima.nbytes + 4 * groups.BLOCK_CELLS
+
+
+def _gathered_coset_unions(G, H, r, c, q):
+    """Row j: the union of the cosets c_j^i H_{r_j}, i < max q, gathered for
+    every g of G: g lies in c^i H when c^-i g lies in H."""
+    K = H.take(r, axis=0)
+    y = step = G.inv.take(c)
+    for _ in range(1, int(q.max())):
+        K |= H[r[:, None], G.mul(y[:, None], np.arange(G.order))]
+        y = G.mul(y, step)
+    return K
+
+
+COSET_GROUPS = {
+    "D8": lambda: dihedral(8), "Heis3": heis3, "S4": lambda: s4(),
+    "S3xC4": lambda: direct_product(dihedral(3), cyclic(4)),
+    "wilson(3) top": lambda: cached_tower("wilson(3)").levels[-1],
+}
+
+
+@lru_cache(maxsize=None)
+def _coset_block(name):
+    """A group, the membership rows of its subgroups, and their elements, each
+    row padded with the identity."""
+    G = COSET_GROUPS[name]()
+    subs = all_subgroups(G)
+    members = np.full((len(subs), max(S.order for S in subs)), G.identity)
+    for i, S in enumerate(subs):
+        members[i, :S.order] = S.indices()
+    return G, groups._bits_to_rows([S.bits for S in subs], G.order), members
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_coset_unions_written_from_members_match_the_gather(data):
+    G, H, members = _coset_block(data.draw(st.sampled_from(list(COSET_GROUPS)), label="group"))
+    size = data.draw(st.integers(1, 6), label="rows")
+    r = np.array(data.draw(st.lists(st.integers(0, len(H) - 1), min_size=size, max_size=size)))
+    c = np.array(data.draw(st.lists(st.integers(0, G.order - 1), min_size=size, max_size=size)))
+    q = np.array(data.draw(st.lists(st.sampled_from([2, 3, 5]), min_size=size, max_size=size)))
+    got = groups._coset_unions(G, H, members, r, c, q)
+    assert got.dtype == bool
+    assert np.array_equal(got, _gathered_coset_unions(G, H, r, c, q))
 
 
 def test_direct_product_layout_and_counts():
@@ -578,10 +804,8 @@ def test_insoluble_fallback_s5():
     assert {_labels(G, H.indices()) for H in subs} == _perm_oracle(G)
 
 
-def test_generic_path_closes_once_per_class_of_equivalent_elements(monkeypatch):
-    # <H, g> = <H, h g^k h'>: A5 runs one closure per H and element outside H,
-    # 3,189 in all, without that rule
-    G = a5()
+def _generic_closures(G, monkeypatch) -> tuple[int, int]:
+    """The subgroups the generic path finds in G, and the closures it runs."""
     real, calls = groups.closure, []
 
     def counting(*args):
@@ -589,8 +813,17 @@ def test_generic_path_closes_once_per_class_of_equivalent_elements(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(groups, "closure", counting)
-    assert len(groups._subgroups_generic(G)) == 59
-    assert len(calls) == 264
+    return len(groups._subgroups_generic(G)), len(calls)
+
+
+def test_generic_path_closes_once_per_class_of_equivalent_elements(monkeypatch):
+    # <H, g> = <H, h g^k h'>: A5 runs one closure per H and element outside H,
+    # 3,189 in all, without that rule
+    assert _generic_closures(a5(), monkeypatch) == (59, 264)
+
+
+def test_generic_path_closure_count_on_s5(monkeypatch):
+    assert _generic_closures(s5(), monkeypatch) == (156, 1153)
 
 
 @st.composite
