@@ -52,7 +52,6 @@ from .towers import (
     make_zpn,
     parse_tower_spec,
     truncate,
-    validate,
 )
 from .lattice import (
     LatticeTower,

@@ -269,10 +269,12 @@ def solitary_criterion_hxz_audit(h_tower: Tower) -> AuditResult:
     matching prime, read from the depth-2 product: the left-factor node is a
     solitary candidate exactly when the commutator index of the H-family
     stabilizes (the finite witness that the commutator subgroup is open)."""
+    depth = 2
+    if h_tower.depth < depth:
+        raise OutOfRange(f"hxz audit needs depth >= {depth}")
     if len(h_tower.primes) != 1:
         raise WrongShape("hxz audit needs a single-prime left factor")
     p = next(iter(h_tower.primes))
-    depth = 2
     product = direct_product_tower(truncate(h_tower, depth), make_zp(p, depth))
 
     h_indices = commutator_index_per_level(h_tower)

@@ -196,15 +196,17 @@ class FiniteGroup:
         """Vector of g^e for every element g, by square and multiply: the bits
         of e from the top, each after the first squaring the powers so far and
         a set bit multiplying them by g, in floor(log2 e) + popcount(e) - 1
-        passes of n products."""
+        passes of n products.  For e < 0 it is the inverse of g^-e."""
         if e not in self._power_maps:
-            n = self.order
-            base = np.arange(n)
-            out = base if e else np.full(n, self.identity, dtype=np.int64)
-            for bit in bin(e)[3:]:
-                out = self.mul(out, out)
-                if bit == "1":
-                    out = self.mul(out, base)
+            if e < 0:
+                out = self.inv.take(self.power_map(-e))
+            else:
+                base = np.arange(self.order)
+                out = base if e else np.full(self.order, self.identity, dtype=np.int64)
+                for bit in bin(e)[3:]:
+                    out = self.mul(out, out)
+                    if bit == "1":
+                        out = self.mul(out, base)
             out = out.astype(np.int64, copy=False)
             out.setflags(write=False)
             self._power_maps[e] = out
@@ -464,33 +466,48 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return list(result)
 
 
-def target_subgroups(hom: Homomorphism) -> list[Subgroup]:
+def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.ndarray]:
     """Every subgroup of the target of a surjective hom, sorted by (order,
-    bitset), read off the source's lattice and kept as the target's own list,
-    which all_subgroups returns from then on.
+    bitset), with the links of the source's lattice to it: the node index of
+    each source subgroup's image, and the source node that is the full
+    preimage of each target subgroup.  The target's list is read off the
+    source's and kept as the target's own, which all_subgroups returns from
+    then on; a target that holds a list already keeps it.
 
-    By the correspondence theorem the target's subgroups are exactly the
-    images of the source's subgroups K that contain the kernel.  Such a K is
-    a union of kernel cosets, so its image holds x when K holds any one
-    element over x: its row is K's row gathered at one lift of each target
-    element, in row blocks.  The image has order |K| / |ker|.
+    All three come from one image pass over the source's subgroups, in row
+    blocks.  An image holds x when K holds any element over x, so K's row is
+    gathered into |ker| slabs, slab j holding x'k_j for each target element
+    x, with x' one element over x and k_j the j-th element of the kernel, and
+    the image row is their `any`.  The image has order |K| / |K & ker|, so the
+    K whose image has order |K| / |ker| are exactly those that contain the
+    kernel.  By the correspondence theorem their images are the target's
+    subgroups, each once, and each such K is the full preimage of its image.
     """
     if not hom.surjective:
         raise WrongShape("target_subgroups needs a surjective homomorphism")
     G, n = hom.target, hom.source.order
+    upper = all_subgroups(hom.source)
+    lift = np.empty(G.order, dtype=np.intp)
+    lift[hom.map] = np.arange(n)
+    kernel = (hom.map == G.identity).nonzero()[0]
+    by_image = hom.source.mul(lift[None, :], kernel[:, None]).ravel()
+    step = max(1, _block_cells(n) // n)
+    bits: list[int] = []
+    orders: list[int] = []
+    for lo in range(0, len(upper), step):
+        rows = _bits_to_rows([K.bits for K in upper[lo:lo + step]], n).take(by_image, axis=1)
+        image = rows.reshape(len(rows), len(kernel), G.order).any(axis=1)
+        bits += _rows_to_bits(image)
+        orders += image.sum(axis=1).tolist()
+    over = [j for j, K in enumerate(upper) if orders[j] * len(kernel) == K.order]
     if G._subgroups is None:
-        ker = hom.kernel()
-        over = [K for K in all_subgroups(hom.source) if K.bits & ker.bits == ker.bits]
-        lift = np.empty(G.order, dtype=np.intp)
-        lift[hom.map] = np.arange(n)
-        step = max(1, _block_cells(n) // n)
-        bits: list[int] = []
-        for lo in range(0, len(over), step):
-            rows = _bits_to_rows([K.bits for K in over[lo:lo + step]], n)
-            bits += _rows_to_bits(rows.take(lift, axis=1))
-        found = sorted(zip([K.order // ker.order for K in over], bits))
-        G._subgroups = [Subgroup(G, b, o) for o, b in found]
-    return list(G._subgroups)
+        G._subgroups = [Subgroup(G, bits[j], orders[j]) for j in over]
+        G._subgroups.sort(key=lambda s: (s.order, s.bits))
+    index = {s.bits: i for i, s in enumerate(G._subgroups)}
+    parents = np.array([index[b] for b in bits], dtype=np.int64)
+    full_preimage = np.empty(len(G._subgroups), dtype=np.int64)
+    full_preimage[parents[over]] = over
+    return list(G._subgroups), parents, full_preimage
 
 
 def _subgroups_cyclic_extension(G: FiniteGroup) -> list[Subgroup]:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .config import PRODUCT_BITSET_LIMIT
 from .errors import CapExceeded, NotNormal, OutOfRange, WrongShape
-from .groups import (Homomorphism, Subgroup, _bits_to_rows, _block_cells, _rows_to_bits,
-                     all_subgroups, is_normal, target_subgroups)
+from .groups import Subgroup, _bits_to_rows, all_subgroups, is_normal, target_subgroups
 from .towers import Tower
 
 
@@ -109,61 +108,25 @@ def build_lattice_tower(t: Tower) -> LatticeTower:
 
 
 def _explicit_lattice(t: Tower) -> LatticeTower:
-    # only the top level is enumerated; each level below is read off the one
-    # above it through the connecting map
+    # only the top level is enumerated; each level below, and its links to the
+    # level above, are read off that level through the connecting map
     subs_per_level = [all_subgroups(t.levels[-1])]
-    for k in range(t.depth - 1, 0, -1):
-        subs_per_level.insert(0, target_subgroups(t.map_down(k)))
-
-    node_orders = [[s.order for s in subs] for subs in subs_per_level]
-    node_bits = [[s.bits for s in subs] for subs in subs_per_level]
-    level_orders = [g.order for g in t.levels]
-
-    # nodes are found by bitset, with two levels' indices in hand at a time
     parents: list[np.ndarray] = []
     full_preimage: list[np.ndarray] = []
-    index = {b: i for i, b in enumerate(node_bits[0])} if node_bits else {}
-    for k in range(1, t.depth):
-        lower, index = index, {b: i for i, b in enumerate(node_bits[k])}
-        up, down = _links(t.map_down(k), node_bits[k], node_bits[k - 1], lower, index)
-        parents.append(np.array(up, dtype=np.int64))
-        full_preimage.append(np.array(down, dtype=np.int64))
+    for k in range(t.depth - 1, 0, -1):
+        subs, up, down = target_subgroups(t.map_down(k))
+        subs_per_level.insert(0, subs)
+        parents.insert(0, up)
+        full_preimage.insert(0, down)
 
     return LatticeTower(
         tower=t,
-        level_orders=level_orders,
-        node_orders=node_orders,
-        node_bits=node_bits,
+        level_orders=[g.order for g in t.levels],
+        node_orders=[[s.order for s in subs] for subs in subs_per_level],
+        node_bits=[[s.bits for s in subs] for subs in subs_per_level],
         parents=parents,
         full_preimage=full_preimage,
     )
-
-
-def _links(hom: Homomorphism, upper: list[int], lower: list[int], lower_index: dict[int, int],
-           upper_index: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The node index of the image of each upper node and of the full
-    preimage of each lower node under a surjective hom, from the levels'
-    membership matrices in row blocks.  A full preimage is a lower row
-    gathered along the map.  An image is an `any` over the preimages of each
-    element: an upper row is gathered into |ker| slabs, slab j holding x'k_j
-    for each lower element x, with x' one element over x and k_j the j-th
-    element of the kernel."""
-    n_hi, n_lo = hom.source.order, hom.target.order
-    step = max(1, _block_cells(n_hi) // n_hi)
-    lift = np.empty(n_lo, dtype=np.intp)
-    lift[hom.map] = np.arange(n_hi)
-    kernel = (hom.map == hom.target.identity).nonzero()[0]
-    by_image = hom.source.mul(lift[None, :], kernel[:, None]).ravel()
-    images: list[int] = []
-    for lo in range(0, len(upper), step):
-        rows = _bits_to_rows(upper[lo:lo + step], n_hi).take(by_image, axis=1)
-        image = rows.reshape(len(rows), -1, n_lo).any(axis=1)
-        images += [lower_index[b] for b in _rows_to_bits(image)]
-    preimages: list[int] = []
-    for lo in range(0, len(lower), step):
-        rows = _bits_to_rows(lower[lo:lo + step], n_lo).take(hom.map, axis=1)
-        preimages += [upper_index[b] for b in _rows_to_bits(rows)]
-    return images, preimages
 
 
 def _fold_bits(bits_left: int, bits_right: int, n_right: int) -> int:

@@ -72,7 +72,9 @@ class Tower:
     """Levels plus connecting maps; maps[k] sends levels[k+1] onto levels[k].
 
     An explicit tower refuses, at construction, maps that are too few or too
-    many, that do not run between adjacent levels or that are not onto.
+    many, that do not run between adjacent levels or that are not onto, and,
+    on one prime p, a dim_estimate d unless each level is p^d times the order
+    of the level below.
     """
 
     levels: list[FiniteGroup]
@@ -90,6 +92,12 @@ class Tower:
                 raise WrongShape(f"connecting map {k} does not send level {k + 1} to level {k}")
             if not hom.surjective:
                 raise WrongShape(f"connecting map {k} is not surjective")
+        if self.meta.dim_estimate is not None and len(self.primes) == 1:
+            step = next(iter(self.primes)) ** self.meta.dim_estimate
+            for k in range(1, len(self.levels)):
+                if self.levels[k].order != self.levels[k - 1].order * step:
+                    raise WrongShape(f"level {k + 1} is not {step} times the order of level {k}"
+                                     f" (dim_estimate {self.meta.dim_estimate})")
 
     @property
     def depth(self) -> int:
@@ -115,52 +123,6 @@ class Tower:
         if not 1 <= k <= len(self.maps):
             raise OutOfRange(f"connecting map {k} outside 1..{len(self.maps)}")
         return self.maps[k - 1]
-
-
-@dataclass
-class Violation:
-    kind: str
-    level: int
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(t: Tower) -> ValidationReport:
-    """Re-check all tower invariants; the report lists any violation."""
-    out: list[Violation] = []
-    if t.factors is not None:
-        for f in t.factors:
-            out.extend(validate(f).violations)
-        return ValidationReport(out)
-
-    for k in range(1, t.depth):
-        hom = t.map_down(k)
-        if hom.source is not t.level(k + 1) or hom.target is not t.level(k):
-            out.append(Violation("MapEndpointMismatch", k))
-            continue
-        try:
-            hom._verify()
-        except WrongShape:
-            out.append(Violation("HomomorphismLawViolation", k))
-        if not np.bincount(hom.map, minlength=hom.target.order).all():
-            out.append(Violation("SurjectivityViolation", k))
-        if t.level(k + 1).order % t.level(k).order != 0:
-            out.append(Violation("OrderDivisibilityViolation", k))
-    if t.meta.dim_estimate is not None and len(t.primes) == 1:
-        p = next(iter(t.primes))
-        exps = [round(np.emath.logn(p, g.order)) for g in t.levels]
-        for k in range(2, t.depth + 1):
-            if exps[k - 1] - exps[k - 2] != t.meta.dim_estimate:
-                out.append(Violation("DimEstimateViolation", k))
-    return ValidationReport(out)
 
 
 def truncate(t: Tower, depth: int) -> Tower:

@@ -129,6 +129,11 @@ def test_hxz_audit_abelian_factors():
     assert not a2.details["witness_commutator_open"]
 
 
+def test_hxz_audit_needs_depth():
+    with pytest.raises(OutOfRange, match=r"^hxz audit needs depth >= 2$"):
+        solitary_criterion_hxz_audit(make_zp(2, 1))
+
+
 def test_hxz_audit_rejects_multiprime():
     from subgroup_atlas.towers import make_product
 

@@ -513,6 +513,12 @@ def test_hxz_audit_via_cli(capsys):
     assert docs[0]["passed"] is True
 
 
+def test_hxz_audit_below_depth_two_via_cli(capsys):
+    code, out, err = run_cli(["audit", "--name", "solitary_criterion_hxz", "--family", "zp",
+                              "--p", "2", "--depth", "1"], capsys)
+    assert (code, out, err) == (1, "", "error: hxz audit needs depth >= 2\n")
+
+
 def test_product_analyze_via_cli(tmp_path, capsys):
     spec = tmp_path / "prod.json"
     spec.write_text(json.dumps({

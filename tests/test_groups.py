@@ -315,6 +315,11 @@ def test_power_map_matches_the_e_fold_product_on_table_levels(name):
             assert got.tolist() == fold.tolist()
             assert H.power_map(e) is got
             fold = table[fold, every]
+        # g^|G| is the identity, so a negative exponent acts as e mod |G|
+        for e in range(-H.order - 1, 0):
+            got = H.power_map(e)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == H.power_map(e % H.order).tolist(), e
 
 
 def test_power_map_squares_and_multiplies():
@@ -1102,10 +1107,11 @@ def test_cyclic_group_matches_its_table_twin(n):
     assert G.mul(n - 1, 1 % n) == T.mul(n - 1, 1 % n) and isinstance(G.mul(0, 0), np.integer)
     assert G.inv.dtype == T.inv.dtype and G.inv.tolist() == T.inv.tolist()
     assert not G.inv.flags.writeable
-    for e in range(n + 2):
+    for e in range(-n - 1, n + 2):
         got, expected = G.power_map(e), T.power_map(e)
         assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), e
-        assert not got.flags.writeable
+        assert expected.tolist() == T.power_map(e % n).tolist(), e
+        assert not got.flags.writeable and not expected.flags.writeable
     assert G.is_abelian() and T.is_abelian()
     assert (G.identity, G.generators, G.basis, G.primes, G.name) == (
         T.identity, T.generators, T.basis, T.primes, T.name)
@@ -1291,12 +1297,19 @@ def test_target_subgroups_reads_the_image_of_each_subgroup_over_the_kernel():
     # five subgroups of D4 that hold r^2, with orders |K| / 2
     G = dihedral(4)
     V, proj = quotient(G, closure(G, [2]))
-    derived = target_subgroups(proj)
+    derived, parents, full_preimage = target_subgroups(proj)
     assert V._subgroups is not None
     assert [s.order for s in derived] == [1, 2, 2, 2, 4]
-    assert {s.bits for s in derived} == {
-        proj.image_subgroup(K).bits for K in all_subgroups(G) if K.contains(2)}
+    over = [K for K in all_subgroups(G) if K.contains(2)]
+    assert {s.bits for s in derived} == {proj.image_subgroup(K).bits for K in over}
     assert [(s.order, s.bits) for s in all_subgroups(V)] == [(s.order, s.bits) for s in derived]
+    # the parent of each subgroup of D4 is its image, and each full preimage
+    # is the one subgroup over r^2 with that image
+    index = {s.bits: i for i, s in enumerate(derived)}
+    assert parents.tolist() == [index[proj.image_subgroup(K).bits] for K in all_subgroups(G)]
+    assert [all_subgroups(G)[j] for j in full_preimage] == [
+        proj.preimage_subgroup(s) for s in derived]
+    assert set(full_preimage.tolist()) == {all_subgroups(G).index(K) for K in over}
 
 
 def test_target_subgroups_keeps_a_cached_list():
@@ -1307,9 +1320,16 @@ def test_target_subgroups_keeps_a_cached_list():
     own = G._subgroups
     conj = G.mul(G.mul(G.inv[4], np.arange(G.order)), 4).tolist()
     for mapping in (list(range(G.order)), conj):
-        assert target_subgroups(Homomorphism(G, G, mapping)) == own
+        hom = Homomorphism(G, G, mapping)
+        subs, parents, full_preimage = target_subgroups(hom)
+        assert subs == own
         assert G._subgroups is own
+        # an automorphism links each subgroup to its image both ways
+        images = [own.index(hom.image_subgroup(s)) for s in own]
+        assert parents.tolist() == images
+        assert full_preimage[parents].tolist() == list(range(len(own)))
     assert conj != list(range(G.order))
+    assert images != list(range(len(own)))
 
 
 def test_constant_tower_keeps_its_group_list():

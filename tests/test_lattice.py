@@ -412,9 +412,13 @@ def _oracle_bits(G) -> set[int]:
 def _assert_levels_derive_as_enumerated(t):
     """Every level below the top of a fresh tower, read off the level above,
     equals the direct enumeration of a fresh copy of the level, and on levels
-    of order 64 at most the brute-force closure oracle."""
+    of order 64 at most the brute-force closure oracle; the links read off
+    with it equal the per-node link oracle."""
     derived = {k: target_subgroups(t.map_down(k)) for k in range(t.depth - 1, 0, -1)}
-    for k, subs in derived.items():
+    parents, full_preimage = oracle_links(t)
+    for k, (subs, up, down) in derived.items():
+        assert up.tolist() == parents[k - 1], k
+        assert down.tolist() == full_preimage[k - 1], k
         G = t.level(k)
         fresh = (cyclic(G.order) if isinstance(G, groups.CyclicGroup)
                  else FiniteGroup(G.table, generators=G.generators))
@@ -435,6 +439,24 @@ def test_derived_levels_match_enumeration_on_product_factors():
     assert cases
     for name, depth in sorted(cases):
         _assert_levels_derive_as_enumerated(truncate(TOWER_FACTORIES[name](), depth))
+
+
+@pytest.mark.parametrize("name", ["dihedral2(4)", "wilson(3)", "zpn(2,2,4)"])
+def test_lattice_build_unpacks_each_upper_node_once_per_map(name, monkeypatch):
+    # the levels hold their lists already, so the build only reads links:
+    # one pass over the node rows of level k + 1 for each map k
+    t = TOWER_FACTORIES[name]()
+    build_lattice_tower(t)
+    unpacked = {}
+    real = groups._bits_to_rows
+
+    def counting(bits, n):
+        unpacked[n] = unpacked.get(n, 0) + len(bits)
+        return real(bits, n)
+
+    monkeypatch.setattr(groups, "_bits_to_rows", counting)
+    lt = build_lattice_tower(t)
+    assert unpacked == {G.order: lt.node_count(k) for k, G in enumerate(t.levels, 1) if k > 1}
 
 
 def _constant_d4():

@@ -1,4 +1,4 @@
-"""Tower constructor and validation tests."""
+"""Tower constructor tests: every fact a tower declares is checked when it is built."""
 
 import dataclasses
 import math
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import BUILTIN_NAMES, cached_tower, valid_products
+from conftest import BUILTIN_NAMES, TOWER_FACTORIES, cached_tower, valid_products
 from subgroup_atlas.errors import (
     CapExceeded,
     DepthMismatch,
@@ -38,7 +38,6 @@ from subgroup_atlas.towers import (
     parse_tower_spec,
     pirim_base_power,
     truncate,
-    validate,
     wilson_elements,
     _mat_pow,
     _not_prime,
@@ -49,7 +48,6 @@ from subgroup_atlas.towers import (
 def test_zp_basics():
     t = make_zp(2, 3)
     assert [g.order for g in t.levels] == [2, 4, 8]
-    assert validate(t).ok
     t = make_zp(3, 4)
     assert [len(all_subgroups(g)) for g in t.levels] == [2, 3, 4, 5]
     t = make_zp(5, 2)
@@ -153,7 +151,6 @@ def test_zpn_basics():
     t = make_zpn(3, 2, 2)
     assert [g.order for g in t.levels] == [9, 81]
     assert len(all_subgroups(t.level(1))) == 6
-    assert validate(t).ok
     t2 = make_zpn(2, 2, 3)
     assert len(all_subgroups(t2.level(1))) == 5  # Klein four
 
@@ -162,7 +159,6 @@ def test_heisenberg_basics():
     t = make_heisenberg(3, 2)
     assert [g.order for g in t.levels] == [27, 729]
     assert len(all_subgroups(t.level(1))) == 19
-    assert validate(t).ok
     # connecting map is entrywise reduction
     hom = t.map_down(1)
     G2 = t.level(2)
@@ -176,7 +172,6 @@ def test_dihedral2_basics():
     t = make_dihedral2(4)
     assert [g.order for g in t.levels] == [4, 8, 16, 32]
     assert len(all_subgroups(t.level(3))) == 19
-    assert validate(t).ok
     # rotation thread has constant index 2
     for k in range(1, 5):
         assert t.level(k).generators[0] == 1  # the rotation comes first
@@ -187,7 +182,6 @@ def test_dihedral2_basics():
 def test_wilson_orders_and_relations():
     t = cached_tower("wilson(3)")
     assert [g.order for g in t.levels] == [4, 32, 256]
-    assert validate(t).ok
     # a3 = (x1 x2)^2 = (0, 0, 2) at every level with nontrivial coordinates
     for k in (2, 3):
         G = t.level(k)
@@ -223,7 +217,6 @@ def test_pirim_tower():
     assert [g.order for g in t.levels] == [9, 243]
     assert pirim_base_power()[0] == 8
     assert [G.order // 9**k for k, G in enumerate(t.levels, start=1)] == [1, 3]  # |t|
-    assert validate(t).ok
     assert t.level(1).is_abelian()
 
 
@@ -232,7 +225,6 @@ def test_product_basics():
     lt = build_lattice_tower(t)
     assert lt.level_orders == [6, 36, 216]
     assert t.primes == frozenset({2, 3})
-    assert validate(t).ok
     assert lt.node_count(1) == 4  # coprime splitting 2*2
     with pytest.raises(CapExceeded):
         t.level(1)
@@ -275,38 +267,51 @@ def test_product_structural_above_cap():
     assert t.factors is not None
     with pytest.raises(CapExceeded):
         t.level(5)
-    assert validate(t).ok
 
 
 def test_direct_product_tower_same_prime():
     t = direct_product_tower(make_zp(2, 2), make_dihedral2(2))
     assert [g.order for g in t.levels] == [8, 32]
-    assert validate(t).ok
+    assert t.map_down(1).surjective
 
 
-def test_validate_fault_injection():
-    t = make_zp(2, 3)
+@pytest.mark.parametrize("name", ["zp(2,3)", "zpn(2,2,4)", "dihedral2(4)"])
+def test_a_map_with_one_wrong_image_is_refused_at_construction(name):
+    # a built map is read-only, so a tower cannot be changed after it is
+    # checked; the same fault in a new map is refused when the map is built
+    t = TOWER_FACTORIES[name]()
     hom = t.map_down(2)
-    hom.map.setflags(write=True)
-    original = int(hom.map[3])
-    hom.map[3] = (original + 1) % t.level(2).order
-    report = validate(t)
-    assert not report.ok
-    assert any(
-        v.kind in ("HomomorphismLawViolation", "SurjectivityViolation") and v.level == 2
-        for v in report.violations
-    )
-    hom.map[3] = original
-    hom.map.setflags(write=False)
-    assert validate(t).ok
+    with pytest.raises(ValueError):
+        hom.map[3] = 0
+    faulty = hom.map.copy()
+    faulty[3] = (faulty[3] + 1) % t.level(2).order
+    with pytest.raises(WrongShape, match="not a homomorphism"):
+        custom_tower(t.levels[:3], [t.map_down(1).map, faulty])
 
 
 def test_truncate_valid():
     t = make_dihedral2(4)
     t3 = truncate(t, 3)
     assert t3.depth == 3
-    assert validate(t3).ok
     assert t3.level(3) is t.level(3)  # shares level objects
+    assert t3.maps == t.maps[:2]
+
+
+@pytest.mark.parametrize("name", list(TOWER_FACTORIES))
+def test_dim_estimate_is_checked_when_a_tower_is_built(name):
+    # each level is p^dim_estimate times the level below, in the tower and
+    # in every truncation of it; one more or one less is refused
+    t = TOWER_FACTORIES[name]()
+    (p,), d = t.primes, t.meta.dim_estimate
+    assert [G.order for G in t.levels] == [t.level(1).order * p ** (d * k) for k in range(t.depth)]
+    assert [truncate(t, depth).depth for depth in range(1, t.depth + 1)] == list(
+        range(1, t.depth + 1))
+    for wrong in (d - 1, d + 1):
+        meta = dataclasses.replace(t.meta, dim_estimate=wrong)
+        with pytest.raises(WrongShape, match=rf"^level 2 is not {p ** wrong} times the order "
+                                             rf"of level 1 \(dim_estimate {wrong}\)$"):
+            Tower(t.levels, t.maps, meta)
+        assert Tower(t.levels[:1], [], meta).depth == 1  # no step to check
 
 
 def _fresh(name: str, depth: int):
@@ -417,7 +422,6 @@ def test_custom_tower():
     z4, z2 = cyclic(4), cyclic(2)
     t = custom_tower([z2, z4], [[0, 1, 0, 1]])
     assert t.depth == 2
-    assert validate(t).ok
     with pytest.raises(WrongShape):
         custom_tower([z2, z4], [[0, 0, 0, 0]])  # not surjective
 
