@@ -2,7 +2,10 @@
 
 Groups are immutable once constructed; elements are integers 0..order-1 and
 subgroups are membership bitsets (python ints).  Every group holds a Cayley
-table except the cyclic groups, whose product a + b mod n is computed.  The
+table except the cyclic groups, whose product a + b mod n is computed and
+whose lattice is read in closed form: one subgroup for each divisor of n,
+and links between cyclic levels from the nodes' orders.  Every other group
+is enumerated by cyclic extension (or, if insoluble, the generic path).  The
 canonical order of any subgroup collection is (order, bitset value), which
 is the determinism contract for everything downstream.
 """
@@ -10,6 +13,7 @@ is the determinism contract for everything downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
@@ -224,7 +228,9 @@ class CyclicGroup(FiniteGroup):
 
     Addition mod n is a group law by construction, so nothing is checked:
     the identity is 0, the inverse of a is -a and the basis is [1], or []
-    when n = 1.
+    when n = 1.  It is abelian, and its subgroups and the links of a map
+    between cyclic groups are written in closed form (_cyclic_subgroups,
+    _cyclic_links), with no enumeration.
     """
 
     def __init__(self, n: int):
@@ -237,7 +243,7 @@ class CyclicGroup(FiniteGroup):
         self.primes = frozenset(_prime_factors(n)) if n > 1 else frozenset()
         self.generators = [1 % n]
         self.basis = [1] if n > 1 else []
-        self._abelian: Optional[bool] = None
+        self._abelian: Optional[bool] = True
         self._subgroups: Optional[list[Subgroup]] = None
         self._power_maps: dict[int, np.ndarray] = {}
         self._product_of: Optional[tuple[FiniteGroup, FiniteGroup]] = None
@@ -446,7 +452,8 @@ def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarr
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, bitset).
 
-    Bottom-up cyclic-extension BFS: each known subgroup H is extended by the
+    A cyclic G is read in closed form (_cyclic_subgroups).  Any other G runs
+    a bottom-up cyclic-extension BFS: each known subgroup H is extended by the
     normalizing elements g with g^q in H for a prime q dividing |G|.  That
     finds every subgroup of a soluble group (composition series argument);
     insoluble groups fall back to extension by arbitrary outside elements.
@@ -458,12 +465,58 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if G._subgroups is not None:
         return list(G._subgroups)
 
-    if len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
+    if isinstance(G, CyclicGroup):
+        result = _cyclic_subgroups(G)
+    elif len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
         result = _subgroups_cyclic_extension(G)
     else:
         result = sorted(_subgroups_generic(G).values(), key=lambda s: (s.order, s.bits))
     G._subgroups = result
     return list(result)
+
+
+def _divisors(n: int, primes: Iterable[int]) -> list[int]:
+    """The divisors of n in ascending order, from its prime factors."""
+    out = [1]
+    for p in primes:
+        powers, m = [], n
+        while m % p == 0:
+            m //= p
+            powers.append(n // m)
+        out += [d * q for d in out for q in powers]
+    return sorted(out)
+
+
+def _cyclic_subgroups(G: CyclicGroup) -> list[Subgroup]:
+    """Every subgroup of Z/n in closed form: for each divisor d of n, the
+    multiples of n/d, of order d.  One subgroup of each order, so ascending
+    d is the (order, bitset) order.  A bitset is one strided row of n bools,
+    τ(n) rows in all."""
+    n = G.order
+    row = np.zeros(n, dtype=bool)
+    out = []
+    for d in _divisors(n, G.primes):
+        row[:] = False
+        row[::n // d] = True
+        out.append(Subgroup(G, _rows_to_bits(row[None])[0], d))
+    return out
+
+
+def _cyclic_links(hom: Homomorphism) -> tuple[np.ndarray, np.ndarray]:
+    """The links of target_subgroups for a surjective Z/m -> Z/n, read off the
+    orders of the nodes, one node of each order on both sides.  The kernel
+    is the subgroup of order k = m/n, and the node K of order d meets it in
+    the one of order gcd(d, k), so K's image has order d / gcd(d, k); the
+    full preimage of the node of order e has order e*k.  Every onto map is
+    a -> a*u mod n for a unit u, and no u enters, since an automorphism of a
+    cyclic group fixes each of its subgroups."""
+    k = hom.source.order // hom.target.order
+    upper, lower = all_subgroups(hom.source), hom.target._subgroups
+    at = {s.order: i for i, s in enumerate(upper)}
+    below = {s.order: i for i, s in enumerate(lower)}
+    parents = [below[K.order // math.gcd(K.order, k)] for K in upper]
+    full_preimage = [at[s.order * k] for s in lower]
+    return np.array(parents, dtype=np.int64), np.array(full_preimage, dtype=np.int64)
 
 
 def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.ndarray]:
@@ -486,6 +539,10 @@ def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.
     if not hom.surjective:
         raise WrongShape("target_subgroups needs a surjective homomorphism")
     G, n = hom.target, hom.source.order
+    if isinstance(G, CyclicGroup) and isinstance(hom.source, CyclicGroup):
+        if G._subgroups is None:
+            G._subgroups = _cyclic_subgroups(G)
+        return (list(G._subgroups), *_cyclic_links(hom))
     upper = all_subgroups(hom.source)
     lift = np.empty(G.order, dtype=np.intp)
     lift[hom.map] = np.arange(n)
@@ -645,11 +702,13 @@ def _least_in_class(G: FiniteGroup, members: np.ndarray, r: np.ndarray, c: np.nd
     for lo in range(0, len(c), step):
         cs, qs = c[lo:lo + step], q[lo:lo + step]
         elements = members.take(r[lo:lo + step], axis=0)
-        least, x = np.full(len(cs), G.order), cs
-        for i in range(1, int(qs.max())):
-            coset_min = G.mul(x[:, None], elements).min(axis=1)
-            least = np.where(qs > i, np.minimum(least, coset_min), least)
-            x = G.mul(x, cs)
+        least, i = np.full(len(cs), G.order), 1
+        for x in _power_blocks(G, cs, int(qs.max()) - 1, elements.size):
+            coset_min = G.mul(x[:, :, None], elements[:, None, :]).min(axis=2)
+            # c^i H for i >= q repeats a coset, H itself among them
+            coset_min[np.arange(i, i + x.shape[1]) >= qs[:, None]] = G.order
+            least = np.minimum(least, coset_min.min(axis=1))
+            i += x.shape[1]
         keep[lo:lo + step] = least == cs
     return keep
 
@@ -660,12 +719,32 @@ def _coset_unions(G: FiniteGroup, H: np.ndarray, members: np.ndarray, r: np.ndar
     i < q_j, each coset written from H's elements, row r_j of `members`:
     |H|(q - 1) cells a row.  Powers up to the largest q repeat cosets of the
     rows with a smaller one, since c_j^q_j lies in H_{r_j}."""
-    K, rows, x = H.take(r, axis=0), np.arange(len(r))[:, None], c
+    K, rows = H.take(r, axis=0), np.arange(len(r))[:, None, None]
     elements = members.take(r, axis=0)
-    for _ in range(1, int(q.max())):
-        K[rows, G.mul(x[:, None], elements)] = True
-        x = G.mul(x, c)
+    for x in _power_blocks(G, c, int(q.max()) - 1, elements.size):
+        K[rows, G.mul(x[:, :, None], elements[:, None, :])] = True
     return K
+
+
+def _power_blocks(G: FiniteGroup, c: np.ndarray, count: int, cells: int):
+    """c^1, ..., c^count for each element of c, as the columns of successive
+    (len(c) x w) blocks, w chosen so that w * cells stays within
+    _block_cells.  The first block is built by doubling: its powers c^1..c^k
+    times c^k are c^(k+1)..c^2k, so it takes ceil(log2 w) mul calls; each
+    later block is the one before times c^w, one call."""
+    w = min(count, max(1, _block_cells(G.order) // cells))
+    block = np.empty((len(c), w), dtype=np.intp)
+    block[:, 0] = c
+    k = 1
+    while k < w:
+        more = min(k, w - k)
+        block[:, k:k + more] = G.mul(block[:, :more], block[:, k - 1:k])
+        k += more
+    yield block
+    step = block[:, -1:]  # c^w
+    for lo in range(w, count, w):
+        block = G.mul(block[:, :count - lo], step)
+        yield block
 
 
 def _subgroups_generic(G: FiniteGroup) -> dict[int, Subgroup]:

@@ -72,9 +72,11 @@ class Tower:
     """Levels plus connecting maps; maps[k] sends levels[k+1] onto levels[k].
 
     An explicit tower refuses, at construction, maps that are too few or too
-    many, that do not run between adjacent levels or that are not onto, and,
-    on one prime p, a dim_estimate d unless each level is p^d times the order
-    of the level below.
+    many, that do not run between adjacent levels or that are not onto, an
+    abelian flag over a level that is not abelian (exact: the limit is
+    abelian exactly when every level is), and, on one prime p, a
+    dim_estimate d unless each level is p^d times the order of the level
+    below.
     """
 
     levels: list[FiniteGroup]
@@ -92,6 +94,10 @@ class Tower:
                 raise WrongShape(f"connecting map {k} does not send level {k + 1} to level {k}")
             if not hom.surjective:
                 raise WrongShape(f"connecting map {k} is not surjective")
+        if self.meta.flags.abelian:
+            for k, G in enumerate(self.levels, 1):
+                if not G.is_abelian():
+                    raise WrongShape(f"level {k} is not abelian, but the tower is flagged abelian")
         if self.meta.dim_estimate is not None and len(self.primes) == 1:
             step = next(iter(self.primes)) ** self.meta.dim_estimate
             for k in range(1, len(self.levels)):

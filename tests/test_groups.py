@@ -25,6 +25,7 @@ from conftest import (
     oracle_is_abelian,
     oracle_is_associative,
     oracle_is_hom,
+    oracle_links,
     oracle_normalizes,
     oracle_quotient,
     oracle_subgroups,
@@ -560,9 +561,12 @@ COSET_GROUPS = {
 
 @lru_cache(maxsize=None)
 def _coset_block(name):
+    return _rows_and_members(COSET_GROUPS[name]())
+
+
+def _rows_and_members(G):
     """A group, the membership rows of its subgroups, and their elements, each
     row padded with the identity."""
-    G = COSET_GROUPS[name]()
     subs = all_subgroups(G)
     members = np.full((len(subs), max(S.order for S in subs)), G.identity)
     for i, S in enumerate(subs):
@@ -581,6 +585,67 @@ def test_coset_unions_written_from_members_match_the_gather(data):
     got = groups._coset_unions(G, H, members, r, c, q)
     assert got.dtype == bool
     assert np.array_equal(got, _gathered_coset_unions(G, H, r, c, q))
+
+
+def _counting_mul(G) -> list:
+    """The number of elements of each G.mul call from then on."""
+    real, calls = G.mul, []
+
+    def counting(a, b):
+        out = real(a, b)
+        calls.append(out.size)
+        return out
+
+    G.mul = counting
+    return calls
+
+
+@pytest.mark.parametrize("qs,calls", [([2, 2, 2], 1), ([2, 3, 2], 2)])
+def test_cosets_of_q_up_to_three_take_one_call_per_power_doubling(qs, calls):
+    # one power at a time made 2(q - 1) calls: 2 and 4
+    G, H, members = _rows_and_members(s4())
+    r, c, q = np.array([0, 3, 5]), np.array([1, 7, 20]), np.array(qs)
+    made = _counting_mul(G)
+    unions = groups._coset_unions(G, H, members, r, c, q)
+    assert len(made) == calls
+    made.clear()
+    keep = groups._least_in_class(G, members, r, c, q)
+    assert len(made) == calls
+    del G.mul
+    assert np.array_equal(unions, _gathered_coset_unions(G, H, r, c, q))
+    least = [min(G.order, *(G.mul(x, members[j]).min() for x in _naive_powers(G, cj, qj)))
+             for j, cj, qj in zip(r, c, q)]
+    assert keep.tolist() == [x == cj for x, cj in zip(least, c)]
+
+
+def _naive_powers(G, c, q):
+    """c, c^2, ..., c^(q - 1), one product at a time."""
+    out = [int(c)]
+    while len(out) < q - 1:
+        out.append(int(G.mul(out[-1], c)))
+    return out
+
+
+def test_coset_powers_of_a_large_prime_are_built_by_doubling():
+    # Z/2039 x Z/2 has one subgroup of each order 1, 2, 2039 and 4078; one
+    # power at a time its cosets made 8,175 mul calls
+    G = direct_product(cyclic(2039), cyclic(2))
+    made = _counting_mul(G)
+    subs = all_subgroups(G)
+    assert len(made) < 300
+    del G.mul
+    assert subs == [closure(G, [g]) for g in (0, 1, 2, 3)]
+    assert [s.order for s in subs] == [1, 2, 2039, 4078]
+
+
+def test_least_in_class_over_many_power_blocks():
+    # in Z/2039 with H trivial, the least element of c^1..c^2038 is 1 for
+    # every c != 0, so only c = 1 is kept; 2038 candidates take 64 blocks
+    G = cyclic_with_table(2039)
+    c = np.arange(1, 2039)
+    keep = groups._least_in_class(G, np.zeros((1, 1), dtype=np.intp), np.zeros(2038, dtype=np.intp),
+                                  c, np.full(2038, 2039))
+    assert keep.tolist() == (c == 1).tolist()
 
 
 def test_direct_product_layout_and_counts():
@@ -1330,6 +1395,30 @@ def test_target_subgroups_keeps_a_cached_list():
         assert full_preimage[parents].tolist() == list(range(len(own)))
     assert conj != list(range(G.order))
     assert images != list(range(len(own)))
+
+
+_table_twin = lru_cache(maxsize=None)(cyclic_with_table)
+
+
+@pytest.mark.parametrize("m", range(1, 129))
+def test_cyclic_target_subgroups_match_the_table_twins_on_every_onto_map(m):
+    # every surjective Z/m -> Z/n is a -> a*u mod n for n | m and a unit u
+    # mod n, the reduction twisted by an automorphism of Z/n; the closed
+    # form's nodes and links equal the image pass on the table twins and the
+    # per-node link oracle
+    maps = 0
+    for n in (n for n in range(1, m + 1) if m % n == 0):
+        for u in (u for u in range(n) if np.gcd(u, n) == 1):
+            mapping = (np.arange(m) * u % n).tolist()
+            t = custom_tower([cyclic(n), cyclic(m)], [mapping])
+            subs, parents, full_preimage = target_subgroups(t.map_down(1))
+            twin = target_subgroups(Homomorphism(_table_twin(m), _table_twin(n), mapping))
+            assert [(s.order, s.bits) for s in subs] == [(s.order, s.bits) for s in twin[0]]
+            assert parents.tolist() == twin[1].tolist()
+            assert full_preimage.tolist() == twin[2].tolist()
+            assert ([parents.tolist()], [full_preimage.tolist()]) == oracle_links(t)
+            maps += 1
+    assert maps == m  # the units mod n, summed over n | m, are m in all
 
 
 def test_constant_tower_keeps_its_group_list():

@@ -13,6 +13,7 @@ from conftest import (
     BUILTIN_NAMES,
     TOWER_FACTORIES,
     cached_tower,
+    cyclic_with_table,
     oracle_chain_nodes,
     oracle_children,
     oracle_density_counterexamples,
@@ -420,7 +421,7 @@ def _assert_levels_derive_as_enumerated(t):
         assert up.tolist() == parents[k - 1], k
         assert down.tolist() == full_preimage[k - 1], k
         G = t.level(k)
-        fresh = (cyclic(G.order) if isinstance(G, groups.CyclicGroup)
+        fresh = (cyclic_with_table(G.order) if isinstance(G, groups.CyclicGroup)
                  else FiniteGroup(G.table, generators=G.generators))
         assert [(s.order, s.bits) for s in subs] == [
             (s.order, s.bits) for s in all_subgroups(fresh)], k
@@ -493,15 +494,57 @@ def _count_enumerations(monkeypatch) -> list:
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
     # the pirim certificate also enumerates its own module Z/9 x Z/9, which
-    # is not a level
+    # is not a level; a zp tower's cyclic levels are read in closed form, so
+    # it runs neither enumeration path at all
     seen = _count_enumerations(monkeypatch)
     t = TOWER_FACTORIES[name]()
+    cyclic_levels = all(isinstance(G, groups.CyclicGroup) for G in t.levels)
+    assert cyclic_levels == name.startswith("zp(")
 
     def levels_enumerated():
         return [k for G in seen for k, level in enumerate(t.levels, 1) if G is level]
 
     analyze_tower(t)
-    assert levels_enumerated() == [t.depth]
+    assert levels_enumerated() == ([] if cyclic_levels else [t.depth])
     # a truncated tower's top was read off the level above it
     analyze_tower(truncate(t, max(2, t.depth - 1)))
-    assert levels_enumerated() == [t.depth]
+    assert levels_enumerated() == ([] if cyclic_levels else [t.depth])
+    if cyclic_levels:
+        assert seen == []
+
+
+def _truncated_factor(name: str, depth: int):
+    return lambda: truncate(cached_tower(name), depth)
+
+
+def _product(label: str):
+    return lambda: dict(valid_products())[label]
+
+
+# every TOWER_FACTORIES tower, every product factor below its full depth,
+# every literal tower and every product tower
+STRUCTURE_TOWERS = {
+    **{name: (lambda name=name: cached_tower(name)) for name in TOWER_FACTORIES},
+    **{f"{name} to depth {depth}": _truncated_factor(name, depth) for name, depth in sorted(
+        {(part, t.depth) for label, t in valid_products() for part in label.split("x")})
+       if depth < cached_tower(name).depth},
+    **LITERAL_TOWERS,
+    **{label: _product(label) for label, _ in valid_products()},
+}
+
+
+@pytest.mark.parametrize("label", STRUCTURE_TOWERS)
+def test_first_node_is_trivial_and_last_is_the_level(label):
+    # and a cyclic level of order n has tau(n) nodes, one for each divisor
+    t = STRUCTURE_TOWERS[label]()
+    lt = build_lattice_tower(t)
+    for k in range(1, lt.depth + 1):
+        n, orders = lt.level_orders[k - 1], lt.node_orders[k - 1]
+        assert (orders[0], orders[-1]) == (1, n), k
+        assert orders.count(1) == orders.count(n) == 1, k
+        if t.levels:
+            G = t.level(k)
+            assert lt.node_bits[k - 1][0] == 1 << G.identity, k
+            assert lt.node_bits[k - 1][-1] == (1 << n) - 1, k
+            if isinstance(G, groups.CyclicGroup):
+                assert lt.node_count(k) == sum(n % d == 0 for d in range(1, n + 1)), k

@@ -314,6 +314,24 @@ def test_dim_estimate_is_checked_when_a_tower_is_built(name):
         assert Tower(t.levels[:1], [], meta).depth == 1  # no step to check
 
 
+def test_abelian_flag_over_a_non_abelian_level_is_refused():
+    t = make_dihedral2(3)  # D(2) is the Klein four group, D(4) is not abelian
+    meta = dataclasses.replace(t.meta, flags=TowerFlags(abelian=True))
+    with pytest.raises(WrongShape, match=r"^level 2 is not abelian, but the tower is flagged "
+                                         r"abelian$"):
+        Tower(t.levels, t.maps, meta)
+    assert Tower(t.levels[:1], [], meta).depth == 1
+
+
+@pytest.mark.parametrize("name", list(TOWER_FACTORIES))
+def test_every_family_tower_and_truncation_passes_its_abelian_flag(name):
+    t = TOWER_FACTORIES[name]()
+    if t.meta.flags.abelian:
+        assert all(G.is_abelian() for G in t.levels)
+    for depth in range(1, t.depth + 1):
+        assert truncate(t, depth).levels == t.levels[:depth]
+
+
 def _fresh(name: str, depth: int):
     """The tower a BUILTIN_NAMES name, or a product of them joined by "x",
     names, built anew at `depth`."""
