@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -513,23 +514,16 @@ def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
         assert seen == []
 
 
-def _truncated_factor(name: str, depth: int):
-    return lambda: truncate(cached_tower(name), depth)
-
-
-def _product(label: str):
-    return lambda: dict(valid_products())[label]
-
-
 # every TOWER_FACTORIES tower, every product factor below its full depth,
 # every literal tower and every product tower
 STRUCTURE_TOWERS = {
-    **{name: (lambda name=name: cached_tower(name)) for name in TOWER_FACTORIES},
-    **{f"{name} to depth {depth}": _truncated_factor(name, depth) for name, depth in sorted(
-        {(part, t.depth) for label, t in valid_products() for part in label.split("x")})
+    **{name: partial(cached_tower, name) for name in TOWER_FACTORIES},
+    **{f"{name} to depth {depth}": partial(truncate, cached_tower(name), depth)
+       for name, depth in sorted({(part, t.depth) for label, t in valid_products()
+                                  for part in label.split("x")})
        if depth < cached_tower(name).depth},
     **LITERAL_TOWERS,
-    **{label: _product(label) for label, _ in valid_products()},
+    **{label: (lambda t=t: t) for label, t in valid_products()},
 }
 
 

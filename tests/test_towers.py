@@ -306,6 +306,8 @@ def test_dim_estimate_is_checked_when_a_tower_is_built(name):
     assert [G.order for G in t.levels] == [t.level(1).order * p ** (d * k) for k in range(t.depth)]
     assert [truncate(t, depth).depth for depth in range(1, t.depth + 1)] == list(
         range(1, t.depth + 1))
+    # each build above passed the abelian flag check, which holds on the levels
+    assert not t.meta.flags.abelian or all(G.is_abelian() for G in t.levels)
     for wrong in (d - 1, d + 1):
         meta = dataclasses.replace(t.meta, dim_estimate=wrong)
         with pytest.raises(WrongShape, match=rf"^level 2 is not {p ** wrong} times the order "
@@ -321,15 +323,6 @@ def test_abelian_flag_over_a_non_abelian_level_is_refused():
                                          r"abelian$"):
         Tower(t.levels, t.maps, meta)
     assert Tower(t.levels[:1], [], meta).depth == 1
-
-
-@pytest.mark.parametrize("name", list(TOWER_FACTORIES))
-def test_every_family_tower_and_truncation_passes_its_abelian_flag(name):
-    t = TOWER_FACTORIES[name]()
-    if t.meta.flags.abelian:
-        assert all(G.is_abelian() for G in t.levels)
-    for depth in range(1, t.depth + 1):
-        assert truncate(t, depth).levels == t.levels[:depth]
 
 
 def _fresh(name: str, depth: int):
