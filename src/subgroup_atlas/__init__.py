@@ -25,7 +25,6 @@ from .groups import (
     closure,
     commutator_subgroup,
     conjugate,
-    core,
     cyclic,
     dihedral,
     direct_product,
@@ -33,7 +32,6 @@ from .groups import (
     goursat,
     load_group_json,
     normalizer,
-    product_set,
     quaternion8,
     quotient,
 )

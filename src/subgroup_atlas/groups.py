@@ -2,12 +2,14 @@
 
 Groups are immutable once constructed; elements are integers 0..order-1 and
 subgroups are membership bitsets (python ints).  Every group holds a Cayley
-table except the cyclic groups, whose product a + b mod n is computed and
-whose lattice is read in closed form: one subgroup for each divisor of n,
-and links between cyclic levels from the nodes' orders.  Every other group
-is enumerated by cyclic extension (or, if insoluble, the generic path).  The
-canonical order of any subgroup collection is (order, bitset value), which
-is the determinism contract for everything downstream.
+table except the cyclic groups, whose product a + b mod n is computed.  The
+lattices of cyclic and dihedral groups are read in closed form: <r^d> for
+each divisor d of n, and in D_n also <r^d, s r^i> for i < d; the links
+between two such levels are the subgroups generated by the images of each
+node's generators.  Every other group is enumerated by cyclic extension (or,
+if insoluble, the generic path).  The canonical order of any subgroup
+collection is (order, bitset value), which is the determinism contract for
+everything downstream.
 """
 
 from __future__ import annotations
@@ -228,13 +230,13 @@ class CyclicGroup(FiniteGroup):
 
     Addition mod n is a group law by construction, so nothing is checked:
     the identity is 0, the inverse of a is -a and the basis is [1], or []
-    when n = 1.  It is abelian, and its subgroups and the links of a map
-    between cyclic groups are written in closed form (_cyclic_subgroups,
-    _cyclic_links), with no enumeration.
+    when n = 1.  It is abelian, and its element a is the rotation r^a of the
+    closed form, which gives its subgroups and its links with no enumeration
+    (_closed_form_subgroups, _generated_links).
     """
 
     def __init__(self, n: int):
-        self.order = n
+        self.order = self.n = n
         self.name = f"Z{n}"
         self._label = None
         self.identity = 0
@@ -245,6 +247,7 @@ class CyclicGroup(FiniteGroup):
         self.basis = [1] if n > 1 else []
         self._abelian: Optional[bool] = True
         self._subgroups: Optional[list[Subgroup]] = None
+        self._nodes: Optional[list[tuple[int, int]]] = None
         self._power_maps: dict[int, np.ndarray] = {}
         self._product_of: Optional[tuple[FiniteGroup, FiniteGroup]] = None
 
@@ -259,6 +262,34 @@ class CyclicGroup(FiniteGroup):
             out.setflags(write=False)
             self._power_maps[e] = out
         return self._power_maps[e]
+
+
+class DihedralGroup(FiniteGroup):
+    """D_n of order 2n on its Cayley table: the rotation r^j at j and the
+    reflection s r^j at n + j, for 0 <= j < n, generated by r and s.
+
+    The table is filled from the rows of r and s and checked as any table
+    is.  Its subgroups and the links of a map between such levels are
+    written in closed form (_closed_form_subgroups, _generated_links), with
+    no enumeration.
+    """
+
+    def __init__(self, n: int):
+        a = np.arange(2 * n)
+        ra, fa = a % n, a // n
+
+        def row(x: int) -> np.ndarray:
+            # (s^fx r^rx)(s^fa r^ra) = s^(fx+fa) r^(((-1)^fa) rx + ra)
+            rx, fx = x % n, x // n
+            return ((1 - 2 * fa) * rx + ra) % n + (fx ^ fa) * n
+
+        gens = [1 % n, n]
+        super().__init__(
+            table_from_rows(np.array([row(g) for g in gens]), gens, 0), generators=gens,
+            labels=lambda j: f"r{j}" if j < n else f"sr{j - n}", name=f"D{n}",
+        )
+        self.n = n
+        self._nodes: Optional[list[tuple[int, int]]] = None
 
 
 @dataclass(frozen=True)
@@ -452,21 +483,21 @@ def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarr
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, bitset).
 
-    A cyclic G is read in closed form (_cyclic_subgroups).  Any other G runs
-    a bottom-up cyclic-extension BFS: each known subgroup H is extended by the
-    normalizing elements g with g^q in H for a prime q dividing |G|.  That
-    finds every subgroup of a soluble group (composition series argument);
-    insoluble groups fall back to extension by arbitrary outside elements.
-    Abelian groups and groups of prime-power order (nilpotent) are taken as
-    soluble without running the derived-series test.
+    A cyclic or dihedral G is read in closed form (_closed_form_subgroups).
+    Any other G runs a bottom-up cyclic-extension BFS: each known subgroup H
+    is extended by the normalizing elements g with g^q in H for a prime q
+    dividing |G|.  That finds every subgroup of a soluble group (composition
+    series argument); insoluble groups fall back to extension by arbitrary
+    outside elements.  Abelian groups and groups of prime-power order
+    (nilpotent) are taken as soluble without running the derived-series test.
     """
     if G.order > order_cap():
         raise CapExceeded(f"group order {G.order} above cap {order_cap()}")
     if G._subgroups is not None:
         return list(G._subgroups)
 
-    if isinstance(G, CyclicGroup):
-        result = _cyclic_subgroups(G)
+    if isinstance(G, _CLOSED_FORM):
+        result = _closed_form_subgroups(G)
     elif len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
         result = _subgroups_cyclic_extension(G)
     else:
@@ -476,7 +507,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def _divisors(n: int, primes: Iterable[int]) -> list[int]:
-    """The divisors of n in ascending order, from its prime factors."""
+    """The divisors of n in ascending order, from primes that include its
+    prime factors."""
     out = [1]
     for p in primes:
         powers, m = [], n
@@ -487,63 +519,118 @@ def _divisors(n: int, primes: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def _cyclic_subgroups(G: CyclicGroup) -> list[Subgroup]:
-    """Every subgroup of Z/n in closed form: for each divisor d of n, the
-    multiples of n/d, of order d.  One subgroup of each order, so ascending
-    d is the (order, bitset) order.  A bitset is one strided row of n bools,
-    τ(n) rows in all."""
-    n = G.order
-    row = np.zeros(n, dtype=bool)
-    out = []
-    for d in _divisors(n, G.primes):
-        row[:] = False
-        row[::n // d] = True
-        out.append(Subgroup(G, _rows_to_bits(row[None])[0], d))
-    return out
+# The groups whose subgroups and links are read in closed form.  Element j < n
+# of each is the rotation r^j; element n + j of a dihedral one is s r^j.
+_CLOSED_FORM = (CyclicGroup, DihedralGroup)
 
 
-def _cyclic_links(hom: Homomorphism) -> tuple[np.ndarray, np.ndarray]:
-    """The links of target_subgroups for a surjective Z/m -> Z/n, read off the
-    orders of the nodes, one node of each order on both sides.  The kernel
-    is the subgroup of order k = m/n, and the node K of order d meets it in
-    the one of order gcd(d, k), so K's image has order d / gcd(d, k); the
-    full preimage of the node of order e has order e*k.  Every onto map is
-    a -> a*u mod n for a unit u, and no u enters, since an automorphism of a
-    cyclic group fixes each of its subgroups."""
-    k = hom.source.order // hom.target.order
-    upper, lower = all_subgroups(hom.source), hom.target._subgroups
-    at = {s.order: i for i, s in enumerate(upper)}
-    below = {s.order: i for i, s in enumerate(lower)}
-    parents = [below[K.order // math.gcd(K.order, k)] for K in upper]
-    full_preimage = [at[s.order * k] for s in lower]
-    return np.array(parents, dtype=np.int64), np.array(full_preimage, dtype=np.int64)
+def _closed_form_subgroups(G: CyclicGroup | DihedralGroup) -> list[Subgroup]:
+    """Every subgroup of Z/n or D_n, kept as G's own list with each node's key.
+
+    Key (d, -1) is <r^d> for a divisor d of n, of order n/d, and in D_n key
+    (d, i) for 0 <= i < d is <r^d, s r^i>, of order 2n/d: tau(n) subgroups
+    of Z/n and tau(n) + sigma(n) of D_n, each once (K. Conrad, "Dihedral
+    groups II").  A bitset is a strided row, r^j for d | j and s r^j for
+    d | j - i, written into a block of _block_cells cells; the rows are
+    sorted once by (order, bitset)."""
+    if G._subgroups is None:
+        n, width = G.n, G.order
+        divisors = _divisors(n, G.primes)
+        keys = [(d, -1) for d in divisors]
+        if isinstance(G, DihedralGroup):
+            keys += [(d, i) for d in divisors for i in range(d)]
+        step = min(len(keys), max(1, _block_cells(width) // width))
+        block = np.empty((step, width), dtype=bool)
+        bits: list[int] = []
+        for lo in range(0, len(keys), step):
+            part = keys[lo:lo + step]
+            block[:] = False
+            for row, (d, i) in zip(block, part):
+                row[:n:d] = True
+                if i >= 0:
+                    row[n + i::d] = True
+            bits += _rows_to_bits(block[:len(part)])
+        nodes = sorted(zip([n // d * (1 if i < 0 else 2) for d, i in keys], bits, keys))
+        G._subgroups = [Subgroup(G, b, order) for order, b, _key in nodes]
+        G._nodes = [key for _order, _b, key in nodes]
+    return G._subgroups
+
+
+def _generated_node(G: CyclicGroup | DihedralGroup, elements: Iterable[int]) -> tuple[int, int]:
+    """The key of the subgroup of Z/n or D_n that the elements generate.
+
+    Its rotations are generated by the rotations r^j among the elements and
+    by (s r^a)(s r^b) = r^(b - a) for each two reflections among them, so
+    they are <r^d>, d the gcd of n, each j and each b - a; the b - a from
+    the first reflection's a suffice.  Its reflections are s r^a <r^d>, so
+    its key is (d, a mod d), or (d, -1) when no element is a reflection."""
+    n = G.n
+    d, first = n, -1
+    for x in elements:
+        if x < n:
+            d = math.gcd(d, x)
+        elif first < 0:
+            first = x - n
+        else:
+            d = math.gcd(d, x - n - first)
+    return d, (first % d if first >= 0 else -1)
+
+
+def _generated_links(hom: Homomorphism) -> np.ndarray:
+    """The parent of each node of a closed-form source in a closed-form
+    target: the subgroup generated by the images of the node's generators,
+    r^d and s r^i (r^d twice for <r^d>), since a homomorphism maps <S> onto
+    <f(S)>.  This holds for every verified homomorphism, twisted ones
+    included."""
+    m = hom.source.n
+    gens = [(d % m, d % m if i < 0 else m + i) for d, i in hom.source._nodes]
+    index = {key: j for j, key in enumerate(hom.target._nodes)}
+    return np.array([index[_generated_node(hom.target, images)]
+                     for images in hom.map.take(gens).tolist()], dtype=np.int64)
 
 
 def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.ndarray]:
     """Every subgroup of the target of a surjective hom, sorted by (order,
     bitset), with the links of the source's lattice to it: the node index of
     each source subgroup's image, and the source node that is the full
-    preimage of each target subgroup.  The target's list is read off the
-    source's and kept as the target's own, which all_subgroups returns from
-    then on; a target that holds a list already keeps it.
+    preimage of each target subgroup.  The target's list is kept as its own,
+    which all_subgroups returns from then on; a target that holds a list
+    already keeps it.
 
-    All three come from one image pass over the source's subgroups, in row
-    blocks.  An image holds x when K holds any element over x, so K's row is
-    gathered into |ker| slabs, slab j holding x'k_j for each target element
-    x, with x' one element over x and k_j the j-th element of the kernel, and
-    the image row is their `any`.  The image has order |K| / |K & ker|, so the
-    K whose image has order |K| / |ker| are exactly those that contain the
+    Between two closed-form levels the list is the target's closed form and
+    each parent is generated by the images of the node's generators
+    (_generated_links).  Otherwise one image pass over the source's
+    subgroups gives the parents, and the target's list if it has none
+    (_image_parents).  The image of K has order |K| / |K & ker|, so the K
+    whose image has order |K| / |ker| are exactly those that contain the
     kernel.  By the correspondence theorem their images are the target's
     subgroups, each once, and each such K is the full preimage of its image.
     """
     if not hom.surjective:
         raise WrongShape("target_subgroups needs a surjective homomorphism")
+    G, upper = hom.target, all_subgroups(hom.source)
+    if isinstance(G, _CLOSED_FORM):
+        _closed_form_subgroups(G)  # so its list always comes with its node keys
+    if isinstance(G, _CLOSED_FORM) and isinstance(hom.source, _CLOSED_FORM):
+        parents = _generated_links(hom)
+    else:
+        parents = _image_parents(hom, upper)
+    k, lower = hom.source.order // G.order, G._subgroups  # k = |ker|
+    over = [j for j, (K, p) in enumerate(zip(upper, parents.tolist()))
+            if K.order == k * lower[p].order]
+    full_preimage = np.empty(len(lower), dtype=np.int64)
+    full_preimage[parents[over]] = over
+    return list(lower), parents, full_preimage
+
+
+def _image_parents(hom: Homomorphism, upper: list[Subgroup]) -> np.ndarray:
+    """The node index of each source subgroup's image, from one image pass
+    in row blocks; the images of the K that contain the kernel become the
+    target's list if it has none.  An image holds x when K holds any element
+    over x, so K's row is gathered into |ker| slabs, slab j holding x'k_j for
+    each target element x, with x' one element over x and k_j the j-th
+    element of the kernel, and the image row is their `any`."""
     G, n = hom.target, hom.source.order
-    if isinstance(G, CyclicGroup) and isinstance(hom.source, CyclicGroup):
-        if G._subgroups is None:
-            G._subgroups = _cyclic_subgroups(G)
-        return (list(G._subgroups), *_cyclic_links(hom))
-    upper = all_subgroups(hom.source)
     lift = np.empty(G.order, dtype=np.intp)
     lift[hom.map] = np.arange(n)
     kernel = (hom.map == G.identity).nonzero()[0]
@@ -556,15 +643,12 @@ def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.
         image = rows.reshape(len(rows), len(kernel), G.order).any(axis=1)
         bits += _rows_to_bits(image)
         orders += image.sum(axis=1).tolist()
-    over = [j for j, K in enumerate(upper) if orders[j] * len(kernel) == K.order]
     if G._subgroups is None:
-        G._subgroups = [Subgroup(G, bits[j], orders[j]) for j in over]
-        G._subgroups.sort(key=lambda s: (s.order, s.bits))
+        G._subgroups = sorted((Subgroup(G, bits[j], orders[j]) for j, K in enumerate(upper)
+                               if orders[j] * len(kernel) == K.order),
+                              key=lambda s: (s.order, s.bits))
     index = {s.bits: i for i, s in enumerate(G._subgroups)}
-    parents = np.array([index[b] for b in bits], dtype=np.int64)
-    full_preimage = np.empty(len(G._subgroups), dtype=np.int64)
-    full_preimage[parents[over]] = over
-    return list(G._subgroups), parents, full_preimage
+    return np.array([index[b] for b in bits], dtype=np.int64)
 
 
 def _subgroups_cyclic_extension(G: FiniteGroup) -> list[Subgroup]:
@@ -842,32 +926,9 @@ def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     return _subgroup_of(G, G.mul(G.mul(G.inv[g], H.indices()), g))
 
 
-def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G contained in H.
-
-    K starts at H and is intersected with K^s for each basis element s until
-    a whole pass leaves it unchanged.  Each step keeps the core, and the
-    fixed point is normalized by the basis, so it is normal: it is the core.
-    """
-    K, previous = H, None
-    while K.bits != previous:
-        previous = K.bits
-        for s in G.basis:
-            bits = K.bits & conjugate(G, K, s).bits
-            K = Subgroup(G, bits, bin(bits).count("1"))
-    return K
-
-
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     # the normalizer is a subgroup, so containing the basis makes it all of G
     return bool(_normalizing(G, H.mask(), H.indices(), G.basis).all())
-
-
-def product_set(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Subgroup:
-    """The subgroup HN for N normal in G."""
-    if not is_normal(G, N):
-        raise NotNormal("product_set requires a normal second factor")
-    return _subgroup_of(G, G.mul(H.indices()[:, None], N.indices()))
 
 
 class Homomorphism:
@@ -1104,20 +1165,9 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r^j at 0..n-1, reflections s r^j at n..2n-1."""
-    a = np.arange(2 * n)
-    ra, fa = a % n, a // n
-
-    def row(x: int) -> np.ndarray:
-        # (s^fx r^rx)(s^fa r^ra) = s^(fx+fa) r^(((-1)^fa) rx + ra)
-        rx, fx = x % n, x // n
-        return ((1 - 2 * fa) * rx + ra) % n + (fx ^ fa) * n
-
-    gens = [1 % n, n]
-    return FiniteGroup(
-        table_from_rows(np.array([row(g) for g in gens]), gens, 0), generators=gens,
-        labels=lambda j: f"r{j}" if j < n else f"sr{j - n}", name=f"D{n}",
-    )
+    """Dihedral group of order 2n, rotations r^j at 0..n-1 and reflections
+    s r^j at n..2n-1, as a DihedralGroup: its lattice is read in closed form."""
+    return DihedralGroup(n)
 
 
 def quaternion8() -> FiniteGroup:

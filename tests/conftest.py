@@ -121,12 +121,10 @@ def oracle_center(table) -> frozenset[int]:
     return oracle_centralizer(table, range(len(table)))
 
 
-def oracle_core(table, inv, members) -> frozenset[int]:
-    """The intersection of the conjugates g^-1 H g over every g."""
-    out = frozenset(members)
-    for g in range(len(table)):
-        out &= {table[table[inv[g]][h]][g] for h in members}
-    return out
+def tau_plus_sigma(n: int) -> int:
+    """The number of subgroups of D_n: its divisors' count plus their sum."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return len(divisors) + sum(divisors)
 
 
 def oracle_is_associative(table) -> bool:

@@ -186,13 +186,14 @@ def test_product_orbits_are_products_of_factor_orbits():
 
 
 def test_threads_index_monotone():
-    lt = build_lattice_tower(cached_tower("dihedral2(4)"))
-    for k in range(1, lt.depth + 1):
-        for i in range(lt.node_count(k)):
-            th = lt.thread_from(k, i)
-            assert th.index_seq == sorted(th.index_seq)
-            # full-preimage threads have constant index
-            assert len(set(th.index_seq)) == 1
+    for name in BUILTIN_NAMES:
+        lt = build_lattice_tower(cached_tower(name))
+        for k in range(1, lt.depth + 1):
+            for i in range(lt.node_count(k)):
+                th = lt.thread_from(k, i)
+                assert th.index_seq == sorted(th.index_seq), name
+                # full-preimage threads have constant index
+                assert len(set(th.index_seq)) == 1, name
 
 
 def test_solitary_candidates_merging():

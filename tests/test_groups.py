@@ -3,7 +3,7 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from conftest import (
     oracle_center,
     oracle_centralizer,
     oracle_closure,
-    oracle_core,
     oracle_goursat,
     oracle_homomorphisms,
     oracle_is_abelian,
@@ -32,6 +31,7 @@ from conftest import (
     products,
     subgroup_bits_set,
     tabled,
+    tau_plus_sigma,
 )
 from subgroup_atlas import groups
 from subgroup_atlas.errors import CapExceeded, NotNormal, OutOfRange, SpecError, WrongShape
@@ -44,7 +44,6 @@ from subgroup_atlas.groups import (
     closure,
     commutator_subgroup,
     conjugate,
-    core,
     cyclic,
     dihedral,
     direct_product,
@@ -56,7 +55,6 @@ from subgroup_atlas.groups import (
     load_group_json,
     maximal_subgroups,
     normalizer,
-    product_set,
     quaternion8,
     quotient,
     target_subgroups,
@@ -64,7 +62,7 @@ from subgroup_atlas.groups import (
 )
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import (custom_tower, direct_product_tower, make_dihedral2,
-                                   make_heisenberg, make_pirim, make_wilson, make_zp, make_zpn,
+                                   make_heisenberg, make_wilson, make_zp, make_zpn,
                                    wilson_elements)
 
 
@@ -421,15 +419,6 @@ def test_centralizer_normalizer():
     assert normalizer(D4, s_sub).order == 4
 
 
-def test_core_of_reflection_is_trivial():
-    D4 = dihedral(4)
-    s_sub = closure(D4, [4])
-    assert core(D4, s_sub).order == 1
-    # core of a normal subgroup is itself
-    rot = closure(D4, [1])
-    assert core(D4, rot).bits == rot.bits
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -444,17 +433,10 @@ def test_core_of_reflection_is_trivial():
     ids=["D4", "D6", "Q8", "C12", "S3xC4", "S4", "A5"],
 )
 def test_center_and_core_match_oracles(build):
-    # center reads one column per basis element and core conjugates by the
-    # basis only; the oracles compare every pair and conjugate by every g
+    # center reads one column per basis element; the oracle compares every pair
     G = build()
     table = products(G).tolist()
-    inv = [int(x) for x in G.inv]
     assert oracle_bits_set(G, [oracle_center(table)]) == {center(G).bits}
-    for H in all_subgroups(G):
-        expected = oracle_core(table, inv, [int(h) for h in H.indices()])
-        got = core(G, H)
-        assert oracle_bits_set(G, [expected]) == {got.bits}
-        assert got.order == len(expected)
 
 
 def test_conjugate():
@@ -463,17 +445,6 @@ def test_conjugate():
     conj = conjugate(D4, s_sub, 1)
     assert conj.order == 2
     assert conj.bits != s_sub.bits
-
-
-def test_product_set():
-    Z8 = cyclic(8)
-    H = closure(Z8, [4])
-    N = closure(Z8, [2])
-    assert product_set(Z8, H, N).bits == N.bits
-    D4 = dihedral(4)
-    s_sub = closure(D4, [4])
-    with pytest.raises(NotNormal):
-        product_set(D4, s_sub, s_sub)
 
 
 def test_quotient_z8():
@@ -1421,6 +1392,94 @@ def test_cyclic_target_subgroups_match_the_table_twins_on_every_onto_map(m):
     assert maps == m  # the units mod n, summed over n | m, are m in all
 
 
+@lru_cache(maxsize=None)
+def _dihedral_twin(n: int) -> FiniteGroup:
+    """D_n on the plain FiniteGroup of the same table and generators."""
+    D = dihedral(n)
+    return FiniteGroup(D.table, generators=D.generators)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_dihedral_closed_form_matches_its_table_twin(n):
+    # the closed form equals cyclic extension on the same table, and on the
+    # small levels the brute-force closure oracle
+    D, twin = dihedral(n), _dihedral_twin(n)
+    assert isinstance(D, groups.DihedralGroup) and D.n == n
+    assert (D.basis, D.generators, D.name) == (twin.basis, twin.generators, f"D{n}")
+    assert [D.element_label(a) for a in range(2 * n)] == (
+        [f"r{j}" for j in range(n)] + [f"sr{j}" for j in range(n)])
+    subs = all_subgroups(D)
+    assert [(H.order, H.bits) for H in subs] == [
+        (H.order, H.bits) for H in groups._subgroups_cyclic_extension(twin)]
+    assert len(subs) == tau_plus_sigma(n)
+    if n <= 8:
+        assert {H.bits for H in subs} == oracle_bits_set(D, oracle_subgroups(D))
+
+
+# the number of onto maps D_m -> D_n: for n >= 3, phi(n)·n (r to a rotation of
+# order n, s to any reflection); for the Klein four group D_2, its 6
+# automorphisms; for D_1 = Z/2, the 3 non-trivial characters of D_m / <r^2>
+# for even m, and 1 for odd m
+DIHEDRAL_ONTO_MAPS = {(2, 1): 3, (4, 1): 3, (4, 2): 6, (4, 4): 8, (6, 2): 6, (6, 3): 6,
+                      (8, 2): 6, (8, 4): 8, (9, 3): 6, (12, 4): 8, (16, 8): 32}
+
+
+def _maps_by_images(source_n: int, target: FiniteGroup, x: int, y: int) -> list[int]:
+    """The map of a D_m with m = source_n that sends r^j to x^j and s r^j to y x^j."""
+    powers = [target.identity]
+    for _ in range(1, source_n):
+        powers.append(int(target.mul(powers[-1], x)))
+    return powers + [int(target.mul(y, p)) for p in powers]
+
+
+@pytest.mark.parametrize("m,n", list(DIHEDRAL_ONTO_MAPS))
+def test_dihedral_links_match_the_image_pass_on_every_onto_map(m, n):
+    # each onto map is given by the images x of r and y of s; twisted maps and
+    # Klein four targets included, the generator-image links equal the image
+    # pass on the table twins and the per-node link oracle
+    Dm, Dn = dihedral(m), dihedral(n)
+    maps = 0
+    for x in range(2 * n):
+        for y in range(2 * n):
+            mapping = _maps_by_images(m, Dn, x, y)
+            try:
+                hom = Homomorphism(Dm, Dn, mapping)
+            except WrongShape:
+                continue
+            if not hom.surjective:
+                continue
+            subs, parents, full_preimage = target_subgroups(hom)
+            twin = target_subgroups(Homomorphism(_dihedral_twin(m), _dihedral_twin(n), mapping))
+            assert [(s.order, s.bits) for s in subs] == [(s.order, s.bits) for s in twin[0]]
+            assert parents.tolist() == twin[1].tolist(), (x, y)
+            assert full_preimage.tolist() == twin[2].tolist(), (x, y)
+            t = custom_tower([Dn, Dm], [mapping])
+            assert ([parents.tolist()], [full_preimage.tolist()]) == oracle_links(t)
+            maps += 1
+    assert maps == DIHEDRAL_ONTO_MAPS[m, n]
+
+
+@pytest.mark.parametrize("source,target,mapping", [
+    (lambda: dihedral(4), lambda: cyclic(2), [0, 0, 0, 0, 1, 1, 1, 1]),
+    (lambda: dihedral(4), lambda: cyclic(2), [0, 1, 0, 1, 0, 1, 0, 1]),
+    (lambda: dihedral(4), lambda: cyclic(2), [0, 1, 0, 1, 1, 0, 1, 0]),
+    (lambda: dihedral(5), lambda: cyclic(2), [0] * 5 + [1] * 5),
+    (lambda: dihedral(6), lambda: cyclic(1), [0] * 12),
+    (lambda: cyclic(2), lambda: dihedral(1), [0, 1]),
+    (lambda: cyclic(6), lambda: dihedral(1), [0, 1, 0, 1, 0, 1]),
+    (lambda: dihedral(1), lambda: cyclic(2), [0, 1]),
+], ids=["D4-by-s", "D4-by-r", "D4-by-rs", "D5-sign", "D6-trivial", "C2-D1", "C6-D1", "D1-C2"])
+def test_links_between_cyclic_and_dihedral_levels_match_the_image_pass(source, target, mapping):
+    # a cyclic and a dihedral level share the closed-form rule both ways
+    S, T = source(), target()
+    got = target_subgroups(Homomorphism(S, T, mapping))
+    twin = target_subgroups(Homomorphism(FiniteGroup(products(S)), FiniteGroup(products(T)),
+                                         mapping))
+    assert [(s.order, s.bits) for s in got[0]] == [(s.order, s.bits) for s in twin[0]]
+    assert got[1].tolist() == twin[1].tolist()
+    assert got[2].tolist() == twin[2].tolist()
+
+
 def test_constant_tower_keeps_its_group_list():
     G = dihedral(4)
     t = custom_tower([G, G, G], [list(range(G.order))] * 2)
@@ -1433,13 +1492,18 @@ def test_constant_tower_keeps_its_group_list():
 
 # -- oracles that scale: Frobenius's congruence, and relabeled literals ------------
 
-@pytest.mark.parametrize("build", [lambda: make_dihedral2(10), lambda: make_zpn(2, 2, 6),
-                                   lambda: make_wilson(4), lambda: make_pirim(2)],
-                         ids=["dihedral2(10)", "zpn(2,2,6)", "wilson(4)", "pirim(2)"])
-def test_prime_power_subgroup_counts_are_one_mod_p(build):
+# three larger towers, then every built-in tower
+FROBENIUS_TOWERS = {
+    "dihedral2(10)": lambda: make_dihedral2(10), "zpn(2,2,6)": lambda: make_zpn(2, 2, 6),
+    "wilson(4)": lambda: make_wilson(4), **{name: partial(cached_tower, name) for name in BUILTIN_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", FROBENIUS_TOWERS)
+def test_prime_power_subgroup_counts_are_one_mod_p(name):
     # Frobenius: for p^a dividing |G| the subgroups of order p^a number 1 mod p;
     # at the full p-part (Sylow) their number also divides |G| / p^a
-    for G in build().levels:
+    for G in FROBENIUS_TOWERS[name]().levels:
         counts = Counter(H.order for H in all_subgroups(G))
         for p in G.primes:
             a = 0

@@ -23,6 +23,7 @@ from conftest import (
     oracle_subgroups,
     oracle_survivors,
     products,
+    tau_plus_sigma,
     valid_products,
 )
 from subgroup_atlas import groups
@@ -31,7 +32,7 @@ from subgroup_atlas.classify import analyze_tower
 from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.filtration import cb_filtration
 from subgroup_atlas.groups import (BLOCK_CELLS, FiniteGroup, all_subgroups, closure, cyclic,
-                                   dihedral, product_set, target_subgroups)
+                                   dihedral, target_subgroups)
 from subgroup_atlas.lattice import (
     basic_open_fiber,
     build_lattice_tower,
@@ -111,15 +112,10 @@ def test_links_match_per_node_oracle(name):
     assert [fp.tolist() for fp in lt.full_preimage] == full_preimage
 
 
-def _tau_plus_sigma(n: int) -> int:
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return len(divisors) + sum(divisors)
-
-
 def test_closed_form_node_counts():
     # D_n of order 2n has tau(n) + sigma(n) subgroups, and Z/p^k has k + 1
     lt = build_lattice_tower(make_dihedral2(10))
-    assert lt.counts_per_level() == [_tau_plus_sigma(lt.level_orders[k] // 2) for k in range(10)]
+    assert lt.counts_per_level() == [tau_plus_sigma(lt.level_orders[k] // 2) for k in range(10)]
     for p, depth in ((2, 11), (3, 6), (5, 4)):
         lt = build_lattice_tower(make_zp(p, depth))
         assert lt.counts_per_level() == list(range(2, depth + 2))
@@ -443,10 +439,11 @@ def test_derived_levels_match_enumeration_on_product_factors():
         _assert_levels_derive_as_enumerated(truncate(TOWER_FACTORIES[name](), depth))
 
 
-@pytest.mark.parametrize("name", ["dihedral2(4)", "wilson(3)", "zpn(2,2,4)"])
+@pytest.mark.parametrize("name", ["dihedral2(4)", "heisenberg(3,2)", "wilson(3)", "zpn(2,2,4)"])
 def test_lattice_build_unpacks_each_upper_node_once_per_map(name, monkeypatch):
     # the levels hold their lists already, so the build only reads links:
-    # one pass over the node rows of level k + 1 for each map k
+    # one pass over the node rows of level k + 1 for each map k, and none
+    # between dihedral levels, whose links are read in closed form
     t = TOWER_FACTORIES[name]()
     build_lattice_tower(t)
     unpacked = {}
@@ -458,7 +455,10 @@ def test_lattice_build_unpacks_each_upper_node_once_per_map(name, monkeypatch):
 
     monkeypatch.setattr(groups, "_bits_to_rows", counting)
     lt = build_lattice_tower(t)
-    assert unpacked == {G.order: lt.node_count(k) for k, G in enumerate(t.levels, 1) if k > 1}
+    if name.startswith("dihedral2("):
+        assert unpacked == {}
+    else:
+        assert unpacked == {G.order: lt.node_count(k) for k, G in enumerate(t.levels, 1) if k > 1}
 
 
 def _constant_d4():
@@ -495,22 +495,24 @@ def _count_enumerations(monkeypatch) -> list:
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
     # the pirim certificate also enumerates its own module Z/9 x Z/9, which
-    # is not a level; a zp tower's cyclic levels are read in closed form, so
-    # it runs neither enumeration path at all
+    # is not a level; the cyclic levels of a zp tower and the dihedral levels
+    # of a dihedral2 tower are read in closed form, so those towers run
+    # neither enumeration path at all
     seen = _count_enumerations(monkeypatch)
     t = TOWER_FACTORIES[name]()
-    cyclic_levels = all(isinstance(G, groups.CyclicGroup) for G in t.levels)
-    assert cyclic_levels == name.startswith("zp(")
+    closed_form = all(isinstance(G, (groups.CyclicGroup, groups.DihedralGroup))
+                      for G in t.levels)
+    assert closed_form == name.startswith(("zp(", "dihedral2("))
 
     def levels_enumerated():
         return [k for G in seen for k, level in enumerate(t.levels, 1) if G is level]
 
     analyze_tower(t)
-    assert levels_enumerated() == ([] if cyclic_levels else [t.depth])
+    assert levels_enumerated() == ([] if closed_form else [t.depth])
     # a truncated tower's top was read off the level above it
     analyze_tower(truncate(t, max(2, t.depth - 1)))
-    assert levels_enumerated() == ([] if cyclic_levels else [t.depth])
-    if cyclic_levels:
+    assert levels_enumerated() == ([] if closed_form else [t.depth])
+    if closed_form:
         assert seen == []
 
 
