@@ -2,14 +2,14 @@
 
 Groups are immutable once constructed; elements are integers 0..order-1 and
 subgroups are membership bitsets (python ints).  Every group holds a Cayley
-table except the cyclic groups, whose product a + b mod n is computed.  The
-lattices of cyclic and dihedral groups are read in closed form: <r^d> for
-each divisor d of n, and in D_n also <r^d, s r^i> for i < d; the links
-between two such levels are the subgroups generated by the images of each
-node's generators.  Every other group is enumerated by cyclic extension (or,
-if insoluble, the generic path).  The canonical order of any subgroup
-collection is (order, bitset value), which is the determinism contract for
-everything downstream.
+table except the cyclic and dihedral groups, whose products are computed in
+closed form (CyclicGroup, DihedralGroup).  Their lattices are read in closed
+form too: <r^d> for each divisor d of n, and in D_n also <r^d, s r^i> for
+i < d; the links between two such levels are the subgroups generated by the
+images of each node's generators.  Every other group is enumerated by
+cyclic extension (or, if insoluble, the generic path).  The canonical order
+of any subgroup collection is (order, bitset value), which is the
+determinism contract for everything downstream.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ FILL_CELLS = BLOCK_CELLS // 8
 
 
 class FiniteGroup:
-    """A finite group as an explicit Cayley table (a CyclicGroup holds none).
+    """A finite group as an explicit Cayley table (a CyclicGroup, which
+    includes a DihedralGroup, holds none).
 
     Invariants verified exactly at construction: identity and inverse laws,
     that the stored generators generate the whole group, and associativity.
@@ -228,24 +229,32 @@ class FiniteGroup:
 class CyclicGroup(FiniteGroup):
     """Z/n with elements 0..n-1 and product a + b mod n, holding no table.
 
-    Addition mod n is a group law by construction, so nothing is checked:
-    the identity is 0, the inverse of a is -a and the basis is [1], or []
-    when n = 1.  It is abelian, and its element a is the rotation r^a of the
-    closed form, which gives its subgroups and its links with no enumeration
-    (_closed_form_subgroups, _generated_links).
+    Its subclass DihedralGroup is D_n on the same rotations, so
+    isinstance(G, CyclicGroup) means that G is read in closed form and holds
+    no table.  Either law is a group law by construction, so nothing is
+    checked: the identity is 0, the inverse of the rotation r^a is r^-a and a
+    reflection is its own inverse, and the basis is the generators r (and s)
+    other than the identity.  Z/n is abelian, and D_n only for n <= 2.
+    Element j < n is the rotation r^j of the closed form, which gives the
+    subgroups and the links with no enumeration (_closed_form_subgroups,
+    _generated_links).
     """
 
+    _letter, _reflections = "Z", False
+
     def __init__(self, n: int):
-        self.order = self.n = n
-        self.name = f"Z{n}"
+        self.n = n
+        self.order = 2 * n if self._reflections else n
+        self.name = f"{self._letter}{n}"
         self._label = None
         self.identity = 0
-        self.inv = -np.arange(n, dtype=np.intp) % n
+        self.inv = np.arange(self.order, dtype=np.intp)
+        self.inv[:n] = -self.inv[:n] % n
         self.inv.setflags(write=False)
-        self.primes = frozenset(_prime_factors(n)) if n > 1 else frozenset()
-        self.generators = [1 % n]
-        self.basis = [1] if n > 1 else []
-        self._abelian: Optional[bool] = True
+        self.primes = frozenset(_prime_factors(self.order)) if self.order > 1 else frozenset()
+        self.generators = [1 % n, n] if self._reflections else [1 % n]
+        self.basis = [g for g in self.generators if g != self.identity]
+        self._abelian: Optional[bool] = not self._reflections or n <= 2
         self._subgroups: Optional[list[Subgroup]] = None
         self._nodes: Optional[list[tuple[int, int]]] = None
         self._power_maps: dict[int, np.ndarray] = {}
@@ -253,43 +262,25 @@ class CyclicGroup(FiniteGroup):
 
     def mul(self, a, b) -> np.ndarray:
         """(a + b) mod n, broadcast and typed as FiniteGroup.mul."""
-        return (np.asarray(a, dtype=np.intp) + np.asarray(b, dtype=np.intp)) % self.order
-
-    def power_map(self, e: int) -> np.ndarray:
-        """Vector of e*a mod n for every element a."""
-        if e not in self._power_maps:
-            out = np.arange(self.order, dtype=np.int64) * (e % self.order) % self.order
-            out.setflags(write=False)
-            self._power_maps[e] = out
-        return self._power_maps[e]
+        return (np.asarray(a, dtype=np.intp) + np.asarray(b, dtype=np.intp)) % self.n
 
 
-class DihedralGroup(FiniteGroup):
-    """D_n of order 2n on its Cayley table: the rotation r^j at j and the
-    reflection s r^j at n + j, for 0 <= j < n, generated by r and s.
+class DihedralGroup(CyclicGroup):
+    """D_n of order 2n: the rotation r^j at j and the reflection s r^j at
+    n + j, for 0 <= j < n, generated by r and s, holding no table."""
 
-    The table is filled from the rows of r and s and checked as any table
-    is.  Its subgroups and the links of a map between such levels are
-    written in closed form (_closed_form_subgroups, _generated_links), with
-    no enumeration.
-    """
+    _letter, _reflections = "D", True
 
-    def __init__(self, n: int):
-        a = np.arange(2 * n)
-        ra, fa = a % n, a // n
+    def mul(self, a, b) -> np.ndarray:
+        """(s^e r^i)(s^f r^j) = s^(e+f) r^((-1)^f i + j): for a reflection b
+        the rotation is b - a mod n, else a + b mod n, and the product is a
+        reflection when exactly one of a, b is.  Typed as FiniteGroup.mul."""
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        flip = b >= self.n
+        return np.where(flip, b - a, a + b) % self.n + ((a >= self.n) != flip) * self.n
 
-        def row(x: int) -> np.ndarray:
-            # (s^fx r^rx)(s^fa r^ra) = s^(fx+fa) r^(((-1)^fa) rx + ra)
-            rx, fx = x % n, x // n
-            return ((1 - 2 * fa) * rx + ra) % n + (fx ^ fa) * n
-
-        gens = [1 % n, n]
-        super().__init__(
-            table_from_rows(np.array([row(g) for g in gens]), gens, 0), generators=gens,
-            labels=lambda j: f"r{j}" if j < n else f"sr{j - n}", name=f"D{n}",
-        )
-        self.n = n
-        self._nodes: Optional[list[tuple[int, int]]] = None
+    def element_label(self, a: int) -> str:
+        return f"r{a}" if a < self.n else f"sr{a - self.n}"
 
 
 @dataclass(frozen=True)
@@ -496,7 +487,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if G._subgroups is not None:
         return list(G._subgroups)
 
-    if isinstance(G, _CLOSED_FORM):
+    if isinstance(G, CyclicGroup):
         result = _closed_form_subgroups(G)
     elif len(G.primes) <= 1 or G.is_abelian() or _derived_series_reaches_trivial(G):
         result = _subgroups_cyclic_extension(G)
@@ -519,12 +510,7 @@ def _divisors(n: int, primes: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-# The groups whose subgroups and links are read in closed form.  Element j < n
-# of each is the rotation r^j; element n + j of a dihedral one is s r^j.
-_CLOSED_FORM = (CyclicGroup, DihedralGroup)
-
-
-def _closed_form_subgroups(G: CyclicGroup | DihedralGroup) -> list[Subgroup]:
+def _closed_form_subgroups(G: CyclicGroup) -> list[Subgroup]:
     """Every subgroup of Z/n or D_n, kept as G's own list with each node's key.
 
     Key (d, -1) is <r^d> for a divisor d of n, of order n/d, and in D_n key
@@ -556,7 +542,7 @@ def _closed_form_subgroups(G: CyclicGroup | DihedralGroup) -> list[Subgroup]:
     return G._subgroups
 
 
-def _generated_node(G: CyclicGroup | DihedralGroup, elements: Iterable[int]) -> tuple[int, int]:
+def _generated_node(G: CyclicGroup, elements: Iterable[int]) -> tuple[int, int]:
     """The key of the subgroup of Z/n or D_n that the elements generate.
 
     Its rotations are generated by the rotations r^j among the elements and
@@ -609,9 +595,9 @@ def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.
     if not hom.surjective:
         raise WrongShape("target_subgroups needs a surjective homomorphism")
     G, upper = hom.target, all_subgroups(hom.source)
-    if isinstance(G, _CLOSED_FORM):
+    if isinstance(G, CyclicGroup):
         _closed_form_subgroups(G)  # so its list always comes with its node keys
-    if isinstance(G, _CLOSED_FORM) and isinstance(hom.source, _CLOSED_FORM):
+    if isinstance(G, CyclicGroup) and isinstance(hom.source, CyclicGroup):
         parents = _generated_links(hom)
     else:
         parents = _image_parents(hom, upper)
@@ -923,6 +909,8 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     """The conjugate subgroup H^g = g^-1 H g."""
+    if not 0 <= g < G.order:
+        raise OutOfRange(f"element {g} outside group of order {G.order}")
     return _subgroup_of(G, G.mul(G.mul(G.inv[g], H.indices()), g))
 
 
@@ -1166,7 +1154,8 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n, rotations r^j at 0..n-1 and reflections
-    s r^j at n..2n-1, as a DihedralGroup: its lattice is read in closed form."""
+    s r^j at n..2n-1, as a DihedralGroup: it holds no table, and its lattice
+    is read in closed form."""
     return DihedralGroup(n)
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from subgroup_atlas.errors import WrongShape
 from subgroup_atlas.groups import (
-    CyclicGroup,
     FiniteGroup,
     GoursatQuintuple,
     Subgroup,
@@ -39,21 +38,18 @@ from subgroup_atlas.towers import (
 
 def products(G) -> np.ndarray:
     """Every product a*b of G as an (order x order) array, read through G.mul,
-    which is how a group without a table (a cyclic one) gives its products."""
+    which is how a group without a table (Z/n or D_n) gives its products."""
     idx = np.arange(G.order)
     return G.mul(*np.ix_(idx, idx))
 
 
-def cyclic_with_table(n: int) -> FiniteGroup:
-    """Z/n on the Cayley table that the row of 1, a + 1 mod n, fills: the
-    table-backed twin of cyclic(n), which runs the fill and Light's test."""
-    return FiniteGroup(table_from_rows(((np.arange(n) + 1) % n)[None], [1 % n], 0),
-                       generators=[1 % n], name=f"Z{n}")
-
-
-def tabled(G):
-    """G, or for a cyclic group, which holds no table, its table-backed twin."""
-    return cyclic_with_table(G.order) if isinstance(G, CyclicGroup) else G
+def table_twin(G) -> FiniteGroup:
+    """G as a plain FiniteGroup on the Cayley table that its generators' rows,
+    read through G.mul, fill: its construction runs the identity, inverse and
+    Light's checks that a group without a table (Z/n or D_n) does not run."""
+    rows = G.mul(np.asarray(G.generators)[:, None], np.arange(G.order))
+    return FiniteGroup(table_from_rows(rows, G.generators, G.identity),
+                       generators=G.generators, labels=G.element_label, name=G.name)
 
 
 def oracle_closure(table, identity, inv, seed) -> frozenset[int]:

@@ -14,7 +14,6 @@ from conftest import (
     BUILTIN_NAMES,
     TOWER_FACTORIES,
     cached_tower,
-    cyclic_with_table,
     oracle_bits_set,
     oracle_center,
     oracle_centralizer,
@@ -30,7 +29,7 @@ from conftest import (
     oracle_subgroups,
     products,
     subgroup_bits_set,
-    tabled,
+    table_twin,
     tau_plus_sigma,
 )
 from subgroup_atlas import groups
@@ -118,7 +117,7 @@ def test_closure_d4_klein():
     D4 = dihedral(4)
     H = closure(D4, [2, 4])  # half rotation and a reflection
     assert H.order == 4
-    table = [[int(x) for x in row] for row in D4.table]
+    table = products(D4).tolist()
     inv = [int(x) for x in D4.inv]
     assert frozenset(int(i) for i in H.indices()) == oracle_closure(
         table, D4.identity, inv, [2, 4]
@@ -299,13 +298,11 @@ def test_frattini_of_a_p_group_level_is_the_maximal_subgroup_scan(name):
 
 @pytest.mark.parametrize("name", list(TOWER_FACTORIES))
 def test_power_map_matches_the_e_fold_product_on_table_levels(name):
-    # every table level up to order 1024: above it the n + 2 cached maps of
-    # a level would hold 8n(n + 2) bytes
-    levels = [G for G in cached_tower(name).levels
-              if not isinstance(G, groups.CyclicGroup) and G.order <= 1024]
-    for G in levels:
+    # the table twin of every level up to order 1024: above it the n + 2
+    # cached maps of a level would hold 8n(n + 2) bytes
+    for G in [G for G in cached_tower(name).levels if G.order <= 1024]:
         # a copy, so the level's own cache keeps only the maps the library asks for
-        H = FiniteGroup(G.table, generators=G.generators)
+        H = table_twin(G)
         table, every = products(H), np.arange(H.order)
         fold = np.full(H.order, H.identity)
         for e in range(H.order + 2):
@@ -445,6 +442,9 @@ def test_conjugate():
     conj = conjugate(D4, s_sub, 1)
     assert conj.order == 2
     assert conj.bits != s_sub.bits
+    for outside in (-1, 8):  # refused, as closure and centralizer refuse them
+        with pytest.raises(OutOfRange, match="outside group of order 8"):
+            conjugate(D4, s_sub, outside)
 
 
 def test_quotient_z8():
@@ -612,7 +612,7 @@ def test_coset_powers_of_a_large_prime_are_built_by_doubling():
 def test_least_in_class_over_many_power_blocks():
     # in Z/2039 with H trivial, the least element of c^1..c^2038 is 1 for
     # every c != 0, so only c = 1 is kept; 2038 candidates take 64 blocks
-    G = cyclic_with_table(2039)
+    G = table_twin(cyclic(2039))
     c = np.arange(1, 2039)
     keep = groups._least_in_class(G, np.zeros((1, 1), dtype=np.intp), np.zeros(2038, dtype=np.intp),
                                   c, np.full(2038, 2039))
@@ -1024,15 +1024,16 @@ def test_is_abelian_matches_transpose_oracle(data):
         G = direct_product(G, data.draw(st.sampled_from(pool)))
     if data.draw(st.booleans()):  # relabelled, as a table without generators
         pi = np.array(data.draw(st.permutations(range(G.order))))
-        table = np.empty_like(G.table)
-        table[np.ix_(pi, pi)] = pi[G.table]
+        t = products(G)
+        table = np.empty_like(t)
+        table[np.ix_(pi, pi)] = pi[t]
         G = FiniteGroup(table)
-    assert G.is_abelian() == oracle_is_abelian(G.table)
+    assert G.is_abelian() == oracle_is_abelian(products(G))
 
 
 def test_stored_generators_must_generate():
     with pytest.raises(WrongShape, match="do not generate"):
-        FiniteGroup(cyclic_with_table(4).table, generators=[2])
+        FiniteGroup(table_twin(cyclic(4)).table, generators=[2])
 
 
 HOM_GROUPS = [cyclic(4), direct_product(cyclic(2), cyclic(2)), dihedral(3), quaternion8()]
@@ -1110,7 +1111,7 @@ def _assert_mul_is_the_table(G):
     every = np.arange(G.order)
     got = G.mul(every[:, None], every)
     assert got.dtype == np.intp
-    assert got.tolist() == tabled(G).table.tolist()
+    assert got.tolist() == table_twin(G).table.tolist()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -1137,7 +1138,8 @@ def test_mul_is_the_table_on_literals(name):
 def test_cyclic_group_matches_its_table_twin(n):
     # cyclic(n) holds no table; its twin runs the fill and Light's test on
     # the table of the same row, a + 1 mod n
-    G, T = cyclic(n), cyclic_with_table(n)
+    G = cyclic(n)
+    T = table_twin(G)
     assert isinstance(G, groups.CyclicGroup) and not hasattr(G, "table")
     assert products(G).tolist() == T.table.tolist()
     assert G.mul(n - 1, 1 % n) == T.mul(n - 1, 1 % n) and isinstance(G.mul(0, 0), np.integer)
@@ -1212,7 +1214,7 @@ NORMALIZER_GROUPS = [dihedral(4), quaternion8(), s4(), heis3()]
 
 
 def _lists(G):
-    return [[int(x) for x in row] for row in G.table], [int(x) for x in G.inv]
+    return products(G).tolist(), [int(x) for x in G.inv]
 
 
 @given(st.data())
@@ -1272,7 +1274,7 @@ def test_dihedral_table_matches_formula():
              for b in range(2 * n)]
             for a in range(2 * n)
         ]
-        assert dihedral(n).table.tolist() == expected
+        assert products(dihedral(n)).tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -1368,22 +1370,20 @@ def test_target_subgroups_keeps_a_cached_list():
     assert images != list(range(len(own)))
 
 
-_table_twin = lru_cache(maxsize=None)(cyclic_with_table)
-
-
 @pytest.mark.parametrize("m", range(1, 129))
 def test_cyclic_target_subgroups_match_the_table_twins_on_every_onto_map(m):
     # every surjective Z/m -> Z/n is a -> a*u mod n for n | m and a unit u
     # mod n, the reduction twisted by an automorphism of Z/n; the closed
     # form's nodes and links equal the image pass on the table twins and the
     # per-node link oracle
-    maps = 0
+    maps, upper = 0, table_twin(cyclic(m))
     for n in (n for n in range(1, m + 1) if m % n == 0):
+        lower = table_twin(cyclic(n))
         for u in (u for u in range(n) if np.gcd(u, n) == 1):
             mapping = (np.arange(m) * u % n).tolist()
             t = custom_tower([cyclic(n), cyclic(m)], [mapping])
             subs, parents, full_preimage = target_subgroups(t.map_down(1))
-            twin = target_subgroups(Homomorphism(_table_twin(m), _table_twin(n), mapping))
+            twin = target_subgroups(Homomorphism(upper, lower, mapping))
             assert [(s.order, s.bits) for s in subs] == [(s.order, s.bits) for s in twin[0]]
             assert parents.tolist() == twin[1].tolist()
             assert full_preimage.tolist() == twin[2].tolist()
@@ -1392,20 +1392,23 @@ def test_cyclic_target_subgroups_match_the_table_twins_on_every_onto_map(m):
     assert maps == m  # the units mod n, summed over n | m, are m in all
 
 
-@lru_cache(maxsize=None)
-def _dihedral_twin(n: int) -> FiniteGroup:
-    """D_n on the plain FiniteGroup of the same table and generators."""
-    D = dihedral(n)
-    return FiniteGroup(D.table, generators=D.generators)
-
-
 @pytest.mark.parametrize("n", range(1, 65))
 def test_dihedral_closed_form_matches_its_table_twin(n):
-    # the closed form equals cyclic extension on the same table, and on the
+    # dihedral(n) holds no table; its twin runs the fill, the identity and
+    # inverse checks and Light's test on the table of the rows of r and s.
+    # The closed form equals cyclic extension on that table, and on the
     # small levels the brute-force closure oracle
-    D, twin = dihedral(n), _dihedral_twin(n)
-    assert isinstance(D, groups.DihedralGroup) and D.n == n
+    D = dihedral(n)
+    twin = table_twin(D)
+    assert isinstance(D, groups.DihedralGroup) and D.n == n and not hasattr(D, "table")
     assert (D.basis, D.generators, D.name) == (twin.basis, twin.generators, f"D{n}")
+    assert products(D).tolist() == twin.table.tolist()
+    assert D.inv.dtype == twin.inv.dtype and D.inv.tolist() == twin.inv.tolist()
+    assert not D.inv.flags.writeable and D.identity == twin.identity == 0
+    assert D.primes == twin.primes and D.is_abelian() == twin.is_abelian() == (n <= 2)
+    for e in range(-2 * n - 1, 2 * n + 2):
+        got, expected = D.power_map(e), twin.power_map(e)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), e
     assert [D.element_label(a) for a in range(2 * n)] == (
         [f"r{j}" for j in range(n)] + [f"sr{j}" for j in range(n)])
     subs = all_subgroups(D)
@@ -1438,7 +1441,7 @@ def test_dihedral_links_match_the_image_pass_on_every_onto_map(m, n):
     # Klein four targets included, the generator-image links equal the image
     # pass on the table twins and the per-node link oracle
     Dm, Dn = dihedral(m), dihedral(n)
-    maps = 0
+    upper, lower, maps = table_twin(Dm), table_twin(Dn), 0
     for x in range(2 * n):
         for y in range(2 * n):
             mapping = _maps_by_images(m, Dn, x, y)
@@ -1449,7 +1452,7 @@ def test_dihedral_links_match_the_image_pass_on_every_onto_map(m, n):
             if not hom.surjective:
                 continue
             subs, parents, full_preimage = target_subgroups(hom)
-            twin = target_subgroups(Homomorphism(_dihedral_twin(m), _dihedral_twin(n), mapping))
+            twin = target_subgroups(Homomorphism(upper, lower, mapping))
             assert [(s.order, s.bits) for s in subs] == [(s.order, s.bits) for s in twin[0]]
             assert parents.tolist() == twin[1].tolist(), (x, y)
             assert full_preimage.tolist() == twin[2].tolist(), (x, y)
@@ -1551,8 +1554,9 @@ def test_cyclic_extension_matches_generic_on_relabeled_literals(names, rnd):
     image = list(range(G.order))
     rnd.shuffle(image)
     image = np.array(image)
-    table = np.empty_like(G.table)
-    table[np.ix_(image, image)] = image[G.table]
+    t = products(G)
+    table = np.empty_like(t)
+    table[np.ix_(image, image)] = image[t]
     R = FiniteGroup(table)
     found = groups._subgroups_cyclic_extension(R)
     expected = {sum(1 << int(x) for x in image[members]) for members in _generic_subgroups(names)}

@@ -14,7 +14,6 @@ from conftest import (
     BUILTIN_NAMES,
     TOWER_FACTORIES,
     cached_tower,
-    cyclic_with_table,
     oracle_chain_nodes,
     oracle_children,
     oracle_density_counterexamples,
@@ -23,6 +22,7 @@ from conftest import (
     oracle_subgroups,
     oracle_survivors,
     products,
+    table_twin,
     tau_plus_sigma,
     valid_products,
 )
@@ -31,7 +31,7 @@ from subgroup_atlas import lattice as lattice_mod
 from subgroup_atlas.classify import analyze_tower
 from subgroup_atlas.errors import OutOfRange, WrongShape
 from subgroup_atlas.filtration import cb_filtration
-from subgroup_atlas.groups import (BLOCK_CELLS, FiniteGroup, all_subgroups, closure, cyclic,
+from subgroup_atlas.groups import (BLOCK_CELLS, all_subgroups, closure, cyclic,
                                    dihedral, target_subgroups)
 from subgroup_atlas.lattice import (
     basic_open_fiber,
@@ -418,10 +418,8 @@ def _assert_levels_derive_as_enumerated(t):
         assert up.tolist() == parents[k - 1], k
         assert down.tolist() == full_preimage[k - 1], k
         G = t.level(k)
-        fresh = (cyclic_with_table(G.order) if isinstance(G, groups.CyclicGroup)
-                 else FiniteGroup(G.table, generators=G.generators))
         assert [(s.order, s.bits) for s in subs] == [
-            (s.order, s.bits) for s in all_subgroups(fresh)], k
+            (s.order, s.bits) for s in all_subgroups(table_twin(G))], k
         if G.order <= 64:
             assert {s.bits for s in subs} == _oracle_bits(G), k
 
@@ -500,8 +498,7 @@ def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
     # neither enumeration path at all
     seen = _count_enumerations(monkeypatch)
     t = TOWER_FACTORIES[name]()
-    closed_form = all(isinstance(G, (groups.CyclicGroup, groups.DihedralGroup))
-                      for G in t.levels)
+    closed_form = all(isinstance(G, groups.CyclicGroup) for G in t.levels)
     assert closed_form == name.startswith(("zp(", "dihedral2("))
 
     def levels_enumerated():
@@ -531,7 +528,8 @@ STRUCTURE_TOWERS = {
 
 @pytest.mark.parametrize("label", STRUCTURE_TOWERS)
 def test_first_node_is_trivial_and_last_is_the_level(label):
-    # and a cyclic level of order n has tau(n) nodes, one for each divisor
+    # and a cyclic level of order n has tau(n) nodes, one for each divisor,
+    # and a dihedral level D_m has tau(m) + sigma(m)
     t = STRUCTURE_TOWERS[label]()
     lt = build_lattice_tower(t)
     for k in range(1, lt.depth + 1):
@@ -542,5 +540,7 @@ def test_first_node_is_trivial_and_last_is_the_level(label):
             G = t.level(k)
             assert lt.node_bits[k - 1][0] == 1 << G.identity, k
             assert lt.node_bits[k - 1][-1] == (1 << n) - 1, k
-            if isinstance(G, groups.CyclicGroup):
+            if isinstance(G, groups.CyclicGroup) and G.order == G.n:
                 assert lt.node_count(k) == sum(n % d == 0 for d in range(1, n + 1)), k
+            elif isinstance(G, groups.CyclicGroup):
+                assert lt.node_count(k) == tau_plus_sigma(G.n), k

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from conftest import (
     BUILTIN_NAMES,
     cached_tower,
-    cyclic_with_table,
     oracle_table_from_rows,
     products,
-    tabled,
+    table_twin,
 )
 from subgroup_atlas import groups
 from subgroup_atlas.errors import OutOfRange, WrongShape
@@ -53,10 +52,10 @@ def _sha(data: bytes) -> str:
 
 
 def tower_digest(t) -> str:
-    """sha256 prefix over every level's products and table dtype (a cyclic
-    level's is its twin's), inverses and basis and every connecting map."""
+    """sha256 prefix over every level's products and its table twin's dtype,
+    inverses and basis and every connecting map."""
     doc = {
-        "tables": [[str(tabled(G).table.dtype), _sha(products(G).astype("<u4").tobytes())]
+        "tables": [[str(table_twin(G).table.dtype), _sha(products(G).astype("<u4").tobytes())]
                    for G in t.levels],
         "inv": [_sha(np.asarray(G.inv).astype("<i8").tobytes()) for G in t.levels],
         "basis": [[int(s) for s in G.basis] for G in t.levels],
@@ -218,7 +217,7 @@ def _fill_oracle(G) -> list[list[int]] | None:
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_every_tower_level_is_the_table_its_generator_rows_generate(name):
     for level in cached_tower(name).levels:
-        G = tabled(level)
+        G = table_twin(level)
         assert _table(level) == _table(G) == _fill_oracle(G)
         rows = G.table[G.generators]
         assert np.array_equal(groups.table_from_rows(rows, G.generators, G.identity), G.table)
@@ -303,8 +302,8 @@ def test_literals_match_all_pairs_products(name):
     assert _table(load_group_json(doc)) == expected
 
 
-FILL_POOL = [*map(load_group_json, LITERALS.values()), cyclic_with_table(12), dihedral(6),
-             quaternion8(), direct_product(cyclic(2), cyclic(4))]
+FILL_POOL = [*map(load_group_json, LITERALS.values()), table_twin(cyclic(12)),
+             table_twin(dihedral(6)), quaternion8(), direct_product(cyclic(2), cyclic(4))]
 
 
 @given(st.data())
@@ -387,7 +386,7 @@ def test_table_is_read_only_and_not_copied():
 
 TABLE_BUILDS = pytest.mark.parametrize(
     "build",
-    [lambda: cyclic_with_table(2048), lambda: dihedral(1024),
+    [lambda: table_twin(cyclic(2048)), lambda: table_twin(dihedral(1024)),
      lambda: direct_product(cyclic(16), cyclic(81))],
     ids=["cyclic(2048)", "dihedral(1024)", "C16xC81"],
 )
@@ -420,7 +419,8 @@ def test_table_checks_allocate_no_n_by_n_temporary(build):
     assert peak <= 1.25 * G.table.itemsize * G.order**2
 
 
-@pytest.mark.parametrize("group", [lambda: cyclic_with_table(2048), lambda: dihedral(1024)],
+@pytest.mark.parametrize("group", [lambda: table_twin(cyclic(2048)),
+                                   lambda: table_twin(dihedral(1024))],
                          ids=["cyclic(2048)", "dihedral(1024)"])
 def test_fill_memory_beyond_the_table(group):
     G = group()
@@ -435,3 +435,11 @@ def test_fill_memory_beyond_the_table(group):
     # about 70 KB at order 2048, where blocks of BLOCK_CELLS cells hold 300 KB
     assert groups.FILL_CELLS * 8 <= groups.BLOCK_CELLS
     assert peak - table.nbytes <= 2 * groups.BLOCK_CELLS
+
+
+def test_dihedral_group_holds_no_table():
+    # D_n's product is computed, so building it keeps a few vectors of the
+    # order and no order^2 table: a table would take 2 * 8192 bytes an element
+    D, peak = _traced_build(lambda: dihedral(4096))
+    assert D.order == 8192 and not hasattr(D, "table")
+    assert peak <= 64 * D.order
