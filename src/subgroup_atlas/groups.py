@@ -7,9 +7,10 @@ closed form (CyclicGroup, DihedralGroup).  Their lattices are read in closed
 form too: <r^d> for each divisor d of n, and in D_n also <r^d, s r^i> for
 i < d; the links between two such levels are the subgroups generated by the
 images of each node's generators.  Every other group is enumerated by
-cyclic extension (or, if insoluble, the generic path).  The canonical order
-of any subgroup collection is (order, bitset value), which is the
-determinism contract for everything downstream.
+cyclic extension (or, if insoluble, the generic path).  Inverses are read
+through `inverse` and never stored; box coordinate maps come from `box_map`.
+The canonical order of any subgroup collection is (order, bitset value),
+the determinism contract for everything downstream.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ def _block_cells(n: int) -> int:
     return min(BLOCK_CELLS, max(BLOCK_CELLS // 8, n * n // 64))
 
 
-def _row_blocks(n: int) -> range:
-    """Start rows of the row blocks that cover an n x n table: each block is
-    the range's step rows long, BLOCK_CELLS cells or one row at most."""
-    return range(0, n, max(1, BLOCK_CELLS // n))
-
-
 # Cells of one gather block of table_from_rows: the block and its gathered
 # copy are what the fill holds beside the table.
 FILL_CELLS = BLOCK_CELLS // 8
@@ -76,11 +71,12 @@ class FiniteGroup:
     """A finite group as an explicit Cayley table (a CyclicGroup, which
     includes a DihedralGroup, holds none).
 
-    Invariants verified exactly at construction: identity and inverse laws,
-    that the stored generators generate the whole group, and associativity.
-    `basis` is an irredundant generating subset of the stored generators,
-    on which associativity and homomorphisms are checked.  `labels` is a
-    list of element names or a function computing one on demand.
+    Invariants verified exactly at construction: the identity law, that the
+    stored generators generate the whole group, and associativity and
+    two-sided inverses on `basis`, an irredundant generating subset of the
+    stored generators, on which homomorphisms are checked too.  `inverse`
+    reads g^(n-1) off the power map.  `labels` is a list of element names
+    or a function computing one on demand.
     """
 
     def __init__(
@@ -111,7 +107,6 @@ class FiniteGroup:
             self._label = names.__getitem__
 
         self.identity = self._find_identity()
-        self.inv = self._build_inverses()
         self.primes = frozenset(_prime_factors(n)) if n > 1 else frozenset()
 
         if generators is None:
@@ -135,17 +130,6 @@ class FiniteGroup:
                 return e
         raise WrongShape("table has no two-sided identity")
 
-    def _build_inverses(self) -> np.ndarray:
-        t, e, idx = self.table, self.identity, np.arange(self.order)
-        inv = np.empty(self.order, dtype=np.intp)
-        blocks = _row_blocks(self.order)
-        for lo in blocks:  # the first b with a*b == e, else 0
-            inv[lo:lo + blocks.step] = np.argmax(t[lo:lo + blocks.step] == e, axis=1)
-        if not (np.all(t[idx, inv] == e) and np.all(t[inv, idx] == e)):
-            raise WrongShape("table has an element without a two-sided inverse")
-        inv.setflags(write=False)
-        return inv
-
     def _check_group(self) -> list[int]:
         """Verify associativity exactly on an irredundant basis; return it.
 
@@ -156,10 +140,11 @@ class FiniteGroup:
         basis than log2 of the order proves the table is not a group.  Light's
         test then runs on the basis: the elements s with (a*s)*c == a*(s*c)
         for all a, c are closed under the product, so passing on a basis
-        proves the whole table associative.
+        proves the whole table associative.  Each basis element must also have
+        a two-sided inverse, and then so has every product of them: every element.
         """
-        n, t = self.order, self.table
-        reached, members = _walk_start(n, self.identity)
+        n, t, e = self.order, self.table, self.identity
+        reached, members = _walk_start(n, e)
         basis: list[int] = []
         columns: list[list[int]] = []  # column s maps a to a*s
         for g in self.generators:
@@ -174,13 +159,16 @@ class FiniteGroup:
             _walk(columns, reached, members)
         if len(members) != n:
             raise WrongShape("stored generators do not generate the group")
-        blocks = _row_blocks(n)
+        step = max(1, BLOCK_CELLS // n)  # rows of a block of the table
         for s in basis:
             s_row = t[s].astype(np.intp)  # c -> s*c
-            for lo in blocks:
-                rows = t[lo:lo + blocks.step]
+            for lo in range(0, n, step):
+                rows = t[lo:lo + step]
                 if not np.array_equal(t.take(rows[:, s], axis=0), rows.take(s_row, axis=1)):
                     raise WrongShape(f"table is not associative (s={s})")
+            x = int(np.argmax(t[s] == e))  # the x with s*x == e, or 0 if none has it
+            if t[s, x] != e or t[x, s] != e:
+                raise WrongShape("table has an element without a two-sided inverse")
         return basis
 
     # -- basic queries ------------------------------------------------------
@@ -199,21 +187,23 @@ class FiniteGroup:
             self._abelian = bool(np.array_equal(on_basis, on_basis.T))
         return self._abelian
 
+    def inverse(self, a) -> np.ndarray:
+        """a^-1 for an element index or index array: how every inverse is read."""
+        return self.power_map(-1).take(a)
+
     def power_map(self, e: int) -> np.ndarray:
-        """Vector of g^e for every element g, by square and multiply: the bits
-        of e from the top, each after the first squaring the powers so far and
-        a set bit multiplying them by g, in floor(log2 e) + popcount(e) - 1
-        passes of n products.  For e < 0 it is the inverse of g^-e."""
+        """Vector of g^e for every element g, e read mod n as g^n = 1, by square
+        and multiply: the bits of e from the top, each after the first squaring
+        the powers so far and a set bit multiplying them by g, in
+        floor(log2 e) + popcount(e) - 1 passes of n products."""
+        e %= self.order
         if e not in self._power_maps:
-            if e < 0:
-                out = self.inv.take(self.power_map(-e))
-            else:
-                base = np.arange(self.order)
-                out = base if e else np.full(self.order, self.identity, dtype=np.int64)
-                for bit in bin(e)[3:]:
-                    out = self.mul(out, out)
-                    if bit == "1":
-                        out = self.mul(out, base)
+            base = np.arange(self.order)
+            out = base if e else np.full(self.order, self.identity, dtype=np.int64)
+            for bit in bin(e)[3:]:
+                out = self.mul(out, out)
+                if bit == "1":
+                    out = self.mul(out, base)
             out = out.astype(np.int64, copy=False)
             out.setflags(write=False)
             self._power_maps[e] = out
@@ -232,9 +222,9 @@ class CyclicGroup(FiniteGroup):
     Its subclass DihedralGroup is D_n on the same rotations, so
     isinstance(G, CyclicGroup) means that G is read in closed form and holds
     no table.  Either law is a group law by construction, so nothing is
-    checked: the identity is 0, the inverse of the rotation r^a is r^-a and a
-    reflection is its own inverse, and the basis is the generators r (and s)
-    other than the identity.  Z/n is abelian, and D_n only for n <= 2.
+    checked: the identity is 0, `inverse` is the closed form (r^a to r^-a, a
+    reflection to itself), and no inverse is stored; the basis is the
+    generators r (and s) other than the identity.  Z/n is abelian, and D_n only for n <= 2.
     Element j < n is the rotation r^j of the closed form, which gives the
     subgroups and the links with no enumeration (_closed_form_subgroups,
     _generated_links).
@@ -248,9 +238,6 @@ class CyclicGroup(FiniteGroup):
         self.name = f"{self._letter}{n}"
         self._label = None
         self.identity = 0
-        self.inv = np.arange(self.order, dtype=np.intp)
-        self.inv[:n] = -self.inv[:n] % n
-        self.inv.setflags(write=False)
         self.primes = frozenset(_prime_factors(self.order)) if self.order > 1 else frozenset()
         self.generators = [1 % n, n] if self._reflections else [1 % n]
         self.basis = [g for g in self.generators if g != self.identity]
@@ -263,6 +250,11 @@ class CyclicGroup(FiniteGroup):
     def mul(self, a, b) -> np.ndarray:
         """(a + b) mod n, broadcast and typed as FiniteGroup.mul."""
         return (np.asarray(a, dtype=np.intp) + np.asarray(b, dtype=np.intp)) % self.n
+
+    def inverse(self, a) -> np.ndarray:
+        """-a mod n for a rotation a; a reflection is its own inverse."""
+        a = np.asarray(a, dtype=np.intp)
+        return np.where(a < self.n, -a % self.n, a)
 
 
 class DihedralGroup(CyclicGroup):
@@ -427,7 +419,7 @@ def _commutator_of(G: FiniteGroup, gens: Sequence[int]) -> tuple[Subgroup, list[
 def _commutators(G: FiniteGroup, gens: np.ndarray) -> list[int]:
     """[a, b] = ab(ba)^-1 for each pair a before b of the generators."""
     a, b = gens.take(np.triu_indices(len(gens), 1))  # each pair once, in order
-    return G.mul(G.mul(a, b), G.inv.take(G.mul(b, a))).tolist()
+    return G.mul(G.mul(a, b), G.inverse(G.mul(b, a))).tolist()
 
 
 def _normal_closure(G: FiniteGroup, todo: list[int],
@@ -446,7 +438,7 @@ def _normal_closure(G: FiniteGroup, todo: list[int],
         if not closed.contains(c):
             joined.append(c)
             closed = closure(G, joined)
-            todo += G.mul(G.mul(G.inv.take(gens), c), gens).tolist()
+            todo += G.mul(G.mul(G.inverse(gens), c), gens).tolist()
     return closed, joined
 
 
@@ -468,7 +460,7 @@ def _normalizing(G: FiniteGroup, in_H: np.ndarray, gens, candidates) -> np.ndarr
     """
     hs = np.asarray(gens, dtype=np.int64)
     cs = np.asarray(candidates, dtype=np.int64)[:, None]
-    return in_H[G.mul(G.mul(G.inv[cs], hs), cs)].all(axis=1)
+    return in_H[G.mul(G.mul(G.inverse(cs), hs), cs)].all(axis=1)
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -707,7 +699,7 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
         # c normalizes H when c^-1 h c lies in H for each extension element h
         r, c = cand.nonzero()
         for j in range(gens.shape[1]):
-            ok = _cells(H, r, G.mul(G.mul(G.inv.take(c), gens[:, j].take(r)), c))
+            ok = _cells(H, r, G.mul(G.mul(G.inverse(c), gens[:, j].take(r)), c))
             r, c = r[ok], c[ok]
         cand[:] = False
         cand[r, c] = True
@@ -893,13 +885,14 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """The centralizer of the subgroup generated by `gens`: the intersection
+    """The centralizer of <gens>: all of an abelian G, else the intersection
     of the centralizers of the generators, one column compare each."""
     mask = np.ones(G.order, dtype=bool)
     for s in gens:
         if not 0 <= s < G.order:
             raise OutOfRange(f"generator {s} outside group of order {G.order}")
-        mask &= G.mul(np.arange(G.order), s) == G.mul(s, np.arange(G.order))
+        if not G.is_abelian():
+            mask &= G.mul(np.arange(G.order), s) == G.mul(s, np.arange(G.order))
     return _subgroup_from_mask(G, mask)
 
 
@@ -911,7 +904,7 @@ def conjugate(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     """The conjugate subgroup H^g = g^-1 H g."""
     if not 0 <= g < G.order:
         raise OutOfRange(f"element {g} outside group of order {G.order}")
-    return _subgroup_of(G, G.mul(G.mul(G.inv[g], H.indices()), g))
+    return _subgroup_of(G, G.mul(G.mul(G.inverse(g), H.indices()), g))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -925,25 +918,28 @@ class Homomorphism:
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]):
         self.source = source
         self.target = target
-        arr = np.asarray(mapping, dtype=np.int64)
+        arr = np.asarray(mapping)  # an object array if an entry is past int64
         if arr.shape != (source.order,):
             raise WrongShape("homomorphism map has wrong length")
         if arr.size and not (0 <= arr.min() and arr.max() < target.order):
             raise OutOfRange(f"homomorphism image outside target group of order {target.order}")
-        self.map = arr
+        self.map = arr = arr.astype(np.int64, copy=False)
         self.map.setflags(write=False)
         self._verify()
-        self.surjective = bool(np.bincount(arr, minlength=target.order).all())
+        self.surjective = _subgroup_of(target, arr).order == target.order  # of the image
 
     def _verify(self) -> None:
         """Check m(a*s) == m(a)*m(s) for every a and every s in the identity
-        and the source's basis.  The s that pass for every a are closed under
-        the product and the basis generates the source, so this is exact."""
+        and the source's basis, in blocks of _block_cells products.  The s
+        that pass for every a are closed under the product and the basis
+        generates the source, so this is exact."""
         src, m = self.source, self.map
         s = np.array([src.identity, *src.basis])
-        every = np.arange(src.order)[:, None]
-        if not np.array_equal(m[src.mul(every, s)], self.target.mul(m[:, None], m[s])):
-            raise WrongShape("map is not a homomorphism")
+        step = max(1, _block_cells(src.order) // len(s))
+        for lo in range(0, src.order, step):
+            a = np.arange(lo, min(lo + step, src.order))[:, None]
+            if not np.array_equal(m.take(src.mul(a, s)), self.target.mul(m.take(a), m[s])):
+                raise WrongShape("map is not a homomorphism")
 
     def apply(self, a: int) -> int:
         return int(self.map[a])
@@ -983,15 +979,25 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     return Q, proj
 
 
+def box_map(coordinate_maps: Sequence[np.ndarray], box: Sequence[int]) -> np.ndarray:
+    """The row-major index in `box` of each point of the box of shape
+    len(coordinate_maps[i]), its coordinate i sent through coordinate_maps[i]:
+    one np.add.outer a coordinate, so no per-coordinate array is made."""
+    out = np.asarray(coordinate_maps[0], dtype=np.int64)
+    for f, b in zip(coordinate_maps[1:], box[1:]):
+        out = np.add.outer(out * b, f).ravel()
+    return out
+
+
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     """Direct product with element index i1*|G2| + i2 (row-major by left factor)."""
     n1, n2 = G1.order, G2.order
     if n1 * n2 > order_cap():
         raise CapExceeded(f"product order {n1 * n2} above cap {order_cap()}")
-    a1, a2 = np.unravel_index(np.arange(n1 * n2), (n1, n2))
+    a1, a2 = np.arange(n1), np.arange(n2)
     # (g, 1)(b1, b2) = (g*b1, b2) and (1, h)(b1, b2) = (b1, h*b2)
-    rows = [G1.mul(g, a1) * n2 + a2 for g in G1.basis]
-    rows += [a1 * n2 + G2.mul(h, a2) for h in G2.basis]
+    rows = [box_map([G1.mul(g, a1), a2], (n1, n2)) for g in G1.basis]
+    rows += [box_map([a1, G2.mul(h, a2)], (n1, n2)) for h in G2.basis]
     row_gens = [g * n2 + G2.identity for g in G1.basis]
     row_gens += [G1.identity * n2 + h for h in G2.basis]
     table = table_from_rows(np.array(rows).reshape(len(rows), n1 * n2), row_gens,

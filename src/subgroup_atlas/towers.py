@@ -9,7 +9,6 @@ and its dimension estimate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +28,8 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     _is_int,
+    _is_int_list,
+    box_map,
     cyclic,
     dihedral,
     direct_product,
@@ -141,19 +142,13 @@ def truncate(t: Tower, depth: int) -> Tower:
 
 # -- families ------------------------------------------------------------------
 
-def _reduction_maps(
-    levels: list[FiniteGroup], boxes: list[tuple[int, ...]]
-) -> list[Homomorphism]:
+def _reduction_maps(levels: list[FiniteGroup], boxes: list[tuple[int, ...]]) -> list[Homomorphism]:
     """Connecting maps of a coordinate family: level k's elements are the
     row-major indices of the box boxes[k-1], and the map down reduces each
-    coordinate modulo the lower level's bound."""
-    maps = []
-    for k in range(1, len(levels)):
-        hi, lo = boxes[k], boxes[k - 1]
-        coords = np.unravel_index(np.arange(math.prod(hi)), hi)
-        mapping = np.ravel_multi_index([c % b for c, b in zip(coords, lo)], lo)
-        maps.append(Homomorphism(levels[k], levels[k - 1], mapping))
-    return maps
+    coordinate a < h mod the lower bound b: np.resize repeats 0..b-1 to h."""
+    return [Homomorphism(levels[k], levels[k - 1],
+                         box_map([np.resize(np.arange(b), h) for h, b in zip(hi, lo)], lo))
+            for k, (lo, hi) in enumerate(zip(boxes, boxes[1:]), 1)]
 
 
 def make_zp(p: int, depth: int) -> Tower:
@@ -189,10 +184,10 @@ def _heisenberg_group(p: int, k: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/p^k; entries (a, b, c) with
     c the corner, multiplied by (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
     m = p**k
-    A, B, C = np.unravel_index(np.arange(m**3), (m, m, m))
+    A, B, C = np.ogrid[:m, :m, :m]
 
     def row(a: int, b: int) -> np.ndarray:  # left multiplication by (a, b, 0)
-        return ((a + A) % m) * m * m + ((b + B) % m) * m + (C + a * B) % m
+        return (((a + A) % m) * m * m + ((b + B) % m) * m + (C + a * B) % m).ravel()
 
     gens = [m * m, m]  # (1, 0, 0) and (0, 1, 0)
     return FiniteGroup(
@@ -265,14 +260,14 @@ def _pirim_group(k: int, A1) -> FiniteGroup:
         if len(powers) > 4 * m * m:
             raise RelationCheckFailed("matrix order runaway")
     t_order = len(powers)
-    W0, W1, L = np.unravel_index(np.arange(m * m * t_order), (m, m, t_order))
+    W0, W1, L = np.ogrid[:m, :m, :t_order]
 
     def row(v0: int, v1: int, j: int) -> np.ndarray:
         # (v, t^j)(w, t^l) = (v + B^j w, t^(j+l)), element (v0*m + v1)*|t| + j
         B = powers[j]
         u0 = (v0 + B[0][0] * W0 + B[0][1] * W1) % m
         u1 = (v1 + B[1][0] * W0 + B[1][1] * W1) % m
-        return (u0 * m + u1) * t_order + (j + L) % t_order
+        return ((u0 * m + u1) * t_order + (j + L) % t_order).ravel()
 
     coords = [(1, 0, 0), (0, 1, 0)] + ([(0, 0, 1)] if t_order > 1 else [])
     gens = [(v0 * m + v1) * t_order + j for v0, v1, j in coords]
@@ -429,14 +424,6 @@ def make_product(towers: Sequence[Tower]) -> Tower:
     return Tower([], [], TowerMeta(family_name="product", flags=flags), factors=towers)
 
 
-def _product_map(towers: Sequence[Tower], k: int) -> np.ndarray:
-    """Connecting map of the product tower at level k (levels k+1 -> k)."""
-    his = [t.level(k + 1).order for t in towers]
-    coords = np.unravel_index(np.arange(int(np.prod(his))), his)
-    return np.ravel_multi_index([t.map_down(k).map[c] for t, c in zip(towers, coords)],
-                                [t.level(k).order for t in towers])
-
-
 def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
     """Levelwise direct product without the disjoint-prime requirement.
 
@@ -446,10 +433,9 @@ def direct_product_tower(t1: Tower, t2: Tower) -> Tower:
     if t1.depth != t2.depth:
         raise DepthMismatch("factor depths differ")
     levels = [direct_product(t1.level(k), t2.level(k)) for k in range(1, t1.depth + 1)]
-    maps = [
-        Homomorphism(levels[k], levels[k - 1], _product_map([t1, t2], k))
-        for k in range(1, t1.depth)
-    ]
+    maps = [Homomorphism(levels[k], levels[k - 1],
+                         box_map([f.map, g.map], (f.target.order, g.target.order)))
+            for k, (f, g) in enumerate(zip(t1.maps, t2.maps), 1)]
     flags = TowerFlags(
         abelian=t1.meta.flags.abelian and t2.meta.flags.abelian,
         nilpotent=t1.meta.flags.nilpotent and t2.meta.flags.nilpotent,
@@ -515,7 +501,7 @@ def parse_tower_spec(doc: dict | str) -> dict:
         factors = doc.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             raise SpecError("product needs a list of >= 2 factors", ["/factors"])
-        parsed = [parse_tower_spec(f) for f in factors]
+        parsed = [_nested(f"/factors/{i}", parse_tower_spec, f) for i, f in enumerate(factors)]
         depths = {f["depth"] for f in parsed}
         if len(depths) > 1:
             raise SpecError("product factors must share a depth", ["/factors"])
@@ -535,6 +521,9 @@ def parse_tower_spec(doc: dict | str) -> dict:
             raise SpecError("custom tower needs levels", ["/levels"])
         if not isinstance(doc.get("maps"), list):
             raise SpecError("custom tower needs maps", ["/maps"])
+        for k, m in enumerate(doc["maps"]):
+            if not _is_int_list(m):
+                raise SpecError("a connecting map must be a list of integers", [f"/maps/{k}"])
         return {"family": "custom", "levels": doc["levels"], "maps": doc["maps"],
                 "depth": len(doc["levels"])}
 
@@ -593,6 +582,14 @@ def _not_prime(p: int) -> bool:
     return False
 
 
+def _nested(at: str, read: Callable, doc):
+    """read(doc) for the document at JSON pointer `at`, its errors' paths prefixed."""
+    try:
+        return read(doc)
+    except SpecError as exc:
+        raise SpecError(str(exc), [at if p == "/" else at + p for p in exc.paths]) from None
+
+
 def _spec_primes(spec: dict) -> set[int]:
     """The primes of a parsed spec: a family's is the base of its order."""
     fam = spec["family"]
@@ -637,9 +634,11 @@ def build_tower(spec: dict) -> Tower:
     """Construct the tower described by a parsed spec."""
     fam = spec["family"]
     if fam == "product":
-        return make_product([build_tower(f) for f in spec["factors"]])
+        return make_product([_nested(f"/factors/{i}", build_tower, f)
+                             for i, f in enumerate(spec["factors"])])
     if fam == "custom":
-        levels = [load_group_json(g) for g in spec["levels"]]
+        levels = [_nested(f"/levels/{i}", load_group_json, g)
+                  for i, g in enumerate(spec["levels"])]
         return custom_tower(levels, spec["maps"])
     if fam not in FAMILIES:
         raise SpecError(f"unknown family {fam!r}", ["/family"])

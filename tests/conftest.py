@@ -91,7 +91,7 @@ def oracle_subgroups(G, gen_bound: int | None = None) -> list[frozenset[int]]:
     n = G.order
     bound = gen_bound if gen_bound is not None else _omega(n)
     table = products(G).tolist()
-    inv = [int(x) for x in G.inv]
+    inv = G.inverse(np.arange(n)).tolist()
     found: set[frozenset[int]] = set()
     for size in range(bound + 1):
         for seed in combinations(range(n), size):

@@ -221,6 +221,47 @@ def test_boolean_spec_field_exits_one(spec, pointer, tmp_path, capsys):
     assert f"at: {pointer}" in err
 
 
+C2_DOC, C4_DOC = ({"version": 1, "kind": "cyclic", "n": n} for n in (2, 4))
+
+
+@pytest.mark.parametrize(
+    "spec,pointer",
+    [
+        ({"family": "product", "factors": [{"family": "zp", "p": 2, "depth": 2},
+                                           {"family": "zp", "p": 4, "depth": 2}]},
+         "/factors/1/p"),
+        ({"family": "product", "factors": [
+            {"family": "zp", "p": 5, "depth": 2},
+            {"family": "product", "factors": [{"family": "zp", "p": 2, "depth": 2},
+                                              {"family": "zp", "p": 3, "depth": 0}]}]},
+         "/factors/1/factors/1/depth"),
+        ({"family": "custom", "levels": [C2_DOC, {"version": 1, "kind": "cyclic", "n": 0}],
+          "maps": [[0, 1]]}, "/levels/1/n"),
+        ({"family": "custom", "levels": [C2_DOC, [2]], "maps": [[0, 1]]}, "/levels/1"),
+    ],
+    ids=["factor-p", "nested-factor-depth", "level-n", "level-not-an-object"],
+)
+def test_nested_spec_error_points_into_the_whole_document(spec, pointer, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["analyze", "--spec-file", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"\n  at: {pointer}\n" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [[0, 1.9, 0.2, 1], [False, True, False, True], ["0", "1", "0", "1"], None, {}],
+    ids=["floats", "bools", "strings", "null", "object"])
+def test_custom_map_that_is_not_a_list_of_integers_exits_one(bad, tmp_path, capsys):
+    spec = tmp_path / "custom.json"
+    spec.write_text(json.dumps({"family": "custom", "levels": [C2_DOC, C2_DOC, C4_DOC],
+                                "maps": [[0, 1], bad]}))
+    code, out, err = run_cli(["analyze", "--spec-file", str(spec)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: a connecting map must be a list of integers\n  at: /maps/1\n")
+    assert "Traceback" not in err
+
+
 def test_env_cap_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUBGROUP_ATLAS_CAP", "8")
     code, _, err = run_cli(
@@ -468,7 +509,7 @@ def test_custom_tower_spec(tmp_path, capsys):
     assert doc["tower"]["family"] == "custom"
 
 
-@pytest.mark.parametrize("bad", [7, -1])
+@pytest.mark.parametrize("bad", [7, -1, 10**26, -10**26])
 def test_custom_map_image_out_of_range_exits_one(bad, tmp_path, capsys):
     spec = tmp_path / "custom.json"
     spec.write_text(json.dumps({

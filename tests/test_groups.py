@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_closure_d4_klein():
     H = closure(D4, [2, 4])  # half rotation and a reflection
     assert H.order == 4
     table = products(D4).tolist()
-    inv = [int(x) for x in D4.inv]
+    inv = D4.inverse(np.arange(D4.order)).tolist()
     assert frozenset(int(i) for i in H.indices()) == oracle_closure(
         table, D4.identity, inv, [2, 4]
     )
@@ -152,7 +153,7 @@ def _closure_groups() -> tuple:
 
 @lru_cache(maxsize=None)
 def _oracle_table(G) -> tuple[list[list[int]], list[int]]:
-    return products(G).tolist(), [int(x) for x in G.inv]
+    return products(G).tolist(), G.inverse(np.arange(G.order)).tolist()
 
 
 def _frontier_closure(G, seed) -> frozenset[int]:
@@ -170,7 +171,7 @@ def _frontier_closure(G, seed) -> frozenset[int]:
             f = frontier[lo:lo + 256]
             new[G.mul(f[:, None], members)] = True
             new[G.mul(members[:, None], f)] = True
-        new[G.inv[frontier]] = True
+        new[G.inverse(frontier)] = True
         new &= ~mask
         frontier = np.flatnonzero(new)
         mask |= new
@@ -331,7 +332,8 @@ def test_power_map_squares_and_multiplies():
     for e in [0, 1, 2, 3, 5, 8, 255, 2039, 4096]:
         passes.clear()
         got = G.power_map(e)
-        assert len(passes) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+        r = e % G.order  # g^order = 1, so e is read mod the order
+        assert len(passes) == (r.bit_length() + bin(r).count("1") - 2 if r else 0)
         assert set(passes) <= {G.order}
         assert got.tolist() == ((first * e % 2039) * 2 + second * e % 2).tolist()
 
@@ -339,7 +341,7 @@ def test_power_map_squares_and_multiplies():
 def _all_pairs_commutator(G, members) -> frozenset[int]:
     """The subgroup generated by [a, b] = ab(ba)^-1 over all |H|^2 pairs of
     members of H, closed by the pure-Python fixed point."""
-    t, inv = products(G), [int(x) for x in G.inv]
+    t, inv = products(G), G.inverse(np.arange(G.order)).tolist()
     a, b = np.repeat(members, len(members)), np.tile(members, len(members))
     comms = set(t[t[a, b], np.asarray(inv)[t[b, a]]].tolist())
     return oracle_closure(t.tolist(), G.identity, inv, comms)
@@ -516,7 +518,7 @@ def _gathered_coset_unions(G, H, r, c, q):
     """Row j: the union of the cosets c_j^i H_{r_j}, i < max q, gathered for
     every g of G: g lies in c^i H when c^-i g lies in H."""
     K = H.take(r, axis=0)
-    y = step = G.inv.take(c)
+    y = step = G.inverse(c)
     for _ in range(1, int(q.max())):
         K |= H[r[:, None], G.mul(y[:, None], np.arange(G.order))]
         y = G.mul(y, step)
@@ -911,6 +913,72 @@ def test_bad_table_rejected():
         FiniteGroup([[0, 1], [1, 1]])  # not a group
 
 
+def _oracle_is_group(table) -> bool:
+    """A two-sided identity, associativity on every triple, and a two-sided
+    inverse of every element."""
+    n = len(table)
+    ids = [e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))]
+    return bool(ids) and oracle_is_associative(table) and all(
+        any(table[a][b] == ids[0] == table[b][a] for b in range(n)) for a in range(n))
+
+
+def test_group_check_matches_group_oracle_on_every_3x3_table_with_identity_0():
+    # the four cells off row and column 0 take every value; some tables are
+    # associative and generated by one element but have no inverses, as the
+    # monoid {1, a, a^2 = a^3}
+    tables = [[[0, 1, 2], [1, a, b], [2, c, d]] for a, b, c, d in product(range(3), repeat=4)]
+    accepted = []
+    for table in tables:
+        try:
+            FiniteGroup(table)
+            accepted.append(True)
+        except WrongShape:
+            accepted.append(False)
+    assert accepted == [_oracle_is_group(table) for table in tables]
+    assert sum(accepted) == 1  # Z3
+    with pytest.raises(WrongShape, match="inverse"):
+        FiniteGroup([[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+
+
+def test_monoid_whose_second_basis_element_has_no_inverse_rejected():
+    # Z2 x ({0, 1}, or), element 2a + b for (a, b): the basis is [2, 1], and
+    # 2 = (1, 0) is invertible but 1 = (0, 1) is not
+    table = [[2 * ((a + c) % 2) + (b | d) for c in range(2) for d in range(2)]
+             for a in range(2) for b in range(2)]
+    assert oracle_is_associative(table) and not _oracle_is_group(table)
+    with pytest.raises(WrongShape, match="without a two-sided inverse"):
+        FiniteGroup(table, generators=[2, 1])
+
+
+def test_map_check_allocates_a_few_bytes_a_source_element():
+    # the reduction Z/11^6 -> Z/11^5 is checked on every element times the
+    # identity and the basis in blocks; whole-map temporaries took 56 bytes
+    # a source element
+    source, target = cyclic(11**6), cyclic(11**5)
+    mapping = np.arange(source.order) % target.order
+    Homomorphism(cyclic(4), cyclic(2), [0, 1, 0, 1])  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        hom = Homomorphism(source, target, mapping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hom.surjective and hom.map is mapping
+    assert peak <= 4 * source.order
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_box_map_matches_ravel_of_mapped_coordinates(data):
+    shape = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    box = data.draw(st.lists(st.integers(1, 5), min_size=len(shape), max_size=len(shape)))
+    maps = [np.array(data.draw(st.lists(st.integers(0, b - 1), min_size=h, max_size=h)),
+                     dtype=np.int64) for h, b in zip(shape, box)]
+    coords = np.unravel_index(np.arange(np.prod(shape)), shape)
+    expected = np.ravel_multi_index([f[c] for f, c in zip(maps, coords)], box)
+    assert groups.box_map(maps, box).tolist() == expected.tolist()
+
+
 def reduced_latin_squares(n: int) -> list[list[list[int]]]:
     """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
     rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
@@ -1143,8 +1211,11 @@ def test_cyclic_group_matches_its_table_twin(n):
     assert isinstance(G, groups.CyclicGroup) and not hasattr(G, "table")
     assert products(G).tolist() == T.table.tolist()
     assert G.mul(n - 1, 1 % n) == T.mul(n - 1, 1 % n) and isinstance(G.mul(0, 0), np.integer)
-    assert G.inv.dtype == T.inv.dtype and G.inv.tolist() == T.inv.tolist()
-    assert not G.inv.flags.writeable
+    # the inverse is a closed form, not an array kept per element
+    every = np.arange(n)
+    assert not hasattr(G, "inv") and not hasattr(T, "inv")
+    assert G.inverse(every).tolist() == T.inverse(every).tolist()
+    assert (G.mul(every, G.inverse(every)) == 0).all()
     for e in range(-n - 1, n + 2):
         got, expected = G.power_map(e), T.power_map(e)
         assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), e
@@ -1214,7 +1285,7 @@ NORMALIZER_GROUPS = [dihedral(4), quaternion8(), s4(), heis3()]
 
 
 def _lists(G):
-    return products(G).tolist(), [int(x) for x in G.inv]
+    return products(G).tolist(), G.inverse(np.arange(G.order)).tolist()
 
 
 @given(st.data())
@@ -1356,7 +1427,7 @@ def test_target_subgroups_keeps_a_cached_list():
     G = dihedral(4)
     all_subgroups(G)
     own = G._subgroups
-    conj = G.mul(G.mul(G.inv[4], np.arange(G.order)), 4).tolist()
+    conj = G.mul(G.mul(G.inverse(4), np.arange(G.order)), 4).tolist()
     for mapping in (list(range(G.order)), conj):
         hom = Homomorphism(G, G, mapping)
         subs, parents, full_preimage = target_subgroups(hom)
@@ -1403,8 +1474,10 @@ def test_dihedral_closed_form_matches_its_table_twin(n):
     assert isinstance(D, groups.DihedralGroup) and D.n == n and not hasattr(D, "table")
     assert (D.basis, D.generators, D.name) == (twin.basis, twin.generators, f"D{n}")
     assert products(D).tolist() == twin.table.tolist()
-    assert D.inv.dtype == twin.inv.dtype and D.inv.tolist() == twin.inv.tolist()
-    assert not D.inv.flags.writeable and D.identity == twin.identity == 0
+    every = np.arange(2 * n)
+    assert not hasattr(D, "inv") and not hasattr(twin, "inv")
+    assert D.inverse(every).tolist() == twin.inverse(every).tolist()
+    assert (D.mul(every, D.inverse(every)) == 0).all() and D.identity == twin.identity == 0
     assert D.primes == twin.primes and D.is_abelian() == twin.is_abelian() == (n <= 2)
     for e in range(-2 * n - 1, 2 * n + 2):
         got, expected = D.power_map(e), twin.power_map(e)

@@ -16,7 +16,9 @@ so it is a constant dressed up as a knob; the fifth scan finds those.  A
 Cayley table is read by its owner alone: the constructor that fills it,
 ``FiniteGroup``'s construction checks and ``FiniteGroup.mul``, through which
 every other product goes, so the table's layout is known in one place; the
-sixth scan finds a read of an attribute named ``table`` anywhere else.
+sixth scan finds a read of an attribute named ``table`` anywhere else.  The
+same scan finds any read of an attribute named ``inv``: every inverse is read
+through ``inverse``, so no array of inverses is kept beside it.
 """
 
 from __future__ import annotations
@@ -274,16 +276,15 @@ TABLE_OWNERS = {
     "table_from_rows",
     "FiniteGroup.__init__",
     "FiniteGroup._find_identity",
-    "FiniteGroup._build_inverses",
     "FiniteGroup._check_group",
     "FiniteGroup.mul",
 }
 
 
-def table_reads(source: str) -> list[tuple[str, int]]:
+def attribute_reads(source: str, attribute: str, owners: set[str]) -> list[tuple[str, int]]:
     """(qualified name of the innermost enclosing function or class, line)
-    for each read of an attribute named ``table`` outside TABLE_OWNERS; a
-    read outside every function and class is named ``<module>``."""
+    for each read of an attribute named `attribute` outside the functions
+    `owners`; a read outside every function and class is named ``<module>``."""
     out = []
 
     def walk(node: ast.AST, scope: str) -> None:
@@ -291,8 +292,8 @@ def table_reads(source: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "table"
-                    and isinstance(child.ctx, ast.Load) and scope not in TABLE_OWNERS):
+            if (isinstance(child, ast.Attribute) and child.attr == attribute
+                    and isinstance(child.ctx, ast.Load) and scope not in owners):
                 out.append((scope or "<module>", child.lineno))
             walk(child, scope)
 
@@ -302,7 +303,12 @@ def table_reads(source: str) -> list[tuple[str, int]]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_owner_reads_the_table(path):
-    assert table_reads(path.read_text()) == []
+    assert attribute_reads(path.read_text(), "table", TABLE_OWNERS) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_an_inverse_array(path):
+    assert attribute_reads(path.read_text(), "inv", set()) == []
 
 
 def test_scan_flags_a_table_read_outside_its_owner():
@@ -323,8 +329,11 @@ def test_scan_flags_a_table_read_outside_its_owner():
         "    return t, mul\n"
         "SIZE = FiniteGroup([]).table.size\n"
     )
-    assert table_reads(source) == [
+    assert attribute_reads(source, "table", TABLE_OWNERS) == [
         ("<module>", 15), ("FiniteGroup.is_abelian", 7), ("closure", 11), ("closure.mul", 13),
+    ]
+    assert attribute_reads("def conjugate(G, g):\n    return G.inv[g]\n", "inv", set()) == [
+        ("conjugate", 2),
     ]
 
 

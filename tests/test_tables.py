@@ -57,7 +57,8 @@ def tower_digest(t) -> str:
     doc = {
         "tables": [[str(table_twin(G).table.dtype), _sha(products(G).astype("<u4").tobytes())]
                    for G in t.levels],
-        "inv": [_sha(np.asarray(G.inv).astype("<i8").tobytes()) for G in t.levels],
+        "inv": [_sha(G.inverse(np.arange(G.order)).astype("<i8").tobytes())
+                for G in t.levels],
         "basis": [[int(s) for s in G.basis] for G in t.levels],
         "maps": [_sha(np.asarray(h.map).astype("<i8").tobytes()) for h in t.maps],
     }
