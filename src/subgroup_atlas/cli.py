@@ -28,10 +28,11 @@ class _MalformedJSON(AtlasError):
     """A spec or group literal that is not a JSON document."""
 
 
-def _json_document(text: str):
+def _json_document(text: str | bytes):
+    """The document of a JSON text, or of a file's bytes read as UTF-8."""
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past the digit limit
         raise _MalformedJSON(f"malformed JSON: {exc}") from exc
 
 
@@ -46,7 +47,7 @@ def _family_spec_from_args(args, family: str | None = None) -> dict:
         ignored = [f"--{k}" for k in ("family", "p", "n", "depth") if getattr(args, k) is not None]
         if ignored:
             raise _usage_error(f"--spec-file cannot be combined with {', '.join(ignored)}")
-        return parse_tower_spec(_json_document(Path(args.spec_file).read_text(encoding="utf-8")))
+        return parse_tower_spec(_json_document(Path(args.spec_file).read_bytes()))
     family = family or args.family
     if not family:
         raise SpecError("either --family or --spec-file is required", ["/family"])
@@ -66,7 +67,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_group_arg(raw: str):
-    text = raw if raw.lstrip().startswith("{") else Path(raw).read_text(encoding="utf-8")
+    text = raw if raw.lstrip().startswith("{") else Path(raw).read_bytes()
     return load_group_json(_json_document(text))
 
 
@@ -338,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"  at: {', '.join(exc.paths)}\n")
         sys.stderr.write(USAGE)
         return 1
-    except (AtlasError, FileNotFoundError) as exc:
+    except (AtlasError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

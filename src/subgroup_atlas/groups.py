@@ -48,9 +48,6 @@ def _table_dtype(order: int):
 # Cells of the table that one step of a construction-time check reads at
 # once, so a check allocates a fixed block, never an n x n temporary.
 BLOCK_CELLS = 1 << 16
-# Measured time of one table cell gathered by index arithmetic, in cells of
-# a boolean pass over a membership block: the enumeration picks its rule by it.
-GATHER_CELL_COST = 8
 
 
 def _block_cells(n: int) -> int:
@@ -679,16 +676,12 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
     such prime, that normalize H (tested on H's extension elements).  K is
     the union of the cosets c^i H, i < q, and K/H has order q, so the
     candidates that give K are exactly K minus H, (q - 1)|H| of them.  The
-    least of them is kept, by whichever exact rule costs less:
-    - c is kept when no coset c^i H, 0 < i < q, has a smaller element:
-      (q - 1)|H| table cells gathered a candidate;
-    - rounds take each row's first candidate, write its K from H's elements
-      and drop the candidates K covers: two passes over the block a round.
-      A row has at most (its candidates) / ((p - 1)|H|) K, p the least
-      prime, and that many rounds leave each row one K in the last, whose
-      K minus H is what remains of its candidates, so that round builds no
-      cosets.
-    A gathered cell costs about GATHER_CELL_COST cells of a pass.
+    least of them is kept, in rounds: each round takes each row's first
+    candidate, writes its K from H's elements and drops the candidates K
+    covers, so the next first candidate gives a new K.  A row has at most
+    (its candidates) / ((p - 1)|H|) K, p the least prime, and that many
+    rounds leave each row one K in the last, whose K minus H is what remains
+    of its candidates, so that round builds no cosets.
     """
     primes = sorted(G.primes)
     cand = H.take(G.power_map(primes[0]), axis=1)
@@ -714,33 +707,22 @@ def _extend_block(G: FiniteGroup, H: np.ndarray, gens: Optional[np.ndarray],
         members = np.full((len(H), int(orders.max())), G.identity)
         starts = np.fromiter(accumulate(orders.tolist(), initial=0), np.intp, len(orders) + 1)
         members[at, np.arange(len(at)) - starts[at]] = elements
-    if rounds > 1 and (GATHER_CELL_COST * int(cand.sum()) * (primes[-1] - 1) * int(orders.max())
-                       <= (rounds - 1) * 2 * H.size):
-        r, c = cand.nonzero()
+    picks, K = [], []
+    for i in range(rounds):
+        r = counts.nonzero()[0]
+        if not len(r):
+            break
+        c = cand.argmax(axis=1).take(r)
         q = _least_prime(G, H, r, c, primes)
-        keep = _least_in_class(G, members, r, c, q)
-        r, c, q = r[keep], c[keep], q[keep]
-        step = max(1, _block_cells(G.order) // G.order)
-        K = [b for lo in range(0, len(r), step)
-             for b in _rows_to_bits(_coset_unions(G, H, members, r[lo:lo + step],
-                                                  c[lo:lo + step], q[lo:lo + step]))]
-    else:
-        picks, K = [], []
-        for i in range(rounds):
-            r = counts.nonzero()[0]
-            if not len(r):
-                break
-            c = cand.argmax(axis=1).take(r)
-            q = _least_prime(G, H, r, c, primes)
-            if i + 1 < rounds:
-                built = _coset_unions(G, H, members, r, c, q)
-                cand[r] &= ~built
-                counts = cand.sum(axis=1)
-            else:  # a row has one K left, and its candidates are K minus H
-                built = H.take(r, axis=0) | cand.take(r, axis=0)
-            picks.append((r, c, q))
-            K += _rows_to_bits(built)
-        r, c, q = picks[0] if len(picks) == 1 else map(np.concatenate, zip(*picks))
+        if i + 1 < rounds:
+            built = _coset_unions(G, H, members, r, c, q)
+            cand[r] &= ~built
+            counts = cand.sum(axis=1)
+        else:  # a row has one K left, and its candidates are K minus H
+            built = H.take(r, axis=0) | cand.take(r, axis=0)
+        picks.append((r, c, q))
+        K += _rows_to_bits(built)
+    r, c, q = picks[0] if len(picks) == 1 else map(np.concatenate, zip(*picks))
     new_gens = None if gens is None else np.concatenate([gens.take(r, axis=0), c[:, None]], axis=1)
     return K, new_gens, orders.take(r) * q
 
@@ -752,27 +734,6 @@ def _least_prime(G: FiniteGroup, H: np.ndarray, r: np.ndarray, c: np.ndarray,
     for p in reversed(primes[:-1]):
         q[_cells(H, r, G.power_map(p).take(c))] = p
     return q
-
-
-def _least_in_class(G: FiniteGroup, members: np.ndarray, r: np.ndarray, c: np.ndarray,
-                    q: np.ndarray) -> np.ndarray:
-    """Whether each candidate c of row r is the least element of the union of
-    the cosets c^i H_r, 0 < i < q, with H_r's elements (padded with repeats)
-    row r of `members`, a block of candidates at a time."""
-    keep = np.empty(len(c), dtype=bool)
-    step = max(1, _block_cells(G.order) // members.shape[1])
-    for lo in range(0, len(c), step):
-        cs, qs = c[lo:lo + step], q[lo:lo + step]
-        elements = members.take(r[lo:lo + step], axis=0)
-        least, i = np.full(len(cs), G.order), 1
-        for x in _power_blocks(G, cs, int(qs.max()) - 1, elements.size):
-            coset_min = G.mul(x[:, :, None], elements[:, None, :]).min(axis=2)
-            # c^i H for i >= q repeats a coset, H itself among them
-            coset_min[np.arange(i, i + x.shape[1]) >= qs[:, None]] = G.order
-            least = np.minimum(least, coset_min.min(axis=1))
-            i += x.shape[1]
-        keep[lo:lo + step] = least == cs
-    return keep
 
 
 def _coset_unions(G: FiniteGroup, H: np.ndarray, members: np.ndarray, r: np.ndarray,
@@ -1330,11 +1291,11 @@ def load_group_json(doc: dict | str) -> FiniteGroup:
             raise SpecError("matrix generators must be integer matrices of one square shape",
                             [f"/generators/{i}"])
         mats.append(tuple(tuple(v % modulus for v in r) for r in g))
-    ident = tuple(map(tuple, np.eye(dim, dtype=np.int64)))
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
-    def mmul(a, b):
-        prod = (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % modulus
-        return tuple(map(tuple, prod))
+    def mmul(a, b):  # in Python ints, which a large modulus cannot overflow
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) % modulus for col in zip(*b))
+                     for row in a)
 
     G, _ = generate_from(mats, mmul, ident, label=lambda m: str([list(r) for r in m]),
                          name=doc.get("name", f"mat{dim}mod{modulus}"))

@@ -38,8 +38,6 @@ from .groups import (
     table_from_rows,
 )
 
-TOWER_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class TowerFlags:

@@ -779,6 +779,36 @@ def test_json_integer_past_digit_limit_is_malformed_json(where, tmp_path, capsys
     assert err.count("\n") == 1
 
 
+def _path_argv(case: str, tmp_path: Path) -> list[str]:
+    """The argv of a path case of test_unusable_path_exits_one; each file it
+    names holds bytes that are not UTF-8."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"family": "zp\xff", "p": 2}')
+    c2 = json.dumps(C2_LITERAL)
+    return {
+        "out-is-a-directory": ["lattice", "--family", "zp", "--p", "2", "--depth", "3",
+                               "--out", str(tmp_path)],
+        "spec-file-is-a-directory": ["lattice", "--spec-file", str(tmp_path)],
+        "g1-is-a-directory": ["goursat", "--g1", str(tmp_path), "--g2", c2],
+        "spec-file-not-utf8": ["lattice", "--spec-file", str(bad)],
+        "g1-file-not-utf8": ["goursat", "--g1", str(bad), "--g2", c2],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "out-is-a-directory", "spec-file-is-a-directory", "g1-is-a-directory",
+    "spec-file-not-utf8", "g1-file-not-utf8",
+])
+def test_unusable_path_exits_one(case, tmp_path, capsys):
+    code, out, err = run_cli(_path_argv(case, tmp_path), capsys)
+    assert code == 1 and out == ""
+    if case.endswith("not-utf8"):
+        assert err.startswith("error: malformed JSON: 'utf-8' codec can't decode byte 0xff")
+    else:
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 ONE_ARGV_PER_COMMAND = [
     ["analyze", "--family", "zp", "--p", "3", "--depth", "4"],
     ["classify", "--family", "dihedral2", "--depth", "3", "--output", "table"],

@@ -581,22 +581,8 @@ def test_cosets_of_q_up_to_three_take_one_call_per_power_doubling(qs, calls):
     made = _counting_mul(G)
     unions = groups._coset_unions(G, H, members, r, c, q)
     assert len(made) == calls
-    made.clear()
-    keep = groups._least_in_class(G, members, r, c, q)
-    assert len(made) == calls
     del G.mul
     assert np.array_equal(unions, _gathered_coset_unions(G, H, r, c, q))
-    least = [min(G.order, *(G.mul(x, members[j]).min() for x in _naive_powers(G, cj, qj)))
-             for j, cj, qj in zip(r, c, q)]
-    assert keep.tolist() == [x == cj for x, cj in zip(least, c)]
-
-
-def _naive_powers(G, c, q):
-    """c, c^2, ..., c^(q - 1), one product at a time."""
-    out = [int(c)]
-    while len(out) < q - 1:
-        out.append(int(G.mul(out[-1], c)))
-    return out
 
 
 def test_coset_powers_of_a_large_prime_are_built_by_doubling():
@@ -609,16 +595,6 @@ def test_coset_powers_of_a_large_prime_are_built_by_doubling():
     del G.mul
     assert subs == [closure(G, [g]) for g in (0, 1, 2, 3)]
     assert [s.order for s in subs] == [1, 2, 2039, 4078]
-
-
-def test_least_in_class_over_many_power_blocks():
-    # in Z/2039 with H trivial, the least element of c^1..c^2038 is 1 for
-    # every c != 0, so only c = 1 is kept; 2038 candidates take 64 blocks
-    G = table_twin(cyclic(2039))
-    c = np.arange(1, 2039)
-    keep = groups._least_in_class(G, np.zeros((1, 1), dtype=np.intp), np.zeros(2038, dtype=np.intp),
-                                  c, np.full(2038, 2039))
-    assert keep.tolist() == (c == 1).tolist()
 
 
 def test_direct_product_layout_and_counts():
@@ -899,6 +875,14 @@ def test_load_group_json_kinds():
          "generators": [[[0, 1], [1, 2]]]}
     )
     assert m.order == 8  # that matrix has order 8 in GL2(F3)
+
+
+@pytest.mark.parametrize("modulus", [10**10 + 19, 2**62 + 135])
+def test_matrix_literal_with_a_large_modulus_loads(modulus):
+    # diag(-1, 1) has order 2; its entries squared overflowed int64 products
+    m = load_group_json({"version": 1, "kind": "matrix", "modulus": modulus,
+                         "generators": [[[modulus - 1, 0], [0, 1]]]})
+    assert m.order == 2
 
 
 def test_load_group_json_requires_version():
@@ -1590,10 +1574,12 @@ def test_prime_power_subgroup_counts_are_one_mod_p(name):
             assert (G.order // p**a) % counts[p**a] == 0
 
 
-LITERALS = {"D4": lambda: dihedral(4), "Q8": quaternion8, "S4": s4, "A4": a4, "Heis3": heis3}
-# products whose insoluble-path enumeration takes well under a second
+LITERALS = {"D4": lambda: dihedral(4), "Q8": quaternion8, "S4": s4, "A4": a4, "Heis3": heis3,
+            "E8": lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))}
+# products whose insoluble-path enumeration takes well under a second; those
+# of E8 = (Z/2)^3 run many rounds of cyclic extension a block
 LITERAL_PRODUCTS = [("D4", "D4"), ("D4", "Q8"), ("D4", "A4"), ("Q8", "Q8"), ("Q8", "A4"),
-                    ("Q8", "Heis3"), ("A4", "A4"), ("A4", "D4")]
+                    ("Q8", "Heis3"), ("A4", "A4"), ("A4", "D4"), ("E8", "Q8"), ("E8", "D4")]
 
 
 @lru_cache(maxsize=None)
@@ -1612,10 +1598,10 @@ def _generic_subgroups(names: tuple[str, ...]) -> list[list[int]]:
 
 @pytest.mark.parametrize("name", LITERALS)
 def test_cyclic_extension_matches_oracles_on_literals(name):
-    # every subgroup of these five groups is generated by two elements
+    # every subgroup of these groups is generated by two elements, and of E8 by three
     G = _literal((name,))
     found = {H.bits for H in groups._subgroups_cyclic_extension(G)}
-    assert found == oracle_bits_set(G, oracle_subgroups(G, gen_bound=2))
+    assert found == oracle_bits_set(G, oracle_subgroups(G, gen_bound=3 if name == "E8" else 2))
     assert found == set(groups._subgroups_generic(G))
 
 

@@ -18,7 +18,10 @@ Cayley table is read by its owner alone: the constructor that fills it,
 every other product goes, so the table's layout is known in one place; the
 sixth scan finds a read of an attribute named ``table`` anywhere else.  The
 same scan finds any read of an attribute named ``inv``: every inverse is read
-through ``inverse``, so no array of inverses is kept beside it.
+through ``inverse``, so no array of inverses is kept beside it.  A
+module-level name that a module assigns and no file of the project reads is a
+constant left behind by a deletion, or a setting nothing consults; the
+seventh scan finds those.
 """
 
 from __future__ import annotations
@@ -137,6 +140,38 @@ def unnamed_functions(package: dict[str, str], others: list[str]) -> list[tuple[
     return sorted(out)
 
 
+def _reads(tree: ast.AST) -> Counter:
+    """The identifiers `_names` counts, less each name or attribute that is
+    bound or deleted there rather than read."""
+    written = Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Load)
+    )
+    return _names(tree) - written
+
+
+def unread_constants(package: dict[str, str], others: list[str]) -> list[tuple[str, str]]:
+    """(module, name) for each name that a statement at the top level of a
+    package source assigns and that no source reads; dunder names are exempt."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read: Counter = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
+        read.update(_reads(tree))
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+            out |= {
+                (module, name.id)
+                for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not read[name.id]
+                and not (name.id.startswith("__") and name.id.endswith("__"))
+            }
+    return sorted(out)
+
+
 def unread_parameters(source: str) -> list[tuple[str, str]]:
     """(function, parameter) for each parameter of a function or lambda that
     its body never reads; ``self`` and ``cls`` are exempt.  A nested function
@@ -244,6 +279,31 @@ def test_scan_flags_an_unnamed_function():
     others = ["TARGETS = ('K.traced',)\n", "raise ValueError('no prose for that')\n"]
     assert unnamed_functions(package, others) == [
         ("m.py", "dead"), ("m.py", "prose"), ("m.py", "recursive"),
+    ]
+
+
+def test_every_module_constant_is_read():
+    package = {path.name: path.read_text() for path in MODULES}
+    others = [path.read_text() for path in PROJECT_FILES if path.parent != PACKAGE_DIR]
+    assert unread_constants(package, others) == []
+
+
+def test_scan_flags_an_unread_constant():
+    package = {
+        "m.py": (
+            "__all__ = ['EXPORTED']\n"
+            "LIMIT, SPARE = 3, 4\n"
+            "EXPORTED = 1\n"
+            "STALE: int = 2\n"
+            "STALE += 1\n"
+            "def f(x):\n"
+            "    return LIMIT + x\n"
+        ),
+        "n.py": "SIZE = 8\nVERSION = 1\n",
+    }
+    others = ["import m, n\nm.n.SIZE\nn.VERSION = 2\n"]
+    assert unread_constants(package, others) == [
+        ("m.py", "SPARE"), ("m.py", "STALE"), ("n.py", "VERSION"),
     ]
 
 
