@@ -30,6 +30,7 @@ from .lattice import LatticeTower, build_lattice_tower
 from .towers import (
     PIRIM_A,
     Tower,
+    _mat_mul,
     _mat_pow,
     direct_product_tower,
     make_zp,
@@ -220,16 +221,25 @@ def _scaled_module_bits(pk: int, j: int) -> int:
     return bits
 
 
+# Largest N the b_n audit takes: the entries of A^n grow by log2(1 + sqrt 5),
+# about 1.7 bits, a step, so the b list of N entries holds about 0.85 N^2
+# bits, 10 MB at this N.
+BN_RECURRENCE_MAX = 10_000
+
+
 def bn_recurrence_audit(n_max: int) -> AuditResult:
     """Exact integer powers of the base matrix: the alpha-coefficient sequence
     obeys b_n = 2 b_{n-1} + 4 b_{n-2} and stays positive, so no power
-    acquires a rational eigenvalue collapse."""
+    acquires a rational eigenvalue collapse.  Each power is the one before
+    times A, one 2 x 2 product a step."""
     if n_max < 3:
         raise OutOfRange("bn recurrence audit needs N >= 3")
-    b = []
-    for n in range(1, n_max + 1):
-        An = _mat_pow(PIRIM_A, n)
+    if n_max > BN_RECURRENCE_MAX:
+        raise OutOfRange(f"bn recurrence audit needs N <= {BN_RECURRENCE_MAX}")
+    b, An = [], PIRIM_A
+    for _ in range(n_max):
         b.append(An[0][1])
+        An = _mat_mul(An, PIRIM_A)
     recur_ok = all(b[n] == 2 * b[n - 1] + 4 * b[n - 2] for n in range(2, n_max))
     positive = all(v > 0 for v in b)
     passed = recur_ok and positive and b[0] == 1 and b[1] == 2

@@ -5,10 +5,12 @@ subgroups are membership bitsets (python ints).  Every group holds a Cayley
 table except the cyclic and dihedral groups, whose products are computed in
 closed form (CyclicGroup, DihedralGroup).  Their lattices are read in closed
 form too: <r^d> for each divisor d of n, and in D_n also <r^d, s r^i> for
-i < d; the links between two such levels are the subgroups generated by the
-images of each node's generators.  Every other group is enumerated by
-cyclic extension (or, if insoluble, the generic path).  Inverses are read
-through `inverse` and never stored; box coordinate maps come from `box_map`.
+i < d; the links between two such levels, and the images of their
+subgroups, are the subgroups generated by the images of each node's
+generators, read from the nodes' keys (d, i) as arrays, and the Frattini
+subgroup is <r^rad(n)>.  Every other group is enumerated by cyclic
+extension (or, if insoluble, the generic path).  Inverses are read through
+`inverse` and never stored; box coordinate maps come from `box_map`.
 The canonical order of any subgroup collection is (order, bitset value),
 the determinism contract for everything downstream.
 """
@@ -19,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -240,7 +242,7 @@ class CyclicGroup(FiniteGroup):
         self.basis = [g for g in self.generators if g != self.identity]
         self._abelian: Optional[bool] = not self._reflections or n <= 2
         self._subgroups: Optional[list[Subgroup]] = None
-        self._nodes: Optional[list[tuple[int, int]]] = None
+        self._keys: Optional[_NodeKeys] = None
         self._power_maps: dict[int, np.ndarray] = {}
         self._product_of: Optional[tuple[FiniteGroup, FiniteGroup]] = None
 
@@ -499,69 +501,116 @@ def _divisors(n: int, primes: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
+class _NodeKeys(NamedTuple):
+    """The nodes of Z/n or D_n as int arrays: a and b, in node order, hold
+    the generators of node (d, i), r^d and s r^i (r^d twice for <r^d>); and
+    the dense index from a key to its node: for d the j-th divisor, node
+    rotation[j] is (d, -1) and node reflection[j] + i is (d, i), since the
+    nodes (d, 0), ..., (d, d - 1) are consecutive."""
+
+    a: np.ndarray
+    b: np.ndarray
+    divisors: np.ndarray
+    rotation: np.ndarray
+    reflection: np.ndarray
+
+    def nodes_of(self, d: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """The node of each key (d[j], i[j])."""
+        j = np.searchsorted(self.divisors, d)
+        return np.where(i < 0, self.rotation.take(j), self.reflection.take(j) + i)
+
+
+def _multiples(d: int, n: int) -> int:
+    """The bitset of <r^d> in Z/n or D_n, bits 0, d, ..., n - d: after each
+    doubling shift x |= x << w the bits of x are 0, d, ..., 2w - d, so
+    ceil(log2(n/d)) shifts reach n, and one mask cuts the bits past it."""
+    x, w = 1, d
+    while w < n:
+        x |= x << w
+        w <<= 1
+    return x & ((1 << n) - 1)
+
+
+def _key_subgroup(G: CyclicGroup, d: int, i: int, rotations: int) -> Subgroup:
+    """The node of key (d, i) of Z/n or D_n, given `rotations`, the bitset of
+    <r^d>: <r^d>, or for i >= 0 <r^d, s r^i>, whose reflections s r^(i + j)
+    for r^j in <r^d> are that bitset shifted by n + i."""
+    if i < 0:
+        return Subgroup(G, rotations, G.n // d)
+    return Subgroup(G, rotations | rotations << G.n + i, 2 * G.n // d)
+
+
 def _closed_form_subgroups(G: CyclicGroup) -> list[Subgroup]:
-    """Every subgroup of Z/n or D_n, kept as G's own list with each node's key.
+    """Every subgroup of Z/n or D_n, kept as G's own list with its node keys.
 
     Key (d, -1) is <r^d> for a divisor d of n, of order n/d, and in D_n key
     (d, i) for 0 <= i < d is <r^d, s r^i>, of order 2n/d: tau(n) subgroups
     of Z/n and tau(n) + sigma(n) of D_n, each once (K. Conrad, "Dihedral
-    groups II").  A bitset is a strided row, r^j for d | j and s r^j for
-    d | j - i, written into a block of _block_cells cells; the rows are
-    sorted once by (order, bitset)."""
+    groups II").  The nodes are laid out in runs, <r^d> alone and the d
+    nodes <r^d, s r^i> together, and sorting the runs by (order, first i)
+    sorts the nodes by (order, bitset): of two nodes of one order, only
+    <r^d> has no bit past n - 1, and <r^d, s r^i> has highest bit
+    2n - d + i, d fixed by the order."""
     if G._subgroups is None:
-        n, width = G.n, G.order
+        n = G.n
         divisors = _divisors(n, G.primes)
-        keys = [(d, -1) for d in divisors]
+        runs = [(n // d, -1, d) for d in divisors]  # (order, first i, d)
         if isinstance(G, DihedralGroup):
-            keys += [(d, i) for d in divisors for i in range(d)]
-        step = min(len(keys), max(1, _block_cells(width) // width))
-        block = np.empty((step, width), dtype=bool)
-        bits: list[int] = []
-        for lo in range(0, len(keys), step):
-            part = keys[lo:lo + step]
-            block[:] = False
-            for row, (d, i) in zip(block, part):
-                row[:n:d] = True
-                if i >= 0:
-                    row[n + i::d] = True
-            bits += _rows_to_bits(block[:len(part)])
-        nodes = sorted(zip([n // d * (1 if i < 0 else 2) for d, i in keys], bits, keys))
-        G._subgroups = [Subgroup(G, b, order) for order, b, _key in nodes]
-        G._nodes = [key for _order, _b, key in nodes]
+            runs += [(2 * n // d, 0, d) for d in divisors]
+        runs.sort()
+        key_d, key_i, a, b, at = [], [], [], [], {}
+        for _order, first, d in runs:
+            at[d, first] = len(key_d)
+            size = d if first == 0 else 1
+            key_d += [d] * size
+            key_i += range(first, first + size)
+            a += [d % n] * size
+            b += range(n, n + d) if first == 0 else [d % n]
+        rotations = {d: _multiples(d, n) for d in divisors}
+        G._subgroups = [_key_subgroup(G, d, i, rotations[d]) for d, i in zip(key_d, key_i)]
+        G._keys = _NodeKeys(np.array(a), np.array(b), np.array(divisors),
+                            np.array([at[d, -1] for d in divisors]),
+                            np.array([at.get((d, 0), 0) for d in divisors]))
     return G._subgroups
 
 
-def _generated_node(G: CyclicGroup, elements: Iterable[int]) -> tuple[int, int]:
-    """The key of the subgroup of Z/n or D_n that the elements generate.
+def _generators(H: Subgroup) -> tuple[int, int]:
+    """Two elements that generate a subgroup H of Z/n or D_n, read from its
+    bitset: r^d for d its least nonzero rotation exponent (the identity if
+    it has none), and its least reflection s r^i (r^d again if it has
+    none)."""
+    n = H.parent.n
+    rotations = (H.bits >> 1) & ((1 << n - 1) - 1)  # r^1, ..., r^(n-1) at bits 0..n-2
+    reflections = H.bits >> n
+    d = (rotations & -rotations).bit_length()
+    return d, (n + (reflections & -reflections).bit_length() - 1 if reflections else d)
 
-    Its rotations are generated by the rotations r^j among the elements and
-    by (s r^a)(s r^b) = r^(b - a) for each two reflections among them, so
-    they are <r^d>, d the gcd of n, each j and each b - a; the b - a from
-    the first reflection's a suffice.  Its reflections are s r^a <r^d>, so
-    its key is (d, a mod d), or (d, -1) when no element is a reflection."""
-    n = G.n
-    d, first = n, -1
-    for x in elements:
-        if x < n:
-            d = math.gcd(d, x)
-        elif first < 0:
-            first = x - n
-        else:
-            d = math.gcd(d, x - n - first)
-    return d, (first % d if first >= 0 else -1)
+
+def _generated_keys(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key of the subgroup of Z/n or D_n that a[j] and b[j] generate, for
+    each j, or that the ints a and b generate.
+
+    Its rotations are generated by the rotations among a and b and, when
+    both are reflections s r^x and s r^y, by their product r^(y - x); so
+    they are <r^e>, e the gcd of n and those exponents.  Its reflections are
+    s r^f <r^e>, for f the offset of a reflection among a and b, so its key
+    is (e, f mod e), or (e, -1) when neither is a reflection."""
+    ra, rb = a >= n, b >= n
+    e = np.gcd(np.gcd(n, np.where(ra, 0, a)), np.where(rb, np.where(ra, b - a, 0), b))
+    return e, np.where(ra | rb, (np.where(ra, a, b) - n) % e, -1)
 
 
 def _generated_links(hom: Homomorphism) -> np.ndarray:
     """The parent of each node of a closed-form source in a closed-form
-    target: the subgroup generated by the images of the node's generators,
-    r^d and s r^i (r^d twice for <r^d>), since a homomorphism maps <S> onto
-    <f(S)>.  This holds for every verified homomorphism, twisted ones
-    included."""
-    m = hom.source.n
-    gens = [(d % m, d % m if i < 0 else m + i) for d, i in hom.source._nodes]
-    index = {key: j for j, key in enumerate(hom.target._nodes)}
-    return np.array([index[_generated_node(hom.target, images)]
-                     for images in hom.map.take(gens).tolist()], dtype=np.int64)
+    target: the subgroup that the images of the node's generators generate,
+    since a homomorphism maps <S> onto <f(S)>.  This holds for every
+    verified homomorphism, twisted ones included.  In a target Z/n, with no
+    reflections, that subgroup is <r^gcd(n, a, b)>."""
+    keys, G = hom.source._keys, hom.target
+    a, b = hom.map.take(keys.a), hom.map.take(keys.b)
+    if not isinstance(G, DihedralGroup):
+        return G._keys.rotation.take(np.searchsorted(G._keys.divisors, np.gcd(np.gcd(G.n, a), b)))
+    return G._keys.nodes_of(*_generated_keys(G.n, a, b))
 
 
 def target_subgroups(hom: Homomorphism) -> tuple[list[Subgroup], np.ndarray, np.ndarray]:
@@ -819,11 +868,16 @@ def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 def frattini(G: FiniteGroup) -> Subgroup:
     """Intersection of all maximal proper subgroups (trivial group maps to itself).
 
-    A G of prime-power order p^k whose lattice has not been enumerated needs
-    none: G/Phi(G) is the largest elementary abelian quotient of G, so
-    Phi(G) is the normal closure of {s^p, [s, t]} over the basis, which the
-    walk _commutator_of runs finds.  Otherwise the maximal subgroups of the
-    lattice are intersected."""
+    Phi of Z/n or D_n is <r^rad(n)>, rad(n) the product of the primes
+    dividing n (an odd n leaves out the 2 of |D_n|), read in closed form.
+    Any other G of prime-power order p^k whose lattice has not been
+    enumerated needs none: G/Phi(G) is the largest elementary abelian
+    quotient of G, so Phi(G) is the normal closure of {s^p, [s, t]} over the
+    basis, which the walk _commutator_of runs finds.  Otherwise the maximal
+    subgroups of the lattice are intersected."""
+    if isinstance(G, CyclicGroup):
+        rad = math.prod(p for p in G.primes if G.n % p == 0)
+        return _key_subgroup(G, rad, -1, _multiples(rad, G.n))
     if len(G.primes) == 1 and G._subgroups is None:
         (p,) = G.primes
         basis = np.asarray(G.basis, dtype=np.intp)
@@ -906,7 +960,16 @@ class Homomorphism:
         return int(self.map[a])
 
     def image_subgroup(self, H: Subgroup) -> Subgroup:
-        return _subgroup_of(self.target, self.map[H.indices()])
+        """The image of H.  Between two closed-form levels it is the subgroup
+        that the images of H's two generators, read from its bitset,
+        generate (the link rule of _generated_links), with no array of H's
+        elements; otherwise the images of H's elements are gathered."""
+        G = self.target
+        if isinstance(self.source, CyclicGroup) and isinstance(G, CyclicGroup):
+            a, b = (int(self.map[x]) for x in _generators(H))
+            e, j = map(int, _generated_keys(G.n, a, b))
+            return _key_subgroup(G, e, j, _multiples(e, G.n))
+        return _subgroup_of(G, self.map[H.indices()])
 
     def preimage_subgroup(self, H: Subgroup) -> Subgroup:
         in_H = H.mask()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_tower
+from subgroup_atlas import audits as audits_mod
 from subgroup_atlas import classify as classify_mod
 from subgroup_atlas.audits import virtually_zp_audit
 from subgroup_atlas.classify import Analysis, analyze_tower, classify
@@ -13,7 +14,7 @@ from subgroup_atlas.filtration import (
     default_max_rank,
     height_bound_audit,
 )
-from subgroup_atlas.groups import cyclic, dihedral, direct_product
+from subgroup_atlas.groups import cyclic, dihedral, direct_product, trivial_subgroup
 from subgroup_atlas.lattice import build_lattice_tower
 from subgroup_atlas.towers import custom_tower, make_product, make_zp
 
@@ -179,3 +180,60 @@ def test_strictly_growing_helper():
     assert classify_mod._strictly_growing([1, 2, 3])
     assert not classify_mod._strictly_growing([1, 2, 2])
     assert not classify_mod._strictly_growing([2, 1])
+
+
+def _conflict_name(v) -> str:
+    assert v.conflict and v.tag == "Undetermined" and v.confidence == "EmpiricalOnly"
+    return v.evidence[-1]["conflict"]
+
+
+def _analysis(name: str) -> Analysis:
+    """The unclassified analysis of a cached tower at its default horizon."""
+    t = cached_tower(name)
+    lt = build_lattice_tower(t)
+    rep = cb_filtration(lt, default_max_rank(t.depth, len(t.primes)))
+    return Analysis(t, lt, rep, virtually_zp_audit(t, lt, rep))
+
+
+def test_conflict_on_isolated_nodes_under_a_growing_frattini_index(monkeypatch):
+    # branch (b): Frattini subgroups read as trivial make the index |G_k|
+    # grow, which certifies Cantor, yet the links leave isolated nodes
+    monkeypatch.setattr(audits_mod, "frattini", trivial_subgroup)
+    a = _analysis("zp(2,4)")
+    v = classify(a)
+    assert v.evidence[0] == {"audit": "frattini_stability", "passed": False,
+                             "indices": [2, 4, 8, 16]}
+    assert _conflict_name(v) == "isolated_nodes_despite_growing_frattini"
+    assert v.evidence[-1]["isolated_counts"] == [len(a.isolated[k]) for k in (1, 2, 3)]
+    assert any(v.evidence[-1]["isolated_counts"])
+
+
+def test_conflict_on_a_centralizer_count_that_disagrees_with_the_survivors():
+    # branch (c): the audit's stabilized count, doctored, disagrees with the
+    # stabilized rank-1 survivor count n = 1 of zp(3,4)
+    a = _analysis("zp(3,4)")
+    a.zp_audit.details["stabilized_n"] = 2
+    v = classify(a)
+    assert _conflict_name(v) == "survivor_count_mismatch"
+    assert v.evidence[-1] == {"conflict": "survivor_count_mismatch", "rank1": 1, "centralizer": 2}
+
+
+def test_conflict_on_a_density_failure_in_a_virtually_zp_tower():
+    # branch (f): dihedral2 is certified PelczynskiPlusOmegaN(1), until its
+    # level-1 full preimages are permuted, so each no longer lies over its node
+    a = _analysis("dihedral2(4)")
+    assert classify(a).tag == "PelczynskiPlusOmegaN"
+    fp = a.lattice.full_preimage[0]
+    a.lattice.full_preimage[0] = np.roll(fp, 1)
+    v = classify(a)
+    assert _conflict_name(v) == "density_failure"
+    assert v.evidence[-1]["nodes"] == [(1, i) for i in range(len(fp))]
+
+
+def test_conflict_on_a_height_that_contradicts_pelczynski_plus_omega_n():
+    # branch (f): a bounded apparent height other than 2
+    a = _analysis("dihedral2(4)")
+    a.report.apparent_height = ApparentHeight(3)
+    v = classify(a)
+    assert _conflict_name(v) == "apparent_height_mismatch"
+    assert v.evidence[-1] == {"conflict": "apparent_height_mismatch", "expected": 2, "observed": 3}

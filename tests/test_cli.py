@@ -104,6 +104,24 @@ def test_audit_bn_recurrence_reads_n_zero_as_given(capsys):
     assert err == "error: bn recurrence audit needs N >= 3\n"
 
 
+def test_audit_bn_recurrence_takes_n_up_to_ten_thousand(capsys):
+    # each power of A is the one before times A, so N = 10,000 runs in well
+    # under a second (recomputing every power from scratch took seconds)
+    start = time.perf_counter()
+    code, out, err = run_cli(["audit", "--name", "bn_recurrence", "--n", "10000"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    doc = json.loads(out)[0]
+    assert doc["passed"] and doc["levels"] == [1, 10000]
+    assert doc["details"]["b"] == [1, 2, 8, 24, 80, 256, 832, 2688, 8704, 28160]
+
+
+def test_audit_bn_recurrence_refuses_n_above_ten_thousand(capsys):
+    code, out, err = run_cli(["audit", "--name", "bn_recurrence", "--n", "10001"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: bn recurrence audit needs N <= 10000\n"
+
+
 def test_audit_bn_recurrence_defaults_to_n_40(capsys):
     default = run_cli(["audit", "--name", "bn_recurrence"], capsys)
     assert default == run_cli(["audit", "--name", "bn_recurrence", "--n", "40"], capsys)

@@ -286,7 +286,8 @@ def _frattini_by_scan(G) -> int:
 
 @pytest.mark.parametrize("name", list(TOWER_FACTORIES))
 def test_frattini_of_a_p_group_level_is_the_maximal_subgroup_scan(name):
-    # a fresh tower: its levels have no lattice, so frattini walks
+    # a fresh tower: its levels have no lattice, so frattini walks (or, on a
+    # cyclic or dihedral level, reads <r^rad(n)>)
     for G in TOWER_FACTORIES[name]().levels:
         assert len(G.primes) == 1
         walked = frattini(G)
@@ -295,6 +296,19 @@ def test_frattini_of_a_p_group_level_is_the_maximal_subgroup_scan(name):
         assert walked.bits == expected
         assert walked.order == bin(expected).count("1")
         assert frattini(G).bits == expected  # read off the lattice now cached
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_closed_form_frattini_is_the_maximal_subgroup_scan_of_the_table_twin(n):
+    # Phi(Z/n) = Phi(D_n) = <r^rad(n)>, read with no lattice; D_1 and D_2 (the
+    # Klein four group) have trivial Phi, and an odd n's D_n leaves out the 2
+    for G in (cyclic(n), dihedral(n)):
+        phi = frattini(G)
+        assert G._subgroups is None
+        expected = _frattini_by_scan(table_twin(G))
+        assert (phi.bits, phi.order) == (expected, bin(expected).count("1")), G.name
+    if n <= 2:
+        assert frattini(dihedral(n)).order == 1
 
 
 @pytest.mark.parametrize("name", list(TOWER_FACTORIES))
@@ -1621,3 +1635,64 @@ def test_cyclic_extension_matches_generic_on_relabeled_literals(names, rnd):
     expected = {sum(1 << int(x) for x in image[members]) for members in _generic_subgroups(names)}
     assert {H.bits for H in found} == expected
     assert [(H.order, H.bits) for H in found] == sorted((H.order, H.bits) for H in found)
+
+
+def _gathered_image(hom: Homomorphism, H):
+    """The image of H gathered from the images of its elements."""
+    return groups._subgroup_of(hom.target, hom.map[H.indices()])
+
+
+def _assert_images_read_from_keys(homs, monkeypatch):
+    """image_subgroup of every subgroup of each hom's source equals the
+    gathered image, and reads no element array of the subgroup."""
+    cases = [(hom, H) for hom in homs for H in all_subgroups(hom.source)]
+    gathered = [_gathered_image(hom, H) for hom, H in cases]
+    with monkeypatch.context() as m:
+        m.setattr(groups.Subgroup, "indices", None)  # the gather reads H.indices()
+        images = [hom.image_subgroup(H) for hom, H in cases]
+    assert [(s.parent, s.bits, s.order) for s in images] == [
+        (s.parent, s.bits, s.order) for s in gathered]
+    return len(cases)
+
+
+@pytest.mark.parametrize("factory", [lambda: make_zp(2, 6), lambda: make_zp(3, 4),
+                                     lambda: make_dihedral2(6)],
+                         ids=["zp(2,6)", "zp(3,4)", "dihedral2(6)"])
+def test_image_subgroup_between_tower_levels_reads_the_key(factory, monkeypatch):
+    t = factory()
+    homs = [t.map_down(k) for k in range(1, t.depth)]
+    cases = _assert_images_read_from_keys(homs, monkeypatch)
+    assert cases == sum(len(all_subgroups(G)) for G in t.levels[1:])
+
+
+@pytest.mark.parametrize("m,n", list(DIHEDRAL_ONTO_MAPS))
+def test_image_subgroup_reads_the_key_on_every_dihedral_map(m, n, monkeypatch):
+    # every homomorphism D_m -> D_n, twisted and not onto ones included
+    Dm, Dn = dihedral(m), dihedral(n)
+    homs = []
+    for x in range(2 * n):
+        for y in range(2 * n):
+            try:
+                homs.append(Homomorphism(Dm, Dn, _maps_by_images(m, Dn, x, y)))
+            except WrongShape:
+                continue
+    assert sum(hom.surjective for hom in homs) == DIHEDRAL_ONTO_MAPS[m, n]
+    _assert_images_read_from_keys(homs, monkeypatch)
+
+
+def test_image_subgroup_reads_the_key_between_cyclic_and_dihedral_levels(monkeypatch):
+    # every homomorphism between Z/m or D_m and Z/n or D_n, m, n <= 6, given
+    # by the images of r (and s)
+    homs = []
+    for S, T in product([f(m) for f in (cyclic, dihedral) for m in range(1, 7)], repeat=2):
+        for x in range(T.order):
+            powers = [0]
+            for _ in range(1, S.n):
+                powers.append(int(T.mul(powers[-1], x)))
+            for y in range(T.order) if S.order > S.n else [None]:
+                mapping = powers if y is None else powers + [int(T.mul(y, p)) for p in powers]
+                try:
+                    homs.append(Homomorphism(S, T, mapping))
+                except WrongShape:
+                    continue
+    assert _assert_images_read_from_keys(homs, monkeypatch) > 1000

@@ -513,6 +513,24 @@ def test_analysis_enumerates_only_the_top_level(name, monkeypatch):
         assert seen == []
 
 
+@pytest.mark.parametrize("factory", [lambda: make_zp(2, 6), lambda: make_dihedral2(6)],
+                         ids=["zp(2,6)", "dihedral2(6)"])
+def test_closed_form_analysis_scans_no_lattice_and_gathers_no_image(factory, monkeypatch):
+    # closed-form levels read their links, Frattini subgroups and the audit's
+    # centralizer images from node keys: no maximal-subgroup scan, no
+    # Frattini walk, no image pass and no gathered image
+    def refuse(*_args):
+        raise AssertionError("a closed-form level took a path that reads elements")
+
+    for name in ("maximal_subgroups", "_normal_closure", "_image_parents"):
+        monkeypatch.setattr(groups, name, refuse)
+    monkeypatch.setattr(groups.Subgroup, "indices", refuse)  # what the gather reads
+    t = factory()
+    v = analyze_tower(t).verdict
+    assert (v.tag, v.confidence) in {("OmegaAlphaN", "Certified"),
+                                     ("PelczynskiPlusOmegaN", "Certified")}
+
+
 # every TOWER_FACTORIES tower, every product factor below its full depth,
 # every literal tower and every product tower
 STRUCTURE_TOWERS = {
